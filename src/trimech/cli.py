@@ -418,7 +418,8 @@ def build_parser():
                        default="none")
         p.add_argument("--threads", type=int,
                        default=int(os.environ.get("TRIMECH_THREADS", "1")),
-                       help="worker count for sweeps (content-invariant)")
+                       help="accepted for compatibility; has no effect "
+                            "(sweeps run in one process)")
 
     for name, fn in (("derive", cmd_derive), ("steady", cmd_steady),
                      ("linear", cmd_linear), ("sweep", cmd_sweep),

@@ -19,9 +19,15 @@ quadrature, each mechanical bath contributes 2*gamma_j*(2*n_j + 1) on its
 momentum row, and all cross-correlations vanish because the three noises
 are independent.
 
-The production Lyapunov solver works in the eigenbasis of A (transform D,
-divide by eigenvalue-pair sums, transform back).  Near-degenerate pair
-sums fall back to the direct vectorized solve with a warning.
+Every solve runs on a stack of N drift matrices, and a single matrix is
+the N = 1 case.  Each row gets exactly one eigendecomposition A = S L S^-1;
+its eigenvalues give the stability verdict and the conjugate-pair check,
+and with S they give the covariance in the eigenbasis (transform D by
+solves with S, divide by eigenvalue-pair sums, transform back, then two
+steps of iterative refinement).  Rows with near-degenerate pair sums, or
+whose residual breaks the contract, fall back one by one to the direct
+vectorized solve of `validate.lyapunov_direct`.  A row's result never
+depends on the other rows of its stack.
 """
 
 import itertools
@@ -33,7 +39,8 @@ import numpy as np
 
 from .errors import NumericalError, UnstableSystemError
 from .params import ModelParams
-from .steady import ClassicalSteadyState
+from .steady import ClassicalSteadyState, FixedPoints
+from .validate import lyapunov_direct  # the direct solve doubles as the fallback
 
 #: stability margin: stable means max Re(eig) < -EPS_STABLE
 EPS_STABLE = 1e-12
@@ -44,15 +51,40 @@ PAIR_SUM_FLOOR = 1e-10
 #: Lyapunov residual contract, relative to max|D|
 RESIDUAL_REL = 1e-10
 
+_TINY = np.finfo(float).tiny
+
+#: row status of a stacked solve: stable (with a covariance, once solved),
+#: unstable, degenerate trap, or numerical fault
+OK, UNSTABLE, DEGENERATE, FAULT = 0, 1, 2, 3
+
 
 @dataclass(frozen=True)
 class LinearModel:
     """Drift and diffusion matrices with the stability verdict."""
 
-    drift: np.ndarray        # 6x6 real
-    diffusion: np.ndarray    # 6x6 real symmetric PSD
-    eigenvalues: np.ndarray  # 6 complex
+    drift: np.ndarray         # 6x6 real
+    diffusion: np.ndarray     # 6x6 real symmetric PSD
+    eigenvalues: np.ndarray   # 6 complex
     stable: bool
+    eigenvectors: np.ndarray  # 6x6 complex, columns match `eigenvalues`
+
+
+@dataclass(frozen=True)
+class LinearStack:
+    """N drift matrices of one ModelParams, one eigendecomposition per row."""
+
+    drift: np.ndarray         # (N, 6, 6)
+    diffusion: np.ndarray     # (6, 6), shared by every row
+    eigenvalues: np.ndarray   # (N, 6) complex; NaN on rows not decomposed
+    eigenvectors: np.ndarray  # (N, 6, 6) complex; NaN on rows not decomposed
+    status: np.ndarray        # (N,) OK (stable), UNSTABLE, DEGENERATE or FAULT
+    reasons: dict             # row -> message, for DEGENERATE and FAULT rows
+
+    def model(self, i) -> LinearModel:
+        return LinearModel(drift=self.drift[i], diffusion=self.diffusion,
+                           eigenvalues=self.eigenvalues[i],
+                           stable=bool(self.status[i] == OK),
+                           eigenvectors=self.eigenvectors[i])
 
 
 @dataclass(frozen=True)
@@ -70,6 +102,34 @@ class SteadyCovariance:
     S2: float
 
 
+def _drift_stack(m: ModelParams, delta_eff, photon_number, x1_bar, x2_bar):
+    """(N, 6, 6) drift matrices from (N,) mean-field arrays.
+
+    The mean field is real (pb = 0) by the input-phase convention, so the
+    entries proportional to pb vanish and xb = sqrt(2 |a_bar|^2).
+    """
+    dt = delta_eff
+    xb = np.sqrt(2.0 * photon_number)
+    lever = m.chi * x1_bar - x2_bar
+    g_lin = (m.g1 - 2.0 * m.g2 * m.chi * lever) * xb  # mirror-field, displacement-corrected
+    g_sph = 2.0 * m.g2 * lever * xb                   # sphere-field, via the shared standing wave
+    nq = xb * xb                                      # = 2 |a_bar|^2
+    A = np.zeros((len(dt), 6, 6))
+    A[:, 0, 0] = A[:, 1, 1] = -1.0
+    A[:, 0, 1] = -dt
+    A[:, 1, 0] = dt
+    A[:, 1, 2] = A[:, 3, 0] = g_lin
+    A[:, 1, 4] = A[:, 5, 0] = g_sph
+    A[:, 2, 3] = m.omega1
+    A[:, 3, 2] = -m.omega1 - m.g2 * m.chi ** 2 * nq
+    A[:, 3, 3] = -2.0 * m.gamma1
+    A[:, 3, 4] = A[:, 5, 2] = m.g2 * m.chi * nq
+    A[:, 4, 5] = m.omega2
+    A[:, 5, 4] = -m.omega2 - m.g2 * nq
+    A[:, 5, 5] = -2.0 * m.gamma2
+    return A
+
+
 def drift_matrix(m: ModelParams, s: ClassicalSteadyState) -> np.ndarray:
     """Drift matrix of the linearized dynamics (kappa_c = 1 units).
 
@@ -77,22 +137,8 @@ def drift_matrix(m: ModelParams, s: ClassicalSteadyState) -> np.ndarray:
     and static displacements are read from it.  The mean field is taken
     real (pb = 0) by the input-phase convention, xb = sqrt(2 |a_bar|^2).
     """
-    dt = s.delta_eff
-    na = s.photon_number
-    xb = math.sqrt(2.0 * na)
-    pb = 0.0
-    lever = m.chi * s.x1_bar - s.x2_bar
-    g_lin = m.g1 - 2.0 * m.g2 * m.chi * lever  # mirror-field, displacement-corrected
-    g_sph = 2.0 * m.g2 * lever                 # sphere-field, via the shared standing wave
-    nq = xb * xb + pb * pb                     # = 2 |a_bar|^2
-    return np.array([
-        [-1.0,       -dt,        -g_lin * pb,                      0.0,   -g_sph * pb,                 0.0],
-        [dt,         -1.0,        g_lin * xb,                      0.0,    g_sph * xb,                 0.0],
-        [0.0,         0.0,        0.0,                             m.omega1, 0.0,                      0.0],
-        [g_lin * xb,  g_lin * pb, -m.omega1 - m.g2 * m.chi ** 2 * nq, -2.0 * m.gamma1, m.g2 * m.chi * nq, 0.0],
-        [0.0,         0.0,        0.0,                             0.0,    0.0,                        m.omega2],
-        [g_sph * xb,  g_sph * pb, m.g2 * m.chi * nq,               0.0,   -m.omega2 - m.g2 * nq,       -2.0 * m.gamma2],
-    ])
+    return _drift_stack(m, np.array([s.delta_eff]), np.array([s.photon_number]),
+                        np.array([s.x1_bar]), np.array([s.x2_bar]))[0]
 
 
 def diffusion_matrix(m: ModelParams) -> np.ndarray:
@@ -107,18 +153,87 @@ def diffusion_matrix(m: ModelParams) -> np.ndarray:
     ])
 
 
-def _eigvals_checked(A):
-    """Eigenvalues of a real matrix, verified to come in conjugate pairs."""
+def _spectra(A):
+    """One eigendecomposition per row of an (N, n, n) stack, checked for pairing.
+
+    Returns (eigenvalues (N, n) complex, eigenvectors (N, n, n) complex,
+    faults {row: message}).  A row whose solve fails, or whose eigenvalues
+    do not come in conjugate pairs, is a fault; the other rows are
+    unaffected.
+    """
+    faults = {}
     try:
-        lam = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
-    scale = max(np.abs(lam).max(), 1.0)
-    paired = np.sort_complex(lam)
-    conjed = np.sort_complex(np.conj(lam))
-    if not np.allclose(paired, conjed, atol=1e-9 * scale, rtol=1e-9):
-        raise NumericalError("eigenvalues of a real matrix failed to pair into conjugates")
-    return lam
+        lam, S = np.linalg.eig(A)
+    except np.linalg.LinAlgError:
+        # isolate the rows that fail (non-finite input, no convergence)
+        lam = np.full(A.shape[:2], np.nan, dtype=complex)
+        S = np.full(A.shape, np.nan, dtype=complex)
+        for i, a in enumerate(A):
+            try:
+                lam[i], S[i] = np.linalg.eig(a)
+            except np.linalg.LinAlgError as exc:
+                faults[i] = f"eigenvalue solver failed: {exc}"
+    # a real spectrum comes back real; every row is handled as complex, so
+    # a row's numbers do not depend on the rest of its stack
+    lam = lam.astype(complex, copy=False)
+    S = S.astype(complex, copy=False)
+    # conjugate pairs: the sorted spectrum equals its sorted conjugate to
+    # within rtol = 1e-9 and atol = 1e-9 * max(|eig|, 1)
+    conjed = np.sort(lam.conj(), axis=1)
+    size = np.abs(conjed)
+    atol = 1e-9 * np.maximum(size.max(axis=1, keepdims=True), 1.0)
+    paired = (np.abs(np.sort(lam, axis=1) - conjed) <= atol + 1e-9 * size).all(axis=1)
+    if not paired.all():
+        for i in np.flatnonzero(~paired):
+            faults.setdefault(int(i), "eigenvalues of a real matrix failed to "
+                                      "pair into conjugates")
+    return lam, S, faults
+
+
+def _decompose(A, D, degenerate=None) -> LinearStack:
+    """Stack `A` with one eigendecomposition per row.
+
+    Rows listed in `degenerate` ({row: message}) are not decomposed; their
+    eigenvalues and eigenvectors are NaN.
+    """
+    reasons = dict(degenerate or {})
+    if reasons:
+        rows = np.setdiff1d(np.arange(len(A)), list(reasons))
+        lam = np.full(A.shape[:2], np.nan, dtype=complex)
+        S = np.full(A.shape, np.nan, dtype=complex)
+        lam[rows], S[rows], faults = _spectra(A[rows])
+    else:
+        rows = range(len(A))
+        lam, S, faults = _spectra(A)
+    status = np.where(lam.real.max(axis=1) < -EPS_STABLE, OK, UNSTABLE).astype(np.int8)
+    if reasons:
+        status[list(reasons)] = DEGENERATE
+    for j, message in faults.items():
+        status[rows[j]] = FAULT
+        reasons[int(rows[j])] = message
+    return LinearStack(drift=A, diffusion=D, eigenvalues=lam, eigenvectors=S,
+                       status=status, reasons=reasons)
+
+
+def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
+    """Drift stack and diffusion of stacked fixed points of `m`, with one
+    eigendecomposition per row; degenerate-trap rows are carried over."""
+    A = _drift_stack(m, fp.delta_eff, fp.photon_number, fp.x1_bar, fp.x2_bar)
+    degenerate = ({int(i): fp.reason(i) for i in np.flatnonzero(fp.degenerate)}
+                  if fp.degenerate.any() else None)
+    return _decompose(A, diffusion_matrix(m), degenerate)
+
+
+def _eigvals_checked(A):
+    """Eigenvalues of one real matrix, verified to come in conjugate pairs.
+
+    The same eigendecomposition as a stacked row, so the verdict of
+    `stability` matches that of `linear_model` to the last bit.
+    """
+    lam, _, faults = _spectra(np.asarray(A, dtype=float)[None])
+    if faults:
+        raise NumericalError(faults[0])
+    return lam[0]
 
 
 def stability(A, eps_stable=EPS_STABLE):
@@ -127,27 +242,28 @@ def stability(A, eps_stable=EPS_STABLE):
     Returns (stable, eigenvalues).  Marginal spectra (eigenvalues on the
     imaginary axis) are reported unstable under the strict inequality.
     """
-    lam = _eigvals_checked(np.asarray(A, dtype=float))
+    lam = _eigvals_checked(A)
     return bool(lam.real.max() < -eps_stable), lam
 
 
 def linear_model(m: ModelParams, s: ClassicalSteadyState) -> LinearModel:
-    """Bundle drift, diffusion and the stability verdict."""
-    A = drift_matrix(m, s)
-    stable, lam = stability(A)
-    return LinearModel(drift=A, diffusion=diffusion_matrix(m),
-                       eigenvalues=lam, stable=stable)
+    """Bundle drift, diffusion, the eigendecomposition and the verdict."""
+    stack = _decompose(drift_matrix(m, s)[None], diffusion_matrix(m))
+    if stack.status[0] == FAULT:
+        raise NumericalError(stack.reasons[0])
+    return stack.model(0)
 
 
-def normal_modes(A, imag_floor=1e-9):
+def normal_modes(A, imag_floor=1e-9, eigenvalues=None):
     """Normal modes as (frequency, damping) pairs, sorted by frequency.
 
     Complex-conjugate eigenvalue pairs give frequency |Im| and damping
     -Re.  Purely real eigenvalues (overdamped spectra) cannot be paired;
     each is returned individually with zero frequency and a warning is
-    emitted.
+    emitted.  `eigenvalues`, the pair-checked spectrum of `A` when the
+    caller already has it, saves the eigen-solve.
     """
-    lam = _eigvals_checked(np.asarray(A, dtype=float))
+    lam = _eigvals_checked(A) if eigenvalues is None else eigenvalues
     scale = max(np.abs(lam).max(), 1.0)
     floor = imag_floor * scale
     complex_part = lam[lam.imag > floor]
@@ -179,98 +295,150 @@ def match_modes(reference_freqs, modes):
     return [modes[j] for j in best]
 
 
-def _lyapunov_eigenbasis(A, D, refine=2):
-    lam, S = np.linalg.eig(A)
-    pair_sums = lam[:, None] + lam[None, :]
+def _eigenbasis_solve(A, D, S, neg_sums2, refine=2):
+    """Eigenbasis Lyapunov solve of a stack with iterative refinement.
+
+    `neg_sums2` holds -2 (l_i + l_j) per row.  Returns (V, residual
+    max|A V + V A^T + D| per row).  Each transform S^-1 rhs S^-T takes
+    two LU solves with S, the same arithmetic as a one-matrix solve, so a
+    row's covariance is bit for bit that of the row solved alone.  Each
+    refinement step re-solves the residual the same way, which sharpens
+    near-marginal pair divisions.  A row whose S is singular is left NaN,
+    so its residual fails the contract.
+    """
+    ST = S.transpose(0, 2, 1)
+    AT = A.transpose(0, 2, 1)
 
     def solve_for(rhs):
-        # rhs_tilde = S^-1 rhs S^-T; rhs symmetric lets the second solve
-        # reuse the transposed right-hand side.
-        Rt = np.linalg.solve(S, np.linalg.solve(S, rhs).T)
-        Vt = -Rt / pair_sums
-        V = (S @ Vt @ S.T).real
-        return 0.5 * (V + V.T)
+        # S (S^-1 rhs S^-T / -(l_i + l_j)) S^T for symmetric rhs; dividing
+        # by twice the pair sums halves V exactly, so V + V^T symmetrizes
+        Vt = np.linalg.solve(S, np.linalg.solve(S, rhs).transpose(0, 2, 1))
+        Vt /= neg_sums2
+        V = (S @ Vt @ ST).real
+        return V + V.transpose(0, 2, 1)
 
-    V = solve_for(D)
-    # iterative refinement: correct with the residual re-solved through the
-    # same factorization; sharpens near-marginal pair divisions
-    for _ in range(refine):
-        residual = A @ V + V @ A.T + D
-        V = V + solve_for(residual)
-    return V, np.abs(pair_sums).min()
+    def residual(V):
+        return A @ V + V @ AT + D
+
+    try:
+        V = solve_for(D)
+        for _ in range(refine):
+            V = V + solve_for(residual(V))
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full(A.shape, np.nan), np.full(1, np.nan)
+        rows = [_eigenbasis_solve(A[i:i + 1], D, S[i:i + 1], neg_sums2[i:i + 1], refine)
+                for i in range(len(A))]
+        return (np.concatenate([V for V, _ in rows]),
+                np.concatenate([r for _, r in rows]))
+    return V, np.abs(residual(V)).max(axis=(1, 2))
 
 
 def _residual(A, V, D):
     return np.abs(A @ V + V @ A.T + D).max()
 
 
+def _lyapunov_rows(A, D, lam, S, pair_floor=PAIR_SUM_FLOOR):
+    """Covariances of a stack of stable drifts from their eigendecompositions.
+
+    `D` is the (6, 6) diffusion matrix shared by every row.  Returns
+    (V, faults {row: message}); faulted rows of V are NaN.  Rows whose
+    smallest |pair sum| is under `pair_floor` take the direct solve with
+    a warning; rows whose eigenbasis residual breaks the contract also try
+    the direct solve and keep the better of the two.
+    """
+    bound = RESIDUAL_REL * max(np.abs(D).max(), _TINY)
+    neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
+    pair_min = 0.5 * np.abs(neg_sums2).min(axis=(1, 2))
+    near = pair_min < pair_floor
+    faults = {}
+    if near.any():
+        rows = np.flatnonzero(~near)
+        V = np.full(A.shape, np.nan)
+        V[rows], residual = _eigenbasis_solve(A[rows], D, S[rows], neg_sums2[rows])
+        for i in np.flatnonzero(near):
+            warnings.warn(
+                f"near-degenerate eigenvalue pair (|sum| = {pair_min[i]:.3g}); "
+                "using vectorized solve", stacklevel=3)
+            try:
+                V[i] = lyapunov_direct(A[i], D)
+            except NumericalError as exc:
+                faults[int(i)] = str(exc)
+    else:
+        rows = np.arange(len(A))
+        V, residual = _eigenbasis_solve(A, D, S, neg_sums2)
+    for i in rows[~(residual <= bound)]:
+        try:
+            V_alt = lyapunov_direct(A[i], D)
+            if not _residual(A[i], V_alt, D) >= _residual(A[i], V[i], D):
+                V[i] = V_alt
+        except NumericalError:
+            pass
+        achieved = _residual(A[i], V[i], D)
+        if not achieved <= bound:
+            faults[int(i)] = (f"Lyapunov residual {achieved:.3g} exceeds contract "
+                              f"{bound:.3g}")
+    for i in faults:
+        V[i] = np.nan
+    return V, faults
+
+
 def solve_lyapunov(A, D, pair_floor=PAIR_SUM_FLOOR) -> np.ndarray:
     """Stationary covariance solving A V + V A^T = -D.
 
-    A must be stable (raises UnstableSystemError otherwise).  The result
-    is symmetrized and satisfies max|A V + V A^T + D| < 1e-10 * max|D|;
+    The single-matrix case of the stacked solve: one eigendecomposition
+    of A gives the stability verdict (raises UnstableSystemError when A
+    is not stable, NumericalError when its eigenvalues fail to pair) and
+    the eigenbasis solve.  The result is symmetrized and satisfies
+    max|A V + V A^T + D| < 1e-10 * max|D|, or NumericalError is raised;
     when eigenvalue-pair sums come within `pair_floor` of zero the
     ill-conditioned eigenbasis path is bypassed in favour of the direct
     vectorized solve (warning emitted, best-effort accuracy).
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
-    stable, lam = stability(A)
-    if not stable:
+    stack = _decompose(A[None], D)
+    if stack.status[0] == FAULT:
+        raise NumericalError(stack.reasons[0])
+    lam = stack.eigenvalues[0]
+    if stack.status[0] != OK:
         raise UnstableSystemError(
             f"no stationary covariance: max Re(eig) = {lam.real.max():.6g}")
-
-    from .validate import lyapunov_direct  # oracle doubles as degenerate fallback
-
-    pair_min = np.abs(lam[:, None] + lam[None, :]).min()
-    bound = RESIDUAL_REL * max(np.abs(D).max(), np.finfo(float).tiny)
-    if pair_min < pair_floor:
-        warnings.warn(
-            f"near-degenerate eigenvalue pair (|sum| = {pair_min:.3g}); "
-            "using vectorized solve", stacklevel=2)
-        return lyapunov_direct(A, D)
-
-    V, _ = _lyapunov_eigenbasis(A, D)
-    if _residual(A, V, D) > bound:
-        V_alt = lyapunov_direct(A, D)
-        if _residual(A, V_alt, D) < _residual(A, V, D):
-            V = V_alt
-        if _residual(A, V, D) > bound:
-            raise NumericalError(
-                f"Lyapunov residual {_residual(A, V, D):.3g} exceeds contract "
-                f"{bound:.3g}")
-    return V
+    V, faults = _lyapunov_rows(stack.drift, D, stack.eigenvalues,
+                               stack.eigenvectors, pair_floor)
+    if faults:
+        raise NumericalError(faults[0])
+    return V[0]
 
 
 def occupation(V, oscillator, clamp=True):
     """Mean phonon number of mechanical oscillator 1 or 2.
 
-    n_j = (<x_j^2> + <p_j^2> - 1)/2.  Small negative values (roundoff)
-    are clamped to zero when `clamp`; a warning is emitted if the raw
-    value is below -1e-9.
+    n_j = (<x_j^2> + <p_j^2> - 1)/2, elementwise over a stack of
+    covariance matrices.  Small negative values (roundoff) are clamped to
+    zero when `clamp`; a warning is emitted for each raw value below -1e-9.
     """
     if oscillator not in (1, 2):
         raise ValueError("oscillator must be 1 or 2")
     i = 2 * oscillator
-    raw = 0.5 * (V[i, i] + V[i + 1, i + 1] - 1.0)
-    if raw < -1e-9:
-        warnings.warn(f"occupation n_{oscillator} = {raw:.3g} below physical floor",
-                      stacklevel=2)
-    if clamp and raw < 0.0:
-        return 0.0
-    return raw
+    raw = 0.5 * (V[..., i, i] + V[..., i + 1, i + 1] - 1.0)
+    if np.any(raw < -1e-9):
+        for value in np.ravel(raw)[np.ravel(raw) < -1e-9]:
+            warnings.warn(f"occupation n_{oscillator} = {value:.3g} below physical floor",
+                          stacklevel=2)
+    return np.maximum(raw, 0.0)[()] if clamp else raw
 
 
 def squeezing(V, oscillator):
     """Squeezing figure of merit 1/(2 min(<x_j^2>, <p_j^2>)).
 
     Exceeds 1 exactly when one quadrature variance dips below the
-    vacuum value 1/2.
+    vacuum value 1/2.  Elementwise over a stack of covariance matrices.
     """
     if oscillator not in (1, 2):
         raise ValueError("oscillator must be 1 or 2")
     i = 2 * oscillator
-    return 1.0 / (2.0 * min(V[i, i], V[i + 1, i + 1]))
+    return 1.0 / (2.0 * np.minimum(V[..., i, i], V[..., i + 1, i + 1]))
 
 
 def symplectic_form(n_modes=3) -> np.ndarray:
@@ -293,11 +461,8 @@ def physicality_floor(V) -> float:
     return float(np.linalg.eigvalsh(H).min().real)
 
 
-def steady_covariance(model: LinearModel) -> SteadyCovariance:
-    """Solve for the stationary covariance and derive the scalar summaries."""
-    if not model.stable:
-        raise UnstableSystemError("system is unstable; no steady covariance")
-    V = solve_lyapunov(model.drift, model.diffusion)
+def covariance_summary(V) -> SteadyCovariance:
+    """The derived scalars of one stationary covariance matrix."""
     return SteadyCovariance(
         V=V,
         n1=occupation(V, 1),
@@ -307,3 +472,41 @@ def steady_covariance(model: LinearModel) -> SteadyCovariance:
         S1=squeezing(V, 1),
         S2=squeezing(V, 2),
     )
+
+
+def steady_covariances(stack: LinearStack):
+    """Stationary covariances of the stable rows of a stack.
+
+    Returns (V, status, reasons): V is (N, 6, 6) and NaN except on OK
+    rows, and rows that break the residual contract turn from OK into
+    FAULT.
+    """
+    status = stack.status.copy()
+    reasons = dict(stack.reasons)
+    rows = np.flatnonzero(status == OK)
+    if len(rows) == len(status):
+        V, faults = _lyapunov_rows(stack.drift, stack.diffusion,
+                                   stack.eigenvalues, stack.eigenvectors)
+    else:
+        V = np.full(stack.drift.shape, np.nan)
+        V[rows], faults = _lyapunov_rows(
+            stack.drift[rows], stack.diffusion,
+            stack.eigenvalues[rows], stack.eigenvectors[rows])
+    for j, message in faults.items():
+        status[rows[j]] = FAULT
+        reasons[int(rows[j])] = message
+    return V, status, reasons
+
+
+def steady_covariance(model: LinearModel) -> SteadyCovariance:
+    """Solve for the stationary covariance and derive the scalar summaries.
+
+    Reuses the eigendecomposition carried by `model`.
+    """
+    if not model.stable:
+        raise UnstableSystemError("system is unstable; no steady covariance")
+    V, faults = _lyapunov_rows(model.drift[None], model.diffusion,
+                               model.eigenvalues[None], model.eigenvectors[None])
+    if faults:
+        raise NumericalError(faults[0])
+    return covariance_summary(V[0])

@@ -61,6 +61,53 @@ def cavity_amplitude(delta_eff, a_in) -> complex:
     return _SQRT2 * a_in / (1j * delta_eff - 1.0)
 
 
+@dataclass(frozen=True)
+class FixedPoints:
+    """Closed-form mean fields of N stacked (effective detuning, drive) rows.
+
+    Every field is an array of shape (N,).  Rows whose trap is flat or
+    inverted (Omega2 <= 0, or Omega1 == 0) are flagged in `degenerate`
+    instead of raising; their other entries are meaningless.
+    """
+
+    delta_eff: np.ndarray
+    drive: np.ndarray
+    photon_number: np.ndarray
+    x1_bar: np.ndarray
+    x2_bar: np.ndarray
+    Omega1: np.ndarray
+    Omega2: np.ndarray
+    degenerate: np.ndarray  # bool
+
+    def reason(self, i) -> str:
+        """Why degenerate row `i` has no valid fixed point."""
+        if self.Omega2[i] <= 0:
+            return (f"sphere trap degenerate: Omega2 = {self.Omega2[i]:.6g} "
+                    f"at |a|^2 = {self.photon_number[i]:.6g}")
+        return "mirror effective frequency vanished"
+
+    def state(self, i) -> ClassicalSteadyState:
+        """Row `i` as a ClassicalSteadyState; raises DegenerateTrapError."""
+        if self.degenerate[i]:
+            raise DegenerateTrapError(self.reason(i))
+        delta_eff = float(self.delta_eff[i])
+        return ClassicalSteadyState(
+            a_bar=cavity_amplitude(delta_eff, math.sqrt(self.drive[i])),
+            x1_bar=float(self.x1_bar[i]), x2_bar=float(self.x2_bar[i]),
+            Omega1=float(self.Omega1[i]), Omega2=float(self.Omega2[i]),
+            delta_eff=delta_eff, photon_number=float(self.photon_number[i]),
+        )
+
+
+def _trap_frequencies(m: ModelParams, photon_number):
+    """Drive-shifted (Omega1, Omega2), elementwise over an array."""
+    na = photon_number
+    Omega2 = m.omega2 + 2.0 * m.g2 * na
+    Omega1 = (m.omega1 + 2.0 * m.g2 * m.chi ** 2 * na
+              - 4.0 * m.g2 ** 2 * m.chi ** 2 * na ** 2 / Omega2)
+    return Omega1, Omega2
+
+
 def effective_frequencies(m: ModelParams, photon_number):
     """Drive-shifted mechanical frequencies (Omega1, Omega2).
 
@@ -68,14 +115,32 @@ def effective_frequencies(m: ModelParams, photon_number):
     has flattened or inverted the sphere's trap, and the expansion about
     a static displacement is meaningless.
     """
-    na = photon_number
-    Omega2 = m.omega2 + 2.0 * m.g2 * na
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Omega1, Omega2 = _trap_frequencies(m, np.float64(photon_number))
     if Omega2 <= 0:
         raise DegenerateTrapError(
-            f"sphere trap degenerate: Omega2 = {Omega2:.6g} at |a|^2 = {na:.6g}")
-    Omega1 = (m.omega1 + 2.0 * m.g2 * m.chi ** 2 * na
-              - 4.0 * m.g2 ** 2 * m.chi ** 2 * na ** 2 / Omega2)
-    return Omega1, Omega2
+            f"sphere trap degenerate: Omega2 = {Omega2:.6g} at |a|^2 = {photon_number:.6g}")
+    return float(Omega1), float(Omega2)
+
+
+def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
+    """Closed-form fixed points of stacked (effective detuning, drive) rows.
+
+    `detunings` and `drives` broadcast to one shape (N,); every other
+    parameter comes from `m`.  Degenerate-trap rows are flagged, not raised.
+    """
+    delta = np.array(detunings, dtype=float, ndmin=1)
+    drive = np.array(drives, dtype=float, ndmin=1)
+    if delta.shape != drive.shape:
+        delta, drive = np.broadcast_arrays(delta, drive)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        na = 2.0 * drive / (delta ** 2 + 1.0)
+        Omega1, Omega2 = _trap_frequencies(m, na)
+        x1 = m.g1 * na / Omega1
+        x2 = 2.0 * m.g2 * m.chi * na * x1 / Omega2
+    return FixedPoints(delta_eff=delta, drive=drive, photon_number=na,
+                       x1_bar=x1, x2_bar=x2, Omega1=Omega1, Omega2=Omega2,
+                       degenerate=(Omega2 <= 0) | (Omega1 == 0))
 
 
 def fixed_point(m: ModelParams) -> ClassicalSteadyState:
@@ -83,23 +148,7 @@ def fixed_point(m: ModelParams) -> ClassicalSteadyState:
     if m.detuning_mode != "effective":
         raise ValueError("fixed_point requires detuning_mode='effective'; "
                          "use self_consistent_fixed_points for a bare detuning")
-    return _expand(m, m.detuning)
-
-
-def _expand(m: ModelParams, delta_eff) -> ClassicalSteadyState:
-    a_in = math.sqrt(m.drive)
-    na = 2.0 * m.drive / (delta_eff ** 2 + 1.0)
-    Omega1, Omega2 = effective_frequencies(m, na)
-    if Omega1 == 0:
-        raise DegenerateTrapError("mirror effective frequency vanished")
-    x1 = m.g1 * na / Omega1
-    x2 = 2.0 * m.g2 * m.chi * na * x1 / Omega2
-    return ClassicalSteadyState(
-        a_bar=cavity_amplitude(delta_eff, a_in),
-        x1_bar=x1, x2_bar=x2,
-        Omega1=Omega1, Omega2=Omega2,
-        delta_eff=delta_eff, photon_number=na,
-    )
+    return fixed_points(m, m.detuning, m.drive).state(0)
 
 
 def effective_detuning(delta_bare, x1_bar, x2_bar, m: ModelParams):
@@ -107,13 +156,12 @@ def effective_detuning(delta_bare, x1_bar, x2_bar, m: ModelParams):
     return delta_bare + m.g1 * x1_bar - m.g2 * (m.chi * x1_bar - x2_bar) ** 2
 
 
-def _consistency_residual(m: ModelParams, delta_bare, delta_eff):
-    """dt + g1 x1(dt_eff) - g2 (chi x1 - x2)^2 - dt_eff; nan if trap degenerate."""
-    try:
-        s = _expand(m, delta_eff)
-    except DegenerateTrapError:
-        return math.nan
-    return effective_detuning(delta_bare, s.x1_bar, s.x2_bar, m) - delta_eff
+def _consistency_residuals(m: ModelParams, delta_bare, delta_effs):
+    """dt + g1 x1(dt_eff) - g2 (chi x1 - x2)^2 - dt_eff per effective
+    detuning; nan where the trap is degenerate."""
+    fp = fixed_points(m, delta_effs, m.drive)
+    res = effective_detuning(delta_bare, fp.x1_bar, fp.x2_bar, m) - fp.delta_eff
+    return np.where(fp.degenerate, np.nan, res)
 
 
 def self_consistent_fixed_points(m: ModelParams, window=None, scan_points=2001,
@@ -122,9 +170,9 @@ def self_consistent_fixed_points(m: ModelParams, window=None, scan_points=2001,
 
     The scalar self-consistency condition is scanned on `scan_points`
     evenly spaced effective detunings over `window` (default
-    +/- (|detuning| + 50)); each sign change is refined by bisection to
-    `tol`.  Returns the expanded states sorted by photon number; more
-    than one entry signals optical bistability.
+    +/- (|detuning| + 50)) in one stacked evaluation; each sign change is
+    refined by bisection to `tol`.  Returns the expanded states sorted by
+    photon number; more than one entry signals optical bistability.
     """
     if m.detuning_mode != "bare":
         raise ValueError("self_consistent_fixed_points requires detuning_mode='bare'")
@@ -133,7 +181,7 @@ def self_consistent_fixed_points(m: ModelParams, window=None, scan_points=2001,
         half = abs(delta) + 50.0
         window = (-half, half)
     grid = np.linspace(window[0], window[1], scan_points)
-    res = np.array([_consistency_residual(m, delta, d) for d in grid])
+    res = _consistency_residuals(m, delta, grid).tolist()
 
     roots = []
     for i in range(len(grid) - 1):
@@ -147,7 +195,7 @@ def self_consistent_fixed_points(m: ModelParams, window=None, scan_points=2001,
             lo, hi, flo = grid[i], grid[i + 1], r0
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
-                fm = _consistency_residual(m, delta, mid)
+                fm = _consistency_residuals(m, delta, mid)[0]
                 if math.isnan(fm):
                     break
                 if flo * fm <= 0.0:
@@ -163,7 +211,8 @@ def self_consistent_fixed_points(m: ModelParams, window=None, scan_points=2001,
             f"no self-consistent fixed point found for detuning {delta} "
             f"in window {window}")
 
-    states = [_expand(m, r) for r in roots]
+    fp = fixed_points(m, roots, m.drive)
+    states = [fp.state(i) for i in range(len(roots))]
     states.sort(key=lambda s: s.photon_number)
     return states
 

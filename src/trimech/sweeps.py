@@ -3,10 +3,12 @@ squeezing sweeps, instability thresholds, and the cooling landscape.
 
 All sweeps parameterize the drive by the effective detuning (closed-form
 fixed point per point) and report model-unit drives |a_in|^2 alongside
-watts when a physical parameter set provides the conversion.  A sweep
-truncates at the first point without a stable stationary state and
-records the bracketing drives, so downstream consumers see only rows
-with valid covariance-derived scalars.
+watts when a physical parameter set provides the conversion.  Points are
+solved in stacks through `solve_points` (one eigendecomposition per
+point); `solve_point` is its one-row case.  A sweep truncates at the
+first point without a certified stable covariance and records the
+bracketing drives, from its last row to the first unstable drive, so
+downstream consumers see only rows with valid covariance-derived scalars.
 
 The (detuning, power) optimizer is deterministic: a coarse grid (linear
 in detuning, logarithmic in drive) followed by coordinate pattern
@@ -17,16 +19,17 @@ improving direction as far as it pays before halving the step.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (DegenerateTrapError, NumericalError, PhysicsError,
                      UnstableSystemError)
-from .linear import linear_model, match_modes, normal_modes, steady_covariance
+from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
+                     covariance_summary, linear_model, linear_models,
+                     match_modes, normal_modes, occupation, steady_covariances)
 from .params import HBAR, ModelParams, PhysicalParams, nondimensionalize
-from .steady import fixed_point
+from .steady import FixedPoints, fixed_point, fixed_points
 
 
 def drive_from_watts(p: PhysicalParams, power_watts):
@@ -38,22 +41,63 @@ def watts_from_drive(p: PhysicalParams, drive):
     return drive * p.cavity_decay * HBAR * p.cavity_freq
 
 
+@dataclass(frozen=True)
+class PointBatch:
+    """Stacked solve of N (effective detuning, drive) rows of one ModelParams."""
+
+    states: FixedPoints
+    linear: LinearStack
+    V: np.ndarray       # (N, 6, 6), NaN unless the row's status is OK
+    status: np.ndarray  # (N,) OK, UNSTABLE, DEGENERATE or FAULT
+    reasons: dict       # row -> message, for DEGENERATE and FAULT rows
+
+    def row(self, i):
+        """(state, model, covariance) of row `i`, or the error it stands for."""
+        status = self.status[i]
+        if status == DEGENERATE:
+            raise DegenerateTrapError(self.reasons[i])
+        if status == UNSTABLE:
+            raise UnstableSystemError(
+                f"unstable at drive {self.states.drive[i]:.6g}, "
+                f"detuning {self.states.delta_eff[i]:.6g}")
+        if status == FAULT:
+            raise NumericalError(self.reasons[i])
+        return (self.states.state(i), self.linear.model(i),
+                covariance_summary(self.V[i]))
+
+
+def solve_points(m: ModelParams, detunings, drives) -> PointBatch:
+    """Fixed points, linear models and covariances of stacked rows.
+
+    `detunings` (effective) and `drives` broadcast to one shape (N,); the
+    other parameters come from `m`.  Each row gets one eigendecomposition,
+    and a row's result does not depend on the other rows.
+    """
+    if m.detuning_mode != "effective":
+        raise ValueError("solve_points requires detuning_mode='effective'")
+    fp = fixed_points(m, detunings, drives)
+    stack = linear_models(m, fp)
+    V, status, reasons = steady_covariances(stack)
+    return PointBatch(states=fp, linear=stack, V=V, status=status,
+                      reasons=reasons)
+
+
 def solve_point(m: ModelParams):
     """Fixed point, linear model and covariance for one parameter set.
 
-    Returns (state, model, covariance); raises DegenerateTrapError or
-    UnstableSystemError when no stable stationary state exists.
+    The N = 1 case of `solve_points`.  Returns (state, model, covariance);
+    raises DegenerateTrapError or UnstableSystemError when no stable
+    stationary state exists, NumericalError when none can be certified.
     """
-    s = fixed_point(m)
-    lm = linear_model(m, s)
-    if not lm.stable:
-        raise UnstableSystemError(
-            f"unstable at drive {m.drive:.6g}, detuning {m.detuning:.6g}")
-    return s, lm, steady_covariance(lm)
+    return solve_points(m, m.detuning, m.drive).row(0)
 
 
 def is_stable(m: ModelParams) -> bool:
-    """Stability verdict including trap degeneracy."""
+    """Stability verdict including trap degeneracy.
+
+    The same one-row eigendecomposition as `solve_point`, so a drive that a
+    sweep finds unstable is unstable here too.
+    """
     try:
         s = fixed_point(m)
     except DegenerateTrapError:
@@ -69,7 +113,7 @@ class PowerSweepResult:
     dampings: np.ndarray          # (n, 3)
     n1: np.ndarray
     n2: np.ndarray
-    threshold_bracket: tuple      # (last stable, first unstable drive) or None
+    threshold_bracket: tuple      # (last row, first unstable drive) or None
     hybridization: dict           # min mechanical-branch separation summary
 
 
@@ -88,25 +132,26 @@ class SqueezeSweepResult:
 
 
 def _sweep_rows(m: ModelParams, drives):
-    """Yield (drive, state, model, cov) until the first unstable drive.
+    """Rows (drive, state, model, cov) and the threshold bracket of a sweep.
 
-    Returns the list of rows and the threshold bracket, if the sweep hit
-    instability.
+    The whole drive grid is solved in one stacked call.  The rows end at
+    the first drive without a certified covariance: unstable, an inverted
+    trap, or a point so close to the boundary that the Lyapunov contract
+    fails.  The bracket is (last row's drive, first swept drive that is
+    unstable or has a degenerate trap), or None when no swept drive is; a
+    numerical fault ends the rows but never stands in for the instability.
     """
-    rows = []
+    drives = np.asarray(drives, dtype=float)
+    if drives.size == 0:
+        return [], None
+    batch = solve_points(m, m.detuning, drives)
+    failed = np.flatnonzero(batch.status != OK)
+    end = failed[0] if failed.size else drives.size
+    rows = [(float(drives[i]), *batch.row(i)) for i in range(end)]
+    lost = np.flatnonzero((batch.status == UNSTABLE) | (batch.status == DEGENERATE))
     bracket = None
-    last_stable = None
-    for drive in drives:
-        mi = replace(m, drive=float(drive))
-        try:
-            row = solve_point(mi)
-        except (UnstableSystemError, DegenerateTrapError, NumericalError):
-            # instability, an inverted trap, or a point so close to the
-            # boundary that no covariance can be certified: end the sweep
-            bracket = (last_stable, float(drive))
-            break
-        rows.append((float(drive), *row))
-        last_stable = float(drive)
+    if lost.size:
+        bracket = (rows[-1][0] if rows else None, float(drives[lost[0]]))
     return rows, bracket
 
 
@@ -128,7 +173,7 @@ def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSwe
     for drive, s, lm, cov in rows:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # overdamped rows fall back to 0-frequency
-            modes = normal_modes(lm.drift)
+            modes = normal_modes(lm.drift, eigenvalues=lm.eigenvalues)
         tracked = match_modes(reference, modes)
         reference = [f for f, _ in tracked]
         freqs.append([f for f, _ in tracked])
@@ -222,11 +267,13 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
                     coarse=(25, 25), refine_starts=3, step_floor=1e-3) -> OptimizeResult:
     """Deterministic minimizer over (detuning, drive).
 
-    `objective(detuning, drive)` returns a scalar, +inf where undefined
-    (unstable or degenerate).  Stage one evaluates a coarse grid, linear
-    in detuning and logarithmic in drive; stage two runs coordinate
+    `objective(detunings, drives)` takes two equal-length 1-D arrays and
+    returns an array of values, +inf where undefined (unstable or
+    degenerate).  Stage one evaluates a coarse grid, linear in detuning
+    and logarithmic in drive, in one call; stage two runs coordinate
     pattern search (march while improving, then halve the step) from the
-    best `refine_starts` coarse cells down to a relative step floor.
+    best `refine_starts` coarse cells down to a relative step floor, with
+    each drive-line scan in one call and the march probes one by one.
     Emits a warning when the optimum sits on a bound.
     """
     d_lo, d_hi = map(float, detuning_bounds)
@@ -239,17 +286,19 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
 
     evals = 0
 
-    def f(x):
+    def f(det, lgs):
+        """Objective at one detuning (or one per entry) over log10 drives."""
         nonlocal evals
-        evals += 1
-        return objective(x[0], 10.0 ** x[1])
+        evals += len(lgs)
+        drives = np.array([10.0 ** lg for lg in lgs])
+        return np.asarray(objective(np.broadcast_to(det, drives.shape), drives),
+                          dtype=float)
 
-    cells = []
-    for dv in dets:
-        for lg in logs:
-            val = f((dv, lg))
-            if math.isfinite(val):
-                cells.append((val, dv, lg))
+    grid_det = np.repeat(dets, n_drv)
+    grid_lg = np.tile(logs, n_det)
+    cells = [(val, dv, lg)
+             for val, dv, lg in zip(f(grid_det, grid_lg).tolist(), grid_det, grid_lg)
+             if math.isfinite(val)]
     if not cells:
         return OptimizeResult(math.inf, math.nan, math.nan, False, evals)
     cells.sort(key=lambda c: (c[0], c[1], c[2]))
@@ -273,9 +322,9 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
         if hi <= lo:
             lo, hi = lg_lo, lg_hi
         grid = np.linspace(lo, hi, scan)
-        vals = [f((det, lg)) for lg in grid]
+        vals = f(det, grid)
         i = int(np.argmin(vals))
-        fb, lg = vals[i], grid[i]
+        fb, lg = float(vals[i]), grid[i]
         if not math.isfinite(fb):
             return math.inf, seed_lg
         step = grid[1] - grid[0]
@@ -285,7 +334,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
                 nxt = min(max(lg + sgn * step, lg_lo), lg_hi)
                 if nxt == lg:
                     continue
-                v = f((det, nxt))
+                v = f(det, [nxt])[0]
                 if v < fb:
                     fb, lg = v, nxt
                     moved = True
@@ -293,7 +342,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
                         nxt = min(max(lg + sgn * step, lg_lo), lg_hi)
                         if nxt == lg:
                             break
-                        v = f((det, nxt))
+                        v = f(det, [nxt])[0]
                         if v < fb:
                             fb, lg = v, nxt
                         else:
@@ -344,15 +393,14 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
 
 
 def sphere_occupation_objective(m: ModelParams):
-    """Objective closure returning the sphere occupation, +inf when unstable."""
-    def objective(detuning, drive):
-        mi = replace(m, detuning=float(detuning), drive=float(drive),
-                     detuning_mode="effective")
-        try:
-            _, _, cov = solve_point(mi)
-        except (UnstableSystemError, DegenerateTrapError, NumericalError):
-            return math.inf
-        return cov.n2
+    """Objective over stacked (effective detuning, drive) rows returning
+    the sphere occupation, +inf where no stable covariance exists."""
+    base = replace(m, detuning_mode="effective")
+
+    def objective(detunings, drives):
+        batch = solve_points(base, detunings, drives)
+        n2 = np.where(batch.status == OK, occupation(batch.V, 2), math.inf)
+        return n2.reshape(np.shape(detunings))[()]
     return objective
 
 
@@ -366,6 +414,8 @@ class LandscapePoint:
     drive: float
     ok: bool
     message: str = ""
+    on_boundary: bool = False  # the optimum sits on a search bound
+    evaluations: int = 0       # objective evaluations spent on the cell
 
 
 @dataclass(frozen=True)
@@ -387,7 +437,12 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     at the shifted frequencies, so the frequency scaling of g1, g2 and
     chi is applied consistently.  Cells where the optimizer finds no
     stable point are recorded, not fatal.  omega2 must lie strictly
-    between the cavity linewidth (1 in model units) and omega1.
+    between the cavity linewidth (1 in model units) and omega1.  Each
+    point records the optimizer's evaluation count and whether its
+    optimum sits on a search bound.  `threads` is accepted for
+    compatibility and has no effect: cells run in order in this process,
+    because the per-cell work holds the GIL and a thread pool only added
+    overhead.
     """
     omega1_grid = np.atleast_1d(np.asarray(omega1_grid, dtype=float))
     omega2_grid = np.atleast_1d(np.asarray(omega2_grid, dtype=float))
@@ -399,31 +454,25 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
 
     kappa = base.cavity_decay
 
-    def solve_cell(idx):
-        i, j = idx
-        o1, o2 = omega1_grid[i], omega2_grid[j]
+    def solve_cell(o1, o2):
         if o2 >= o1:
             return LandscapePoint(o1, o2, math.inf, math.nan, math.nan,
                                   math.nan, False, "omega2 >= omega1 excluded")
         phys = replace(base, mirror_freq=o1 * kappa, sphere_freq=o2 * kappa)
         m = nondimensionalize(phys, detuning=-1.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # boundary-optimum warnings recorded via flag
+            warnings.simplefilter("ignore")  # a boundary optimum is recorded in on_boundary
             opt = optimize_scalar(sphere_occupation_objective(m),
                                   detuning_bounds, drive_bounds, coarse=coarse)
         if not math.isfinite(opt.value):
             return LandscapePoint(o1, o2, math.inf, m.n2, math.nan, math.nan,
-                                  False, "no stable point in bounds")
+                                  False, "no stable point in bounds",
+                                  evaluations=opt.evaluations)
         return LandscapePoint(o1, o2, opt.value, m.n2, opt.detuning,
-                              opt.drive, True)
+                              opt.drive, True, on_boundary=opt.on_boundary,
+                              evaluations=opt.evaluations)
 
-    indices = [(i, j) for i in range(omega1_grid.size)
-               for j in range(omega2_grid.size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(solve_cell, indices))
-    else:
-        points = [solve_cell(idx) for idx in indices]
+    points = [solve_cell(o1, o2) for o1 in omega1_grid for o2 in omega2_grid]
 
     ridge = {}
     for i, o1 in enumerate(omega1_grid):

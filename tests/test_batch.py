@@ -1,0 +1,173 @@
+"""The stacked solve kernel: row independence, N = 1 equivalence and the
+one-eigendecomposition-per-point contract."""
+
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import trimech.linear as linear
+from trimech.errors import DegenerateTrapError, NumericalError, UnstableSystemError
+from trimech.linear import DEGENERATE, FAULT, OK, UNSTABLE
+from trimech.params import reference_params
+from trimech.presets import fig3_model
+from trimech.sweeps import drive_from_watts, solve_point, solve_points
+
+STATUS_OF = {UnstableSystemError: UNSTABLE, DegenerateTrapError: DEGENERATE,
+             NumericalError: FAULT}
+
+
+def assert_rows_equal(batch, i, expected):
+    """Row `i` of `batch` equals a (state, model, covariance) triple, bit for bit."""
+    state, lm, cov = batch.row(i)
+    s_ref, lm_ref, cov_ref = expected
+    assert state == s_ref
+    assert np.array_equal(lm.drift, lm_ref.drift)
+    assert np.array_equal(lm.eigenvalues, lm_ref.eigenvalues)
+    assert np.array_equal(lm.eigenvectors, lm_ref.eigenvectors)
+    assert lm.stable == lm_ref.stable
+    assert np.array_equal(cov.V, cov_ref.V)
+    for name in ("n1", "n2", "var_x1", "var_p1", "var_x2", "var_p2", "S1", "S2"):
+        assert getattr(cov, name) == getattr(cov_ref, name), name
+
+
+def single(m, detuning, drive):
+    """solve_point on one row: (status, result or error message)."""
+    try:
+        return OK, solve_point(replace(m, detuning=float(detuning), drive=float(drive)))
+    except (UnstableSystemError, DegenerateTrapError, NumericalError) as exc:
+        return STATUS_OF[type(exc)], str(exc)
+
+
+class TestRowsMatchSolvePoint:
+    def test_each_row_bit_identical_to_n1(self, model_draws_100):
+        """Each draw's ModelParams, stacked with its own operating point, a
+        blue-detuned copy, an overdriven copy and the operating points of
+        other draws: every row equals its N = 1 solve_point, status included."""
+        seen = set()
+        draws = model_draws_100[:40]
+        for k, (m, _, _) in enumerate(draws):
+            others = [draws[(k + j) % len(draws)][0] for j in (1, 2, 3)]
+            dets = [m.detuning, -m.detuning, m.detuning] + [o.detuning for o in others]
+            drives = [m.drive, m.drive, 1e16] + [o.drive for o in others]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                batch = solve_points(m, dets, drives)
+                for i, (det, drive) in enumerate(zip(dets, drives)):
+                    status, expected = single(m, det, drive)
+                    assert batch.status[i] == status
+                    seen.add(status)
+                    if status == OK:
+                        assert_rows_equal(batch, i, expected)
+                    else:
+                        with pytest.raises(Exception) as info:
+                            batch.row(i)
+                        assert str(info.value) == expected
+        assert {OK, UNSTABLE, DEGENERATE} <= seen
+
+    def test_scalar_entry_points_are_the_one_row_case(self, model_draws_100):
+        for m, s, lm in model_draws_100[:20]:
+            batch = solve_points(m, m.detuning, m.drive)
+            assert np.array_equal(linear.solve_lyapunov(lm.drift, lm.diffusion),
+                                  batch.V[0])
+            assert np.array_equal(linear.steady_covariance(lm).V, batch.V[0])
+
+
+class TestRowIndependence:
+    """A special row leaves every other row of its batch unchanged."""
+
+    # gamma2 = 4e-11 puts the undriven row's sphere pair sum (8e-11) under
+    # the 1e-10 floor; the driven rows near hybridization sit well above it
+    MODEL = replace(fig3_model(), gamma2=4e-11)
+    WATTS = np.array([2e-3, 2.5e-3, 2.55e-3, 2.58e-3, 2.6e-3, 2.7e-3])
+
+    def drives(self):
+        return drive_from_watts(reference_params(), self.WATTS)
+
+    def check_others_unchanged(self, dets, drives, special_det, special_drive,
+                               special_status):
+        m = self.MODEL
+        base = solve_points(m, dets, drives)
+        assert np.all(base.status == OK)
+        k = len(dets) // 2
+        mixed = solve_points(m, np.insert(dets, k, special_det),
+                             np.insert(drives, k, special_drive))
+        assert mixed.status[k] == special_status
+        others = np.delete(np.arange(len(dets) + 1), k)
+        assert np.array_equal(mixed.status[others], base.status)
+        assert np.array_equal(mixed.V[others], base.V)
+        assert np.array_equal(mixed.linear.eigenvalues[others],
+                              base.linear.eigenvalues)
+        return mixed, k
+
+    def test_degenerate_row(self):
+        drives = self.drives()
+        dets = np.full(drives.shape, self.MODEL.detuning)
+        self.check_others_unchanged(dets, drives, self.MODEL.detuning, 1e14,
+                                    DEGENERATE)
+
+    def test_unstable_row(self):
+        drives = self.drives()
+        dets = np.full(drives.shape, self.MODEL.detuning)
+        self.check_others_unchanged(dets, drives, -self.MODEL.detuning,
+                                    drives[-1], UNSTABLE)
+
+    def test_pair_floor_row(self):
+        drives = self.drives()
+        dets = np.full(drives.shape, self.MODEL.detuning)
+        with pytest.warns(UserWarning, match="vectorized"):
+            mixed, k = self.check_others_unchanged(dets, drives,
+                                                   self.MODEL.detuning, 0.0, OK)
+        # the undriven sphere sits in its bath: V22 = n2 + 1/2
+        assert mixed.V[k, 4, 4] == pytest.approx(self.MODEL.n2 + 0.5, rel=1e-6)
+
+    def test_rows_over_the_contract(self, monkeypatch):
+        """Tightening the contract below the worst row's residual sends
+        that row to the fallback (and here to a fault) without touching
+        the rows that still meet it."""
+        m = self.MODEL
+        drives = self.drives()
+        dets = np.full(drives.shape, m.detuning)
+        base = solve_points(m, dets, drives)
+        A, V, D = base.linear.drift, base.V, base.linear.diffusion
+        AV = A @ V
+        residual = np.abs(AV + AV.transpose(0, 2, 1) + D).max(axis=(1, 2)) / np.abs(D).max()
+        worst = int(np.argmax(residual))
+        below = np.sort(residual)[-2]
+        # the kernel checks this same residual of the V it returns
+        assert residual[worst] > 1.1 * below > 0
+        monkeypatch.setattr(linear, "RESIDUAL_REL", np.sqrt(residual[worst] * below))
+        monkeypatch.setattr(linear, "lyapunov_direct",
+                            lambda A, D: np.full(A.shape, np.nan))
+        tight = solve_points(m, dets, drives)
+        assert tight.status[worst] == FAULT
+        assert "exceeds contract" in tight.reasons[worst]
+        assert np.isnan(tight.V[worst]).all()
+        others = np.delete(np.arange(len(drives)), worst)
+        assert np.all(tight.status[others] == OK)
+        assert np.array_equal(tight.V[others], base.V[others])
+
+
+class TestOneEigendecompositionPerPoint:
+    def test_solve_point_makes_one_eigen_solve(self, monkeypatch):
+        calls = []
+        for name in ("eig", "eigvals"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        m = replace(fig3_model(),
+                    drive=drive_from_watts(reference_params(), 2e-3))
+        _, _, cov = solve_point(m)
+        assert np.isfinite(cov.n2)
+        assert calls == ["eig"]
+
+    def test_stability_uses_the_same_decomposition(self, model_draws_100):
+        """The public verdict and spectrum equal those of `linear_model`."""
+        for _, _, lm in model_draws_100[:20]:
+            stable, lam = linear.stability(lm.drift)
+            assert stable == lm.stable
+            assert np.array_equal(lam, lm.eigenvalues)

@@ -66,6 +66,103 @@ class TestSqueezingSweep:
         assert result.max_S2["value"] > 1.1
 
 
+# A fig4-like squeezing sweep whose drive of 8.2709e9, just below the
+# first unstable grid drive (8.4202e9), is solved with a Lyapunov
+# residual of 1.34e-10, over the 1e-10 contract.  Sweeps once recorded
+# that numerical fault as the unstable end of the threshold bracket.
+FAULT_SWEEP_CONFIG = """\
+[physical]
+wavelength = 1064 nm
+cavity_length = 0.5 cm
+cavity_decay = 50 kHz
+mirror_mass = 40 ng
+mirror_freq = 1 MHz
+mirror_damping = 140 Hz
+sphere_radius = 0.5 um
+sphere_density = 2650 kg/m^3
+refractive_index = 1.5
+sphere_freq = 459.724 kHz
+sphere_damping = 0.5 mHz
+cavity_waist = 4 um
+bath_temp_mirror = 0 K
+bath_temp_sphere = 0 K
+input_power = 1 mW
+sphere_site = node
+
+[model]
+detuning_mode = effective
+detuning = -9.519019
+"""
+
+
+def fault_sweep_input():
+    from trimech.config import model_section, parse_sections, physical_params
+    from trimech.params import nondimensionalize
+    sections = parse_sections(FAULT_SWEEP_CONFIG)
+    phys = physical_params(sections)
+    m = nondimensionalize(phys, *model_section(sections))
+    drives = drive_from_watts(phys, np.logspace(math.log10(2.045487e-05),
+                                                math.log10(6.121134e-04), 191))
+    return m, phys, drives
+
+
+class TestSweepBracket:
+    def test_bracket_upper_end_is_unstable(self):
+        from trimech.sweeps import is_stable
+        m, phys, drives = fault_sweep_input()
+        result = squeezing_sweep(m, drives, base=phys)
+        lo, hi = result.threshold_bracket
+        assert lo == result.drive[-1]
+        assert hi == pytest.approx(8.4202e9, rel=1e-4)
+        assert not is_stable(replace(m, drive=hi))
+        crit = instability_threshold(m, lo, hi)
+        assert lo <= crit < hi
+
+    @staticmethod
+    def fault_row(monkeypatch, row):
+        """Make the stacked solve report `row` as a numerical fault."""
+        import trimech.sweeps as sweeps
+        from trimech.linear import FAULT
+        real = sweeps.steady_covariances
+
+        def steady_covariances(stack):
+            V, status, reasons = real(stack)
+            status[row] = FAULT
+            reasons[row] = "Lyapunov residual exceeds contract"
+            return V, status, reasons
+
+        monkeypatch.setattr(sweeps, "steady_covariances", steady_covariances)
+
+    def test_numerical_fault_ends_rows_but_not_the_bracket(self, monkeypatch):
+        """A row without a certified covariance ends the rows; the bracket
+        still runs to the first unstable drive, past the faulted one."""
+        from trimech.sweeps import is_stable
+        m, phys, drives = fault_sweep_input()
+        clean = squeezing_sweep(m, drives, base=phys)
+        faulted = len(clean.drive) - 3
+        self.fault_row(monkeypatch, faulted)
+        result = squeezing_sweep(m, drives, base=phys)
+        assert np.array_equal(result.drive, clean.drive[:faulted])
+        lo, hi = result.threshold_bracket
+        assert lo == result.drive[-1]
+        assert hi == clean.threshold_bracket[1]
+        assert not is_stable(replace(m, drive=hi))
+        assert lo <= instability_threshold(m, lo, hi) < hi
+
+    def test_numerical_fault_with_no_unstable_drive_leaves_no_bracket(self, monkeypatch):
+        """When no swept drive is unstable, a faulted row ends the rows and
+        the bracket stays None: a fault never stands in for an instability."""
+        m, phys, drives = fault_sweep_input()
+        clean = squeezing_sweep(m, drives, base=phys)
+        stable = drives[:len(clean.drive)]
+        assert squeezing_sweep(m, stable, base=phys).threshold_bracket is None
+        faulted = len(stable) - 3
+        self.fault_row(monkeypatch, faulted)
+        result = squeezing_sweep(m, stable, base=phys)
+        assert np.array_equal(result.drive, stable[:faulted])
+        assert result.threshold_bracket is None
+
+
 class TestInstabilityThreshold:
     def test_requires_bracket(self):
         m = fig3_model()
@@ -97,7 +194,7 @@ class TestInstabilityThreshold:
 class TestOptimizeScalar:
     def test_recovers_quadratic_minimum(self):
         def objective(detuning, drive):
-            return (detuning + 17.0) ** 2 + (math.log10(drive) - 6.5) ** 2
+            return (detuning + 17.0) ** 2 + (np.log10(drive) - 6.5) ** 2
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -106,7 +203,8 @@ class TestOptimizeScalar:
         assert math.log10(res.drive) == pytest.approx(6.5, abs=0.01)
 
     def test_all_unstable_returns_inf(self):
-        res = optimize_scalar(lambda d, p: math.inf, (-30.0, -2.0), (1e4, 1e9))
+        res = optimize_scalar(lambda d, p: np.full(np.shape(d), math.inf),
+                              (-30.0, -2.0), (1e4, 1e9))
         assert math.isinf(res.value)
 
     def test_boundary_warning(self):
@@ -172,6 +270,22 @@ class TestOccupationLandscape:
             occupation_landscape(base, [10.0], [0.5])
         with pytest.raises(ValueError, match="omega2"):
             occupation_landscape(base, [10.0], [10.0])
+
+    def test_points_record_optimizer_diagnostics(self):
+        base = fig2_protocol()["base"]
+        result = occupation_landscape(base, [10.0], [3.4], coarse=(9, 9))
+        (point,) = result.points
+        kappa = base.cavity_decay
+        from trimech.params import nondimensionalize
+        m = nondimensionalize(replace(base, mirror_freq=10.0 * kappa,
+                                      sphere_freq=3.4 * kappa), detuning=-1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            opt = optimize_scalar(sphere_occupation_objective(m), (-45.0, -2.0),
+                                  (1e6, 1e12), coarse=(9, 9))
+        assert point.evaluations == opt.evaluations > 81
+        assert point.on_boundary == opt.on_boundary
+        assert point.n2_min == opt.value
 
     def test_threads_do_not_change_content(self):
         base = fig2_protocol()["base"]
