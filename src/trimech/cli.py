@@ -27,13 +27,12 @@ from .config import (ConfigError, fmt, format_matrix, format_record,
 from .errors import NumericalError, PhysicsError
 from .geometry import CavitySpec, PumpGeometry, field_profile_samples, lineshape
 from .linear import linear_model, physicality_floor, steady_covariance
-from .params import nondimensionalize, reference_params
+from .params import drive_from_watts, nondimensionalize, reference_params
 from .presets import (PRESET_NAMES, fig2_protocol, fig3_model, fig4_model,
                       preset_drives)
 from .steady import fixed_point, self_consistent_fixed_points, stationarity_residuals
-from .sweeps import (drive_from_watts, occupation_landscape, power_sweep,
-                     squeezing_sweep)
-from .validate import IntegrationSpec, cross_check
+from .sweeps import occupation_landscape, power_sweep, squeezing_sweep
+from .validate import ODE_TOL, PAIR_TOL, IntegrationSpec, cross_check
 
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
@@ -64,6 +63,13 @@ def _model_from_args(args):
     phys = physical_params(sections)
     detuning, mode = model_section(sections)
     return nondimensionalize(phys, detuning, mode), phys
+
+
+def _branches(m):
+    """Every self-consistent branch of a bare detuning, or the one fixed point."""
+    if m.detuning_mode == "bare":
+        return self_consistent_fixed_points(m)
+    return [fixed_point(m)]
 
 
 def _echo_header(mapping):
@@ -112,10 +118,7 @@ def cmd_derive(args):
 
 def cmd_steady(args):
     m, _ = _model_from_args(args)
-    if m.detuning_mode == "bare":
-        states = self_consistent_fixed_points(m)
-    else:
-        states = [fixed_point(m)]
+    states = _branches(m)
     blocks = [_echo_header(_model_echo(m))]
     for i, s in enumerate(states):
         res = stationarity_residuals(m, s)
@@ -141,10 +144,7 @@ def cmd_steady(args):
 
 def cmd_linear(args):
     m, _ = _model_from_args(args)
-    if m.detuning_mode == "bare":
-        states = self_consistent_fixed_points(m)
-    else:
-        states = [fixed_point(m)]
+    states = _branches(m)
     blocks = [_echo_header(_model_echo(m))]
     summary = []
     for i, s in enumerate(states):
@@ -381,8 +381,8 @@ def cmd_validate(args):
                                       chk["algebraic_pair"])
         worst["ode_vs_direct"] = max(worst["ode_vs_direct"],
                                      chk["ode_vs_direct"])
-        this_ok = (chk["algebraic_pair"] < chk["algebraic_tol"]
-                   and chk["ode_vs_direct"] < chk["ode_tol"])
+        this_ok = (chk["algebraic_pair"] < PAIR_TOL
+                   and chk["ode_vs_direct"] < ODE_TOL)
         ok = ok and this_ok
         lines.append(f"{name}: algebraic {fmt(chk['algebraic_pair'])} "
                      f"ode {fmt(chk['ode_vs_direct'])} "

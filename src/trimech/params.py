@@ -187,13 +187,18 @@ def bose_occupation(omega, temperature):
     return 1.0 / math.expm1(x)
 
 
-def photon_flux(p: PhysicalParams) -> float:
-    """Input photon flux |a_in|^2 = P_in/(hbar*omega_L) in photons/s.
+def drive_from_watts(p: PhysicalParams, power_watts):
+    """Input power in watts to model-unit photon flux |a_in|^2 / kappa_c.
 
-    The drive frequency is approximated by the cavity resonance; the
-    detunings in play are tens of kappa_c, a sub-ppb correction here.
+    |a_in|^2 = P_in/(hbar*omega_L) with the drive frequency taken at the
+    cavity resonance (detunings of tens of kappa_c: a sub-ppb correction).
     """
-    return p.input_power / (HBAR * p.cavity_freq)
+    return power_watts / (HBAR * p.cavity_freq) / p.cavity_decay
+
+
+def watts_from_drive(p: PhysicalParams, drive):
+    """Inverse of `drive_from_watts`."""
+    return drive * p.cavity_decay * HBAR * p.cavity_freq
 
 
 def nondimensionalize(p: PhysicalParams, detuning, detuning_mode="effective") -> ModelParams:
@@ -214,7 +219,7 @@ def nondimensionalize(p: PhysicalParams, detuning, detuning_mode="effective") ->
         g1=linear_coupling(p) / kappa,
         g2=quadratic_coupling(p) / kappa,
         chi=zpf_ratio(p),
-        drive=photon_flux(p) / kappa,
+        drive=drive_from_watts(p, p.input_power),
         n1=bose_occupation(p.mirror_freq, p.bath_temp_mirror),
         n2=bose_occupation(p.sphere_freq, p.bath_temp_sphere),
         detuning=detuning,

@@ -20,8 +20,8 @@ chain and the quoted set stays visible in tests instead of being masked.
 
 import numpy as np
 
-from .params import ModelParams, bose_occupation, reference_params
-from .sweeps import drive_from_watts
+from .params import (ModelParams, bose_occupation, drive_from_watts,
+                     reference_params)
 
 PRESET_NAMES = ("fig2", "fig3", "fig4")
 

@@ -5,16 +5,17 @@ All sweeps parameterize the drive by the effective detuning (closed-form
 fixed point per point) and report model-unit drives |a_in|^2 alongside
 watts when a physical parameter set provides the conversion.  Points are
 solved in stacks through `solve_points` (one eigendecomposition per
-point); `solve_point` is its one-row case.  A sweep truncates at the
-first point without a certified stable covariance and records the
-bracketing drives, from its last row to the first unstable drive, so
-downstream consumers see only rows with valid covariance-derived scalars.
+point); `solve_point` is its one-row case.  A power or squeezing sweep
+reads its scalars off the stacked covariances and spectra of its drive
+grid, truncated at the first point without a certified stable covariance,
+and records the bracketing drives, from its last row to the first
+unstable drive, so downstream consumers see only valid rows.
 
 The (detuning, power) optimizer is deterministic: a coarse grid (linear
 in detuning, logarithmic in drive) followed by coordinate pattern
 search with successive halving from the best few coarse cells.  The
-cooling ridge is narrow in power, which is why refinement marches each
-improving direction as far as it pays before halving the step.
+cooling ridge is narrow in power, which is why refinement (one loop for
+both coordinates) marches each improving direction as far as it pays.
 """
 
 import math
@@ -27,18 +28,12 @@ from .errors import (DegenerateTrapError, NumericalError, PhysicsError,
                      UnstableSystemError)
 from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
                      covariance_summary, linear_model, linear_models,
-                     match_modes, normal_modes, occupation, steady_covariances)
-from .params import HBAR, ModelParams, PhysicalParams, nondimensionalize
+                     match_modes, normal_modes, occupation, squeezing,
+                     steady_covariances)
+from .params import (ModelParams, PhysicalParams, nondimensionalize,
+                     watts_from_drive)
+from .params import drive_from_watts  # noqa: F401  (callers import it from here too)
 from .steady import FixedPoints, fixed_point, fixed_points
-
-
-def drive_from_watts(p: PhysicalParams, power_watts):
-    """Input power in watts to model-unit photon flux |a_in|^2 / kappa_c."""
-    return power_watts / (HBAR * p.cavity_freq) / p.cavity_decay
-
-
-def watts_from_drive(p: PhysicalParams, drive):
-    return drive * p.cavity_decay * HBAR * p.cavity_freq
 
 
 @dataclass(frozen=True)
@@ -131,28 +126,27 @@ class SqueezeSweepResult:
     max_S2: dict                  # {"value", "drive", "power_w"}
 
 
-def _sweep_rows(m: ModelParams, drives):
-    """Rows (drive, state, model, cov) and the threshold bracket of a sweep.
+def _stable_prefix(m: ModelParams, drives, base: PhysicalParams):
+    """(batch, drive, power_w, bracket) of a sweep's stacked drive grid.
 
-    The whole drive grid is solved in one stacked call.  The rows end at
-    the first drive without a certified covariance: unstable, an inverted
-    trap, or a point so close to the boundary that the Lyapunov contract
-    fails.  The bracket is (last row's drive, first swept drive that is
-    unstable or has a degenerate trap), or None when no swept drive is; a
+    `drive` ends before the first row without a certified covariance
+    (unstable, inverted trap, or a missed Lyapunov contract); PhysicsError
+    if that is the first row.  The bracket is (last kept drive, first
+    unstable or degenerate swept drive), or None when there is none: a
     numerical fault ends the rows but never stands in for the instability.
     """
-    drives = np.asarray(drives, dtype=float)
-    if drives.size == 0:
-        return [], None
+    drives = np.array(drives, dtype=float)
     batch = solve_points(m, m.detuning, drives)
     failed = np.flatnonzero(batch.status != OK)
     end = failed[0] if failed.size else drives.size
-    rows = [(float(drives[i]), *batch.row(i)) for i in range(end)]
+    if end == 0:
+        raise PhysicsError("no stable point in the swept drive range")
+    kept = drives[:end]
     lost = np.flatnonzero((batch.status == UNSTABLE) | (batch.status == DEGENERATE))
-    bracket = None
-    if lost.size:
-        bracket = (rows[-1][0] if rows else None, float(drives[lost[0]]))
-    return rows, bracket
+    bracket = (float(kept[-1]), float(drives[lost[0]])) if lost.size else None
+    power_w = (watts_from_drive(base, kept) if base is not None
+               else np.full_like(kept, np.nan))
+    return batch, kept, power_w, bracket
 
 
 def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSweepResult:
@@ -164,30 +158,22 @@ def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSwe
     one by minimal total frequency jump.  The hybridization entry flags
     the row where the mirror and sphere branches come closest.
     """
-    rows, bracket = _sweep_rows(m, drives)
-    if not rows:
-        raise PhysicsError("no stable point in the swept drive range")
-
+    batch, kept, power_w, bracket = _stable_prefix(m, drives, base)
+    end = kept.size
     reference = [abs(m.detuning), m.omega1, m.omega2]
-    freqs, damps, n1s, n2s, kept = [], [], [], [], []
-    for drive, s, lm, cov in rows:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # overdamped rows fall back to 0-frequency
-            modes = normal_modes(lm.drift, eigenvalues=lm.eigenvalues)
-        tracked = match_modes(reference, modes)
-        reference = [f for f, _ in tracked]
-        freqs.append([f for f, _ in tracked])
-        damps.append([d for _, d in tracked])
-        n1s.append(cov.n1)
-        n2s.append(cov.n2)
-        kept.append(drive)
-
-    freqs = np.asarray(freqs)
-    kept = np.asarray(kept)
+    tracked = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overdamped rows fall back to 0-frequency
+        for A, lam in zip(batch.linear.drift[:end], batch.linear.eigenvalues[:end]):
+            modes = match_modes(reference, normal_modes(A, eigenvalues=lam))
+            reference = [f for f, _ in modes]
+            tracked.append(modes)
+    tracked = np.array(tracked)  # (n, 3, 2): (frequency, damping) per branch
+    freqs = tracked[..., 0]
     sep = np.abs(freqs[:, 1] - freqs[:, 2])
     i_min = int(np.argmin(sep))
-    n1s = np.asarray(n1s)
-    n2s = np.asarray(n2s)
+    n1s = occupation(batch.V[:end], 1)
+    n2s = occupation(batch.V[:end], 2)
     hybrid = {
         "index": i_min,
         "drive": float(kept[i_min]),
@@ -197,33 +183,22 @@ def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSwe
         "occupation_mismatch": float(abs(n1s[i_min] - n2s[i_min])
                                      / max(n1s[i_min], n2s[i_min], 1e-300)),
     }
-    power_w = (watts_from_drive(base, kept) if base is not None
-               else np.full_like(kept, np.nan))
     return PowerSweepResult(
-        drive=kept, power_w=power_w, freqs=freqs, dampings=np.asarray(damps),
+        drive=kept, power_w=power_w, freqs=freqs, dampings=tracked[..., 1],
         n1=n1s, n2=n2s, threshold_bracket=bracket, hybridization=hybrid,
     )
 
 
 def squeezing_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> SqueezeSweepResult:
     """Quadrature variances and squeezing along a drive grid."""
-    rows, bracket = _sweep_rows(m, drives)
-    if not rows:
-        raise PhysicsError("no stable point in the swept drive range")
-    kept = np.array([r[0] for r in rows])
-    covs = [r[3] for r in rows]
-    S2 = np.array([c.S2 for c in covs])
+    batch, kept, power_w, bracket = _stable_prefix(m, drives, base)
+    V = batch.V[:kept.size]
+    S2 = squeezing(V, 2)
     i_max = int(np.argmax(S2))
-    power_w = (watts_from_drive(base, kept) if base is not None
-               else np.full_like(kept, np.nan))
     return SqueezeSweepResult(
         drive=kept, power_w=power_w,
-        var_x1=np.array([c.var_x1 for c in covs]),
-        var_p1=np.array([c.var_p1 for c in covs]),
-        var_x2=np.array([c.var_x2 for c in covs]),
-        var_p2=np.array([c.var_p2 for c in covs]),
-        S1=np.array([c.S1 for c in covs]),
-        S2=S2,
+        var_x1=V[:, 2, 2], var_p1=V[:, 3, 3], var_x2=V[:, 4, 4], var_p2=V[:, 5, 5],
+        S1=squeezing(V, 1), S2=S2,
         threshold_bracket=bracket,
         max_S2={"value": float(S2[i_max]), "drive": float(kept[i_max]),
                 "power_w": float(power_w[i_max])},
@@ -252,6 +227,29 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi, rel_tol=1e-4) -> f
         else:
             hi = mid
     return lo
+
+
+def _march(x, fx, carry, step, lo, hi, probe, floor_of):
+    """One coordinate of the pattern search: march each direction while
+    `probe(x, carry) -> (value, carry)` improves on `fx` within [lo, hi],
+    halve the step when neither does, stop at `floor_of(x)` (re-read at
+    each halving).  Returns the best (value, x, carry)."""
+    floor = floor_of(x)
+    while step > floor:
+        moved = False
+        for sgn in (1.0, -1.0):
+            while True:
+                nxt = min(max(x + sgn * step, lo), hi)
+                if nxt == x:
+                    break
+                v, c = probe(nxt, carry)
+                if not v < fx:
+                    break
+                fx, x, carry, moved = v, nxt, c, True
+        if not moved:
+            step *= 0.5
+            floor = floor_of(x)
+    return fx, x, carry
 
 
 @dataclass(frozen=True)
@@ -327,58 +325,14 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
         fb, lg = float(vals[i]), grid[i]
         if not math.isfinite(fb):
             return math.inf, seed_lg
-        step = grid[1] - grid[0]
-        while step > 1e-4:
-            moved = False
-            for sgn in (1.0, -1.0):
-                nxt = min(max(lg + sgn * step, lg_lo), lg_hi)
-                if nxt == lg:
-                    continue
-                v = f(det, [nxt])[0]
-                if v < fb:
-                    fb, lg = v, nxt
-                    moved = True
-                    while True:
-                        nxt = min(max(lg + sgn * step, lg_lo), lg_hi)
-                        if nxt == lg:
-                            break
-                        v = f(det, [nxt])[0]
-                        if v < fb:
-                            fb, lg = v, nxt
-                        else:
-                            break
-            if not moved:
-                step *= 0.5
-        return fb, lg
+        return _march(lg, fb, None, grid[1] - grid[0], lg_lo, lg_hi,
+                      lambda x, c: (f(det, [x])[0], c), lambda x: 1e-4)[:2]
 
     best_val, best_x = math.inf, None
     for val, det0, lg0 in cells[:refine_starts]:
         fb, lg = drive_minimum(det0, lg0)
-        det = det0
-        step = step0[0]
-        floor = step_floor * max(abs(det), 1.0)
-        while step > floor:
-            improved = False
-            for sgn in (1.0, -1.0):
-                det_t = min(max(det + sgn * step, lo_b[0]), hi_b[0])
-                if det_t == det:
-                    continue
-                v, lg_t = drive_minimum(det_t, lg)
-                if v < fb:
-                    fb, det, lg = v, det_t, lg_t
-                    improved = True
-                    while True:
-                        det_t = min(max(det + sgn * step, lo_b[0]), hi_b[0])
-                        if det_t == det:
-                            break
-                        v, lg_t = drive_minimum(det_t, lg)
-                        if v < fb:
-                            fb, det, lg = v, det_t, lg_t
-                        else:
-                            break
-            if not improved:
-                step *= 0.5
-                floor = step_floor * max(abs(det), 1.0)
+        fb, det, lg = _march(det0, fb, lg, step0[0], lo_b[0], hi_b[0], drive_minimum,
+                             lambda x: step_floor * max(abs(x), 1.0))
         if fb < best_val:
             best_val, best_x = fb, [det, lg]
 

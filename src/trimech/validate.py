@@ -29,6 +29,11 @@ from .errors import NumericalError, UnstableSystemError
 #: norm beyond which the moment flow is declared divergent
 DIVERGENCE_NORM = 1e12
 
+#: bounds `trimech validate` puts on `cross_check`'s algebraic pair and
+#: moment-flow discrepancies
+PAIR_TOL = 1e-10
+ODE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class IntegrationSpec:
@@ -158,7 +163,7 @@ def integrate_moments(A, D, V0=None, spec: IntegrationSpec = None) -> np.ndarray
     return 0.5 * (V + V.T)
 
 
-def cross_check(A, D, ode_tol=1e-8, pair_tol=1e-10, spec: IntegrationSpec = None):
+def cross_check(A, D, spec: IntegrationSpec = None):
     """Three-way solver agreement at one (A, D) instance.
 
     Returns a dict with the pairwise relative max-norm discrepancies
@@ -177,6 +182,4 @@ def cross_check(A, D, ode_tol=1e-8, pair_tol=1e-10, spec: IntegrationSpec = None
         "algebraic_pair": float(np.abs(V_prod - V_kron).max() / scale),
         "ode_vs_direct": float(np.abs(V_ode - V_kron).max() / scale),
         "ode_vs_production": float(np.abs(V_ode - V_prod).max() / scale),
-        "algebraic_tol": pair_tol,
-        "ode_tol": ode_tol,
     }

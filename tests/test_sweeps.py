@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trimech.errors import PhysicsError
 from trimech.params import reference_params
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
 from trimech.sweeps import (drive_from_watts, instability_threshold,
@@ -163,6 +164,19 @@ class TestSweepBracket:
         assert result.threshold_bracket is None
 
 
+class TestNoStableRow:
+    @pytest.mark.parametrize("sweep", [power_sweep, squeezing_sweep])
+    @pytest.mark.parametrize("watts", [[], [1.0, 2.0]])
+    def test_raises_physics_error(self, sweep, watts):
+        """An empty drive grid, or one that is unstable from its first drive."""
+        from trimech.sweeps import is_stable
+        m = fig3_model()
+        drives = drive_from_watts(REF, np.array(watts))
+        assert not any(is_stable(replace(m, drive=d)) for d in drives)
+        with pytest.raises(PhysicsError, match="no stable point"):
+            sweep(m, drives, base=REF)
+
+
 class TestInstabilityThreshold:
     def test_requires_bracket(self):
         m = fig3_model()
@@ -309,10 +323,17 @@ class TestRecomputability:
             _, _, cov = solve_point(replace(m, drive=drive))
             assert cov.n1 == result.n1[i]
             assert cov.n2 == result.n2[i]
+        hybrid = result.hybridization
+        assert hybrid["n1"] == result.n1[hybrid["index"]]
+        assert hybrid["n2"] == result.n2[hybrid["index"]]
         sq = squeezing_sweep(m, drives, base=REF)
         for i, drive in enumerate(sq.drive):
             _, _, cov = solve_point(replace(m, drive=drive))
+            assert cov.var_x1 == sq.var_x1[i]
+            assert cov.var_p1 == sq.var_p1[i]
+            assert cov.var_x2 == sq.var_x2[i]
             assert cov.var_p2 == sq.var_p2[i]
+            assert cov.S1 == sq.S1[i]
             assert cov.S2 == sq.S2[i]
 
 
