@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -31,7 +32,8 @@ from .params import drive_from_watts, nondimensionalize, reference_params
 from .presets import (PRESET_NAMES, fig2_protocol, fig3_model, fig4_model,
                       preset_drives)
 from .steady import fixed_point, self_consistent_fixed_points, stationarity_residuals
-from .sweeps import occupation_landscape, power_sweep, squeezing_sweep
+from .sweeps import (check_landscape_inputs, occupation_landscape, power_sweep,
+                     squeezing_sweep)
 from .validate import ODE_TOL, PAIR_TOL, IntegrationSpec, cross_check
 
 EXIT_CONFIG = 2
@@ -50,6 +52,26 @@ def _read_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
 
 
+@contextmanager
+def _config_values():
+    """Report a ValueError raised on config values as a ConfigError.
+
+    Only code that checks config input runs under this; a ValueError from
+    anywhere else is an internal fault, not a config error.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invariant violation: {exc}") from exc
+
+
+def _config_model(phys, sections):
+    """ModelParams from the [model] section over the physical parameters."""
+    detuning, mode = model_section(sections)
+    with _config_values():
+        return nondimensionalize(phys, detuning, mode)
+
+
 def _model_from_args(args):
     """Resolve ModelParams (plus optional physical base) from preset/config."""
     if args.preset != "none":
@@ -61,8 +83,7 @@ def _model_from_args(args):
                           "model parameter set")
     sections = _read_config(args.input)
     phys = physical_params(sections)
-    detuning, mode = model_section(sections)
-    return nondimensionalize(phys, detuning, mode), phys
+    return _config_model(phys, sections), phys
 
 
 def _branches(m):
@@ -106,9 +127,7 @@ def _json_text(payload):
 
 def cmd_derive(args):
     sections = _read_config(args.input)
-    phys = physical_params(sections)
-    detuning, mode = model_section(sections)
-    m = nondimensionalize(phys, detuning, mode)
+    m = _config_model(physical_params(sections), sections)
     record = format_record("model parameters (units of the cavity decay rate)",
                            asdict(m))
     path = _write(os.path.join(args.output_dir, "model_params.txt"), record)
@@ -220,16 +239,17 @@ def _sweep_from_config(args):
         bounds_det = (spec.get("detuning_min", -45.0),
                       spec.get("detuning_max", -2.0))
         bounds_drv = (spec.get("drive_min", 1e6), spec.get("drive_max", 1e12))
+        with _config_values():
+            check_landscape_inputs(omega1, omega2, bounds_det, bounds_drv)
         result = occupation_landscape(phys, omega1, omega2, bounds_det,
                                       bounds_drv, threads=args.threads)
         echo = _model_echo(phys)
         echo["detuning_bounds"] = str(bounds_det)
         echo["drive_bounds"] = str(bounds_drv)
         return "landscape", None, echo, result
-    detuning, mode = model_section(sections)
-    if mode != "effective":
+    m = _config_model(phys, sections)
+    if m.detuning_mode != "effective":
         raise ConfigError("power sweeps require detuning_mode = effective")
-    m = nondimensionalize(phys, detuning, mode)
     for key in ("points", "power_min", "power_max"):
         if key not in spec:
             raise ConfigError("missing mandatory key for power sweep", key=key)
@@ -330,10 +350,11 @@ def cmd_sweep(args):
 def cmd_geometry(args):
     sections = _read_config(args.input)
     geo = geometry_section(sections)
-    spec = CavitySpec(length=geo["length"],
-                      wavenumber=2.0 * math.pi / geo["wavelength"],
-                      reflectivity=geo["reflectivity"],
-                      transmissivity=geo["transmissivity"])
+    with _config_values():
+        spec = CavitySpec(length=geo["length"],
+                          wavenumber=2.0 * math.pi / geo["wavelength"],
+                          reflectivity=geo["reflectivity"],
+                          transmissivity=geo["transmissivity"])
     variant = PumpGeometry(geo["variant"])
     table = field_profile_samples(spec, geo["samples"])
     echo = _echo_header({
@@ -438,7 +459,7 @@ def main(argv=None):
     try:
         os.makedirs(args.output_dir, exist_ok=True)
         return args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhysicsError as exc:

@@ -190,6 +190,8 @@ def sweep_section(sections):
                 out[key] = ("watts", _parse_quantity(raw, _POWER, False, key, line))
             else:               # unit-free model drive
                 out[key] = ("drive", _parse_number(raw, key, line))
+            if not out[key][1] > 0:  # the sweep grid is logarithmic
+                raise ConfigError("expected a positive power", key=key, line=line)
         else:
             out[key] = _parse_number(raw, key, line)
     return out
@@ -209,6 +211,8 @@ def geometry_section(sections):
             raise ConfigError("missing mandatory key", key=key)
         raw, line = body[key]
         out[key] = _parse_quantity(raw, _LENGTH, False, key, line)
+        if not out[key] > 0:
+            raise ConfigError("expected a positive length", key=key, line=line)
     for key in ("reflectivity", "transmissivity"):
         if key not in body:
             raise ConfigError("missing mandatory key", key=key)

@@ -9,13 +9,18 @@ point); `solve_point` is its one-row case.  A power or squeezing sweep
 reads its scalars off the stacked covariances and spectra of its drive
 grid, truncated at the first point without a certified stable covariance,
 and records the bracketing drives, from its last row to the first
-unstable drive, so downstream consumers see only valid rows.
+unstable drive, so downstream consumers see only valid rows; it also
+records why and at which drive its rows stopped.
 
 The (detuning, power) optimizer is deterministic: a coarse grid (linear
 in detuning, logarithmic in drive) followed by coordinate pattern
 search with successive halving from the best few coarse cells.  The
 cooling ridge is narrow in power, which is why refinement (one loop for
 both coordinates) marches each improving direction as far as it pays.
+The drive-line march is replayed against the values solved so far and
+solves, in one stack, every probe it would make if none of the unknown
+ones improved; it repeats until a replay meets no unknown probe, so the
+search and its optimum are those of a march that probes one at a time.
 """
 
 import math
@@ -110,6 +115,8 @@ class PowerSweepResult:
     n2: np.ndarray
     threshold_bracket: tuple      # (last row, first unstable drive) or None
     hybridization: dict           # min mechanical-branch separation summary
+    stop_reason: str              # "end of range", "unstable", "degenerate" or "fault"
+    stop_drive: float             # drive of the first dropped row, None at end of range
 
 
 @dataclass(frozen=True)
@@ -124,16 +131,24 @@ class SqueezeSweepResult:
     S2: np.ndarray
     threshold_bracket: tuple
     max_S2: dict                  # {"value", "drive", "power_w"}
+    stop_reason: str
+    stop_drive: float
+
+
+_STOP_REASONS = {UNSTABLE: "unstable", DEGENERATE: "degenerate", FAULT: "fault"}
 
 
 def _stable_prefix(m: ModelParams, drives, base: PhysicalParams):
-    """(batch, drive, power_w, bracket) of a sweep's stacked drive grid.
+    """(batch, drive, power_w, stop) of a sweep's stacked drive grid.
 
     `drive` ends before the first row without a certified covariance
     (unstable, inverted trap, or a missed Lyapunov contract); PhysicsError
-    if that is the first row.  The bracket is (last kept drive, first
-    unstable or degenerate swept drive), or None when there is none: a
-    numerical fault ends the rows but never stands in for the instability.
+    if that is the first row.  `stop` holds the result fields that say
+    where and why: `stop_reason` and `stop_drive` of that first dropped
+    row ("end of range" and None when every row was kept), and the
+    `threshold_bracket` (last kept drive, first unstable or degenerate
+    swept drive), or None when there is none: a numerical fault ends the
+    rows but never stands in for the instability.
     """
     drives = np.array(drives, dtype=float)
     batch = solve_points(m, m.detuning, drives)
@@ -143,10 +158,16 @@ def _stable_prefix(m: ModelParams, drives, base: PhysicalParams):
         raise PhysicsError("no stable point in the swept drive range")
     kept = drives[:end]
     lost = np.flatnonzero((batch.status == UNSTABLE) | (batch.status == DEGENERATE))
-    bracket = (float(kept[-1]), float(drives[lost[0]])) if lost.size else None
+    stop = {
+        "threshold_bracket": ((float(kept[-1]), float(drives[lost[0]]))
+                              if lost.size else None),
+        "stop_reason": (_STOP_REASONS[int(batch.status[end])] if failed.size
+                        else "end of range"),
+        "stop_drive": float(drives[end]) if failed.size else None,
+    }
     power_w = (watts_from_drive(base, kept) if base is not None
                else np.full_like(kept, np.nan))
-    return batch, kept, power_w, bracket
+    return batch, kept, power_w, stop
 
 
 def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSweepResult:
@@ -158,7 +179,7 @@ def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSwe
     one by minimal total frequency jump.  The hybridization entry flags
     the row where the mirror and sphere branches come closest.
     """
-    batch, kept, power_w, bracket = _stable_prefix(m, drives, base)
+    batch, kept, power_w, stop = _stable_prefix(m, drives, base)
     end = kept.size
     reference = [abs(m.detuning), m.omega1, m.omega2]
     tracked = []
@@ -185,13 +206,13 @@ def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSwe
     }
     return PowerSweepResult(
         drive=kept, power_w=power_w, freqs=freqs, dampings=tracked[..., 1],
-        n1=n1s, n2=n2s, threshold_bracket=bracket, hybridization=hybrid,
+        n1=n1s, n2=n2s, hybridization=hybrid, **stop,
     )
 
 
 def squeezing_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> SqueezeSweepResult:
     """Quadrature variances and squeezing along a drive grid."""
-    batch, kept, power_w, bracket = _stable_prefix(m, drives, base)
+    batch, kept, power_w, stop = _stable_prefix(m, drives, base)
     V = batch.V[:kept.size]
     S2 = squeezing(V, 2)
     i_max = int(np.argmax(S2))
@@ -199,9 +220,9 @@ def squeezing_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> Sque
         drive=kept, power_w=power_w,
         var_x1=V[:, 2, 2], var_p1=V[:, 3, 3], var_x2=V[:, 4, 4], var_p2=V[:, 5, 5],
         S1=squeezing(V, 1), S2=S2,
-        threshold_bracket=bracket,
         max_S2={"value": float(S2[i_max]), "drive": float(kept[i_max]),
                 "power_w": float(power_w[i_max])},
+        **stop,
     )
 
 
@@ -252,13 +273,55 @@ def _march(x, fx, carry, step, lo, hi, probe, floor_of):
     return fx, x, carry
 
 
+def _replay_march(x, fx, step, lo, hi, floor_of, solve):
+    """`_march` along one line, with its probes solved in stacks.
+
+    Each pass replays the march from the start against a memo of solved
+    values.  A probe missing from the memo counts as no improvement and is
+    recorded, so one pass records every probe the march would make if
+    none of the unknown ones improved; `solve(xs) -> values` then solves
+    them, deduplicated, in one call.  The pass that meets no unknown probe
+    is the march that probes one at a time.  Returns (value, x, probes),
+    `probes` being that march's probe count.
+    """
+    memo = {}
+    while True:
+        unknown = []
+        probes = 0
+
+        def probe(p, carry):
+            nonlocal probes
+            probes += 1
+            if p in memo:
+                return memo[p], carry
+            unknown.append(p)
+            return math.inf, carry
+
+        fx_best, x_best, _ = _march(x, fx, None, step, lo, hi, probe, floor_of)
+        if not unknown:
+            return fx_best, x_best, probes
+        xs = list(dict.fromkeys(unknown))
+        memo.update(zip(xs, solve(xs)))
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     value: float
     detuning: float
     drive: float
     on_boundary: bool
-    evaluations: int
+    evaluations: int  # objective values the search consumed
+    solved_rows: int  # rows solved, speculative drive-line probes included
+
+
+def _search_box(detuning_bounds, drive_bounds):
+    """(d_lo, d_hi, p_lo, p_hi) as floats; ValueError unless ordered with
+    positive drives."""
+    d_lo, d_hi = map(float, detuning_bounds)
+    p_lo, p_hi = map(float, drive_bounds)
+    if not (d_lo < d_hi and 0 < p_lo < p_hi):
+        raise ValueError("bounds must be ordered and drives positive")
+    return d_lo, d_hi, p_lo, p_hi
 
 
 def optimize_scalar(objective, detuning_bounds, drive_bounds,
@@ -271,23 +334,23 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     and logarithmic in drive, in one call; stage two runs coordinate
     pattern search (march while improving, then halve the step) from the
     best `refine_starts` coarse cells down to a relative step floor, with
-    each drive-line scan in one call and the march probes one by one.
+    each drive-line scan in one call.  Each drive-line march solves its
+    probes speculatively in stacks (`_replay_march`) and takes the same
+    path as probing one at a time; `evaluations` counts the probes that
+    path consumed and `solved_rows` every row the objective was given.
     Emits a warning when the optimum sits on a bound.
     """
-    d_lo, d_hi = map(float, detuning_bounds)
-    p_lo, p_hi = map(float, drive_bounds)
-    if not (d_lo < d_hi and 0 < p_lo < p_hi):
-        raise ValueError("bounds must be ordered and drives positive")
+    d_lo, d_hi, p_lo, p_hi = _search_box(detuning_bounds, drive_bounds)
     n_det, n_drv = coarse
     dets = np.linspace(d_lo, d_hi, n_det)
     logs = np.linspace(math.log10(p_lo), math.log10(p_hi), n_drv)
 
-    evals = 0
+    rows = 0
 
     def f(det, lgs):
         """Objective at one detuning (or one per entry) over log10 drives."""
-        nonlocal evals
-        evals += len(lgs)
+        nonlocal rows
+        rows += len(lgs)
         drives = np.array([10.0 ** lg for lg in lgs])
         return np.asarray(objective(np.broadcast_to(det, drives.shape), drives),
                           dtype=float)
@@ -297,8 +360,9 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     cells = [(val, dv, lg)
              for val, dv, lg in zip(f(grid_det, grid_lg).tolist(), grid_det, grid_lg)
              if math.isfinite(val)]
+    evals = rows
     if not cells:
-        return OptimizeResult(math.inf, math.nan, math.nan, False, evals)
+        return OptimizeResult(math.inf, math.nan, math.nan, False, evals, rows)
     cells.sort(key=lambda c: (c[0], c[1], c[2]))
 
     lo_b = (d_lo, math.log10(p_lo))
@@ -315,18 +379,22 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     lg_lo, lg_hi = lo_b[1], hi_b[1]
 
     def drive_minimum(det, seed_lg, span=0.3, scan=25):
+        nonlocal evals
         lo = max(lg_lo, seed_lg - span)
         hi = min(lg_hi, seed_lg + span)
         if hi <= lo:
             lo, hi = lg_lo, lg_hi
         grid = np.linspace(lo, hi, scan)
         vals = f(det, grid)
+        evals += scan
         i = int(np.argmin(vals))
         fb, lg = float(vals[i]), grid[i]
         if not math.isfinite(fb):
             return math.inf, seed_lg
-        return _march(lg, fb, None, grid[1] - grid[0], lg_lo, lg_hi,
-                      lambda x, c: (f(det, [x])[0], c), lambda x: 1e-4)[:2]
+        fb, lg, probes = _replay_march(lg, fb, grid[1] - grid[0], lg_lo, lg_hi,
+                                       lambda x: 1e-4, lambda xs: f(det, xs))
+        evals += probes
+        return fb, lg
 
     best_val, best_x = math.inf, None
     for val, det0, lg0 in cells[:refine_starts]:
@@ -343,7 +411,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
                       stacklevel=2)
     return OptimizeResult(value=best_val, detuning=best_x[0],
                           drive=10.0 ** best_x[1], on_boundary=on_boundary,
-                          evaluations=evals)
+                          evaluations=evals, solved_rows=rows)
 
 
 def sphere_occupation_objective(m: ModelParams):
@@ -370,6 +438,7 @@ class LandscapePoint:
     message: str = ""
     on_boundary: bool = False  # the optimum sits on a search bound
     evaluations: int = 0       # objective evaluations spent on the cell
+    solved_rows: int = 0       # rows solved for them, speculative ones included
 
 
 @dataclass(frozen=True)
@@ -378,6 +447,24 @@ class LandscapeResult:
     omega1: np.ndarray
     omega2: np.ndarray
     ridge: dict           # omega1 -> omega2 minimizing the cooled occupation
+
+
+def check_landscape_inputs(omega1_grid, omega2_grid, detuning_bounds, drive_bounds):
+    """The frequency axes of a landscape as 1-D float arrays.
+
+    ValueError unless both axes are non-empty, every omega2 lies inside
+    (1, max(omega1)), and the search bounds are ordered with positive
+    drives.
+    """
+    omega1_grid = np.atleast_1d(np.asarray(omega1_grid, dtype=float))
+    omega2_grid = np.atleast_1d(np.asarray(omega2_grid, dtype=float))
+    if omega1_grid.size == 0 or omega2_grid.size == 0:
+        raise ValueError("frequency axes must be non-empty")
+    if np.any(omega2_grid <= 1.0) or np.any(omega2_grid >= omega1_grid.max()):
+        raise ValueError("omega2 grid must lie inside (1, max(omega1)) in "
+                         "units of the cavity decay rate")
+    _search_box(detuning_bounds, drive_bounds)
+    return omega1_grid, omega2_grid
 
 
 def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
@@ -392,20 +479,14 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     chi is applied consistently.  Cells where the optimizer finds no
     stable point are recorded, not fatal.  omega2 must lie strictly
     between the cavity linewidth (1 in model units) and omega1.  Each
-    point records the optimizer's evaluation count and whether its
-    optimum sits on a search bound.  `threads` is accepted for
+    point records the optimizer's evaluation and solved-row counts and
+    whether its optimum sits on a search bound.  `threads` is accepted for
     compatibility and has no effect: cells run in order in this process,
     because the per-cell work holds the GIL and a thread pool only added
     overhead.
     """
-    omega1_grid = np.atleast_1d(np.asarray(omega1_grid, dtype=float))
-    omega2_grid = np.atleast_1d(np.asarray(omega2_grid, dtype=float))
-    if omega1_grid.size == 0 or omega2_grid.size == 0:
-        raise ValueError("frequency axes must be non-empty")
-    if np.any(omega2_grid <= 1.0) or np.any(omega2_grid >= omega1_grid.max()):
-        raise ValueError("omega2 grid must lie inside (1, max(omega1)) in "
-                         "units of the cavity decay rate")
-
+    omega1_grid, omega2_grid = check_landscape_inputs(
+        omega1_grid, omega2_grid, detuning_bounds, drive_bounds)
     kappa = base.cavity_decay
 
     def solve_cell(o1, o2):
@@ -421,10 +502,12 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
         if not math.isfinite(opt.value):
             return LandscapePoint(o1, o2, math.inf, m.n2, math.nan, math.nan,
                                   False, "no stable point in bounds",
-                                  evaluations=opt.evaluations)
+                                  evaluations=opt.evaluations,
+                                  solved_rows=opt.solved_rows)
         return LandscapePoint(o1, o2, opt.value, m.n2, opt.detuning,
                               opt.drive, True, on_boundary=opt.on_boundary,
-                              evaluations=opt.evaluations)
+                              evaluations=opt.evaluations,
+                              solved_rows=opt.solved_rows)
 
     points = [solve_cell(o1, o2) for o1 in omega1_grid for o2 in omega2_grid]
 

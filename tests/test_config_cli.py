@@ -210,6 +210,56 @@ class TestCliSweep:
         assert len(rows) == 21  # header + 20 stable points
 
 
+class TestConfigBoundary:
+    """A ValueError is a config error only when config input caused it."""
+
+    LANDSCAPE = NOMINAL + "\n".join([
+        "", "[sweep]", "kind = landscape",
+        "omega1_min = 10", "omega1_max = 10", "omega1_count = 2",
+        "omega2_min = {lo}", "omega2_max = 3.4", "omega2_count = 2", ""])
+
+    def test_bad_omega2_range_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.LANDSCAPE.format(lo="0.5"))
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        assert "omega2" in capsys.readouterr().err
+
+    def test_unordered_landscape_bounds_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.LANDSCAPE.format(lo="3.0")
+                           + "detuning_min = -2\ndetuning_max = -45\n")
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        assert "bounds" in capsys.readouterr().err
+
+    def test_nonpositive_power_bound_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, NOMINAL + "\n".join([
+            "", "[sweep]", "kind = power", "points = 20",
+            "power_min = 0 W", "power_max = 1e-4 W", ""]))
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        assert "power_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, key", [
+        ("reflectivity = -1.5", "reflectivity"),
+        ("wavelength = 0 nm", "wavelength"),
+    ])
+    def test_bad_cavity_geometry_exits_2(self, tmp_path, capsys, line, key):
+        lines = ["[geometry]", "length = 0.5 cm", "wavelength = 1064 nm",
+                 "reflectivity = -0.9", "transmissivity = 0.1", ""]
+        lines = [line if ln.startswith(key) else ln for ln in lines]
+        cfg = write_config(tmp_path, "\n".join(lines))
+        assert main(["geometry", "-i", cfg, "-o", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path,
+                                                        monkeypatch):
+        import trimech.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "power_sweep", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["sweep", "--preset", "fig3", "-o", str(tmp_path)])
+
+
 class TestCliGeometryValidate:
     def test_geometry_profile(self, tmp_path):
         cfg = write_config(tmp_path, "\n".join([

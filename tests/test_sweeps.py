@@ -10,10 +10,11 @@ import pytest
 from trimech.errors import PhysicsError
 from trimech.params import reference_params
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
-from trimech.sweeps import (drive_from_watts, instability_threshold,
-                            occupation_landscape, optimize_scalar,
-                            power_sweep, sphere_occupation_objective,
-                            squeezing_sweep, watts_from_drive)
+from trimech.sweeps import (_march, _replay_march, drive_from_watts,
+                            instability_threshold, occupation_landscape,
+                            optimize_scalar, power_sweep,
+                            sphere_occupation_objective, squeezing_sweep,
+                            watts_from_drive)
 
 REF = reference_params()
 
@@ -162,6 +163,22 @@ class TestSweepBracket:
         result = squeezing_sweep(m, stable, base=phys)
         assert np.array_equal(result.drive, stable[:faulted])
         assert result.threshold_bracket is None
+        assert result.stop_reason == "fault"
+        assert result.stop_drive == stable[faulted]
+
+    def test_stop_reason_tells_fault_from_instability_and_end_of_range(self):
+        m, phys, drives = fault_sweep_input()
+        clean = squeezing_sweep(m, drives, base=phys)
+        assert clean.stop_reason == "fault"  # the real contract miss
+        assert clean.stop_drive == pytest.approx(8.2709e9, rel=1e-4)
+        assert clean.stop_drive < clean.threshold_bracket[1]
+        whole = squeezing_sweep(m, drives[:len(clean.drive)], base=phys)
+        assert whole.stop_reason == "end of range"
+        assert whole.stop_drive is None
+        fig3 = drive_from_watts(REF, np.logspace(-3, -2, 60))
+        power = power_sweep(fig3_model(), fig3, base=REF)
+        assert power.stop_reason == "unstable"
+        assert power.stop_drive == power.threshold_bracket[1]
 
 
 class TestNoStableRow:
@@ -250,6 +267,51 @@ class TestOptimizeScalar:
         assert res.value <= quoted
 
 
+def _probe_by_probe(g, x, step, lo, hi, floor):
+    """`_march` probing `g` one point at a time: (value, x, probes)."""
+    probes = []
+
+    def probe(p, carry):
+        probes.append(p)
+        return g(np.array([p]))[0], carry
+
+    value, x_best, _ = _march(x, g(np.array([x]))[0], None, step, lo, hi,
+                              probe, lambda _: floor)
+    return value, x_best, len(probes)
+
+
+class TestReplayMarch:
+    """The stacked replay takes the march that probes one point at a time."""
+
+    CASES = {
+        "quadratic": (lambda x: (x - 0.37) ** 2, 0.0, 0.25, -2.0, 2.0),
+        "needle": (lambda x: -1.0 / (1.0 + ((x - 0.3137) / 1e-3) ** 2),
+                   0.0, 0.25, -2.0, 2.0),
+        "inf plateau": (lambda x: np.where(x > 0.5, math.inf, (x - 0.61) ** 2),
+                        0.0, 0.2, -2.0, 2.0),
+        "optimum on lo": (lambda x: x * 1.0, 0.3, 0.25, -1.0, 1.0),
+        "optimum on hi": (lambda x: -x, 0.3, 0.25, -1.0, 1.0),
+        "first probe improves": (lambda x: (x - 1.7) ** 2, 0.0, 0.25, -2.0, 2.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_probe_by_probe_march(self, case):
+        g, x0, step, lo, hi = self.CASES[case]
+        solved = []
+
+        def solve(xs):
+            solved.append(len(xs))
+            return g(np.array(xs, dtype=float))
+
+        fx0 = g(np.array([x0]))[0]
+        value, x, probes = _replay_march(x0, fx0, step, lo, hi,
+                                         lambda _: 1e-4, solve)
+        assert (value, x, probes) == _probe_by_probe(g, x0, step, lo, hi, 1e-4)
+        assert len(solved) < probes
+        if case == "first probe improves":
+            assert sum(solved) > probes  # speculative rows were thrown away
+
+
 class TestOccupationLandscape:
     def test_interior_minimum_near_resonant_sphere(self):
         """5x5 cell grid around (10, 3.4): the minimizing omega2 is interior."""
@@ -300,6 +362,39 @@ class TestOccupationLandscape:
         assert point.evaluations == opt.evaluations > 81
         assert point.on_boundary == opt.on_boundary
         assert point.n2_min == opt.value
+
+    def test_search_pinned_and_stacked(self, monkeypatch):
+        """Two benchmark cells keep their probe counts and bit-exact optima,
+        while the drive-line marches reach the objective in few stacked calls."""
+        import trimech.sweeps as sweeps
+        proto = fig2_protocol()
+        real = sweeps.sphere_occupation_objective
+        calls = []  # per cell: the row count of each objective call
+
+        def counting(m):
+            objective = real(m)
+            calls.append([])
+
+            def counted(detunings, drives):
+                calls[-1].append(np.size(detunings))
+                return objective(detunings, drives)
+            return counted
+
+        monkeypatch.setattr(sweeps, "sphere_occupation_objective", counting)
+        result = occupation_landscape(reference_params(), [10.0], [1.95, 8.55],
+                                      detuning_bounds=proto["detuning_bounds"],
+                                      drive_bounds=proto["drive_bounds"])
+        expected = [
+            (5317, "0x1.326870eec283bp+9", "-0x1.2220000000001p+5",
+             "0x1.9195b8079add2p+36"),
+            (2755, "0x1.1d6d8631103c4p+12", "-0x1.6800000000000p+5",
+             "0x1.9eda200bf7eb0p+35"),
+        ]
+        assert [(p.evaluations, float(p.n2_min).hex(), float(p.detuning).hex(),
+                 float(p.drive).hex()) for p in result.points] == expected
+        for p, rows in zip(result.points, calls):
+            assert p.solved_rows == sum(rows) >= p.evaluations
+            assert len(rows) < p.evaluations / 5
 
     def test_threads_do_not_change_content(self):
         base = fig2_protocol()["base"]
