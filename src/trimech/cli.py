@@ -40,13 +40,16 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERICS = 4
 
+#: presets that define a single model parameter set (steady, linear)
+MODEL_PRESETS = {"fig3": fig3_model, "fig4": fig4_model}
 
-def _read_config(path):
-    if path is None:
-        raise ConfigError("an input config is required for this subcommand "
-                          "(or use --preset)")
+
+def _read_config(args):
+    if args.input is None:
+        hint = " (or use --preset)" if hasattr(args, "preset") else ""
+        raise ConfigError(f"an input config is required for this subcommand{hint}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             return parse_sections(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -73,17 +76,11 @@ def _config_model(phys, sections):
 
 
 def _model_from_args(args):
-    """Resolve ModelParams (plus optional physical base) from preset/config."""
+    """ModelParams of the preset, or of the config when no preset is given."""
     if args.preset != "none":
-        if args.preset == "fig3":
-            return fig3_model(), reference_params()
-        if args.preset == "fig4":
-            return fig4_model(), reference_params()
-        raise ConfigError(f"preset {args.preset!r} does not define a single "
-                          "model parameter set")
-    sections = _read_config(args.input)
-    phys = physical_params(sections)
-    return _config_model(phys, sections), phys
+        return MODEL_PRESETS[args.preset]()
+    sections = _read_config(args)
+    return _config_model(physical_params(sections), sections)
 
 
 def _branches(m):
@@ -126,7 +123,7 @@ def _json_text(payload):
 # --- subcommands --------------------------------------------------------------
 
 def cmd_derive(args):
-    sections = _read_config(args.input)
+    sections = _read_config(args)
     m = _config_model(physical_params(sections), sections)
     record = format_record("model parameters (units of the cavity decay rate)",
                            asdict(m))
@@ -136,7 +133,7 @@ def cmd_derive(args):
 
 
 def cmd_steady(args):
-    m, _ = _model_from_args(args)
+    m = _model_from_args(args)
     states = _branches(m)
     blocks = [_echo_header(_model_echo(m))]
     for i, s in enumerate(states):
@@ -162,10 +159,10 @@ def cmd_steady(args):
 
 
 def cmd_linear(args):
-    m, _ = _model_from_args(args)
+    m = _model_from_args(args)
     states = _branches(m)
     blocks = [_echo_header(_model_echo(m))]
-    summary = []
+    any_stable = False
     for i, s in enumerate(states):
         lm = linear_model(m, s)
         blocks.append(format_matrix(f"drift matrix A, branch {i}", lm.drift))
@@ -186,10 +183,8 @@ def cmd_linear(args):
                 "S1": cov.S1, "S2": cov.S2,
                 "physicality_floor": physicality_floor(cov.V),
             }))
-            summary.append((i, True))
-        else:
-            summary.append((i, False))
-    if not any(ok for _, ok in summary):
+            any_stable = True
+    if not any_stable:
         raise PhysicsError("no stable branch; covariance undefined everywhere")
     path = _write(os.path.join(args.output_dir, "linear.txt"),
                   "\n".join(blocks))
@@ -197,32 +192,20 @@ def cmd_linear(args):
     return 0
 
 
-def _sweep_from_preset(args):
-    if args.preset == "fig3":
-        m = fig3_model()
-        drives = preset_drives("fig3")
-        result = power_sweep(m, drives, base=reference_params())
-        return "power", m, _model_echo(m), result
-    if args.preset == "fig4":
-        m = fig4_model()
-        drives = preset_drives("fig4")
-        result = squeezing_sweep(m, drives, base=reference_params())
-        return "squeezing", m, _model_echo(m), result
+def _sweep_job(args):
+    """(kind, model, physical base, grid) of the preset or [sweep] config:
+    a power or squeezing grid is its drives; a landscape has no model and
+    its grid is (omega1, omega2, detuning_bounds, drive_bounds)."""
     if args.preset == "fig2":
         proto = fig2_protocol()
-        result = occupation_landscape(
-            proto["base"], proto["omega1"], proto["omega2"],
-            detuning_bounds=proto["detuning_bounds"],
-            drive_bounds=proto["drive_bounds"], threads=args.threads)
-        echo = _model_echo(proto["base"])
-        echo["detuning_bounds"] = str(proto["detuning_bounds"])
-        echo["drive_bounds"] = str(proto["drive_bounds"])
-        return "landscape", None, echo, result
-    raise ConfigError(f"unknown preset {args.preset!r}")
-
-
-def _sweep_from_config(args):
-    sections = _read_config(args.input)
+        return "landscape", None, proto["base"], (
+            proto["omega1"], proto["omega2"], proto["detuning_bounds"],
+            proto["drive_bounds"])
+    if args.preset != "none":
+        kind = "power" if args.preset == "fig3" else "squeezing"
+        return (kind, MODEL_PRESETS[args.preset](), reference_params(),
+                preset_drives(args.preset))
+    sections = _read_config(args)
     phys = physical_params(sections)
     spec = sweep_section(sections)
     kind = spec["kind"]
@@ -241,12 +224,7 @@ def _sweep_from_config(args):
         bounds_drv = (spec.get("drive_min", 1e6), spec.get("drive_max", 1e12))
         with _config_values():
             check_landscape_inputs(omega1, omega2, bounds_det, bounds_drv)
-        result = occupation_landscape(phys, omega1, omega2, bounds_det,
-                                      bounds_drv, threads=args.threads)
-        echo = _model_echo(phys)
-        echo["detuning_bounds"] = str(bounds_det)
-        echo["drive_bounds"] = str(bounds_drv)
-        return "landscape", None, echo, result
+        return kind, None, phys, (omega1, omega2, bounds_det, bounds_drv)
     m = _config_model(phys, sections)
     if m.detuning_mode != "effective":
         raise ConfigError("power sweeps require detuning_mode = effective")
@@ -258,54 +236,47 @@ def _sweep_from_config(args):
     if lo_kind != hi_kind:
         raise ConfigError("power_min and power_max must both be watts or both "
                           "model-unit drives", key="power_max")
+    if not lo < hi:
+        raise ConfigError("power_min must be below power_max", key="power_max")
+    drives = np.logspace(math.log10(lo), math.log10(hi), spec["points"])
     if lo_kind == "watts":
-        drives = drive_from_watts(phys, np.logspace(math.log10(lo),
-                                                    math.log10(hi),
-                                                    spec["points"]))
-    else:
-        drives = np.logspace(math.log10(lo), math.log10(hi), spec["points"])
-    if kind == "power":
-        return "power", m, _model_echo(m), power_sweep(m, drives, base=phys)
-    return "squeezing", m, _model_echo(m), squeezing_sweep(m, drives, base=phys)
+        drives = drive_from_watts(phys, drives)
+    return kind, m, phys, drives
 
 
 def cmd_sweep(args):
-    if args.preset != "none":
-        kind, m, echo_map, result = _sweep_from_preset(args)
+    kind, m, base, grid = _sweep_job(args)
+    if m is None:  # a landscape echoes its physical base and search box
+        echo = _echo_header(dict(_model_echo(base), detuning_bounds=str(grid[2]),
+                                 drive_bounds=str(grid[3])))
     else:
-        kind, m, echo_map, result = _sweep_from_config(args)
-
-    echo = _echo_header(echo_map)
+        echo = _echo_header(_model_echo(m))
     wrote = []
     if kind == "power":
+        result = power_sweep(m, grid, base=base)
         columns = ["power_w", "drive", "freq_cavity", "freq_mirror",
                    "freq_sphere", "damp_cavity", "damp_mirror", "damp_sphere",
                    "n1", "n2"]
-        rows = [
-            (result.power_w[i], result.drive[i], *result.freqs[i],
-             *result.dampings[i], result.n1[i], result.n2[i])
-            for i in range(len(result.drive))
-        ]
+        rows = zip(result.power_w, result.drive, *result.freqs.T,
+                   *result.dampings.T, result.n1, result.n2)
         summary = {
             "kind": "power",
             "threshold_bracket_drive": result.threshold_bracket,
             "hybridization": result.hybridization,
         }
     elif kind == "squeezing":
+        result = squeezing_sweep(m, grid, base=base)
         columns = ["power_w", "drive", "var_x1", "var_p1", "var_x2", "var_p2",
                    "S1", "S2"]
-        rows = [
-            (result.power_w[i], result.drive[i], result.var_x1[i],
-             result.var_p1[i], result.var_x2[i], result.var_p2[i],
-             result.S1[i], result.S2[i])
-            for i in range(len(result.drive))
-        ]
+        rows = zip(result.power_w, result.drive, result.var_x1, result.var_p1,
+                   result.var_x2, result.var_p2, result.S1, result.S2)
         summary = {
             "kind": "squeezing",
             "threshold_bracket_drive": result.threshold_bracket,
             "max_S2": result.max_S2,
         }
     else:
+        result = occupation_landscape(base, *grid, threads=args.threads)
         columns = ["omega1", "omega2", "n2_min", "n2_thermal", "detuning",
                    "drive", "ok"]
         rows = [
@@ -324,13 +295,11 @@ def cmd_sweep(args):
         }
         if args.format in ("csv", "both"):
             # gnuplot-compatible matrix of minimized occupations
-            grid = np.full((result.omega1.size, result.omega2.size), np.nan)
-            for idx, p in enumerate(result.points):
-                i, j = divmod(idx, result.omega2.size)
-                grid[i, j] = p.n2_min if p.ok else np.nan
+            n2_min = np.reshape([p.n2_min if p.ok else np.nan for p in result.points],
+                                (result.omega1.size, result.omega2.size))
             wrote.append(_write(os.path.join(args.output_dir, "landscape.dat"),
                                 echo + format_matrix("n2_min over (omega1, omega2)",
-                                                     grid)))
+                                                     n2_min)))
 
     if args.format in ("csv", "both"):
         wrote.append(_write(os.path.join(args.output_dir, "sweep.csv"),
@@ -339,7 +308,7 @@ def cmd_sweep(args):
         payload = {"version": __version__, "preset": args.preset,
                    "summary": summary}
         if m is not None:
-            payload["model"] = {k: v for k, v in asdict(m).items()}
+            payload["model"] = asdict(m)
         wrote.append(_write(os.path.join(args.output_dir, "summary.json"),
                             _json_text(payload)))
     for path in wrote:
@@ -348,7 +317,7 @@ def cmd_sweep(args):
 
 
 def cmd_geometry(args):
-    sections = _read_config(args.input)
+    sections = _read_config(args)
     geo = geometry_section(sections)
     with _config_values():
         spec = CavitySpec(length=geo["length"],
@@ -420,6 +389,14 @@ def cmd_validate(args):
     return 0
 
 
+def _count(text):
+    """A non-negative integer option value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="trimech",
@@ -428,28 +405,31 @@ def build_parser():
                         version=f"trimech {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("-i", "--input", default=None,
-                       help="config file (strict key = value text)")
+    def subcommand(name, handler, config=True, presets=()):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        if config:
+            p.add_argument("-i", "--input", default=None,
+                           help="config file (strict key = value text)")
         p.add_argument("-o", "--output-dir", default=".",
                        help="directory for output files")
-        p.add_argument("--format", choices=("csv", "json", "both"),
-                       default="both")
-        p.add_argument("--preset", choices=("none",) + PRESET_NAMES,
-                       default="none")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("TRIMECH_THREADS", "1")),
-                       help="accepted for compatibility; has no effect "
-                            "(sweeps run in one process)")
+        if presets:
+            p.add_argument("--preset", choices=("none",) + tuple(presets),
+                           default="none")
+        return p
 
-    for name, fn in (("derive", cmd_derive), ("steady", cmd_steady),
-                     ("linear", cmd_linear), ("sweep", cmd_sweep),
-                     ("geometry", cmd_geometry), ("validate", cmd_validate)):
-        p = sub.add_parser(name)
-        common(p)
-        if name == "validate":
-            p.add_argument("--validate-instances", type=int, default=50)
-        p.set_defaults(handler=fn)
+    subcommand("derive", cmd_derive)
+    subcommand("steady", cmd_steady, presets=MODEL_PRESETS)
+    subcommand("linear", cmd_linear, presets=MODEL_PRESETS)
+    p = subcommand("sweep", cmd_sweep, presets=PRESET_NAMES)
+    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect "
+                        "(sweeps run in one process)")
+    subcommand("geometry", cmd_geometry)
+    p = subcommand("validate", cmd_validate, config=False)
+    p.add_argument("--validate-instances", type=_count, default=50,
+                   help="random instances checked besides the presets")
     return parser
 
 

@@ -51,6 +51,12 @@ PAIR_SUM_FLOOR = 1e-10
 #: Lyapunov residual contract, relative to max|D|
 RESIDUAL_REL = 1e-10
 
+#: eigenvalues with |Im| at most this, relative to max(|eig|, 1), count as real
+IMAG_FLOOR = 1e-9
+
+#: iterative-refinement steps of the eigenbasis Lyapunov solve
+REFINE_STEPS = 2
+
 _TINY = np.finfo(float).tiny
 
 #: row status of a stacked solve: stable (with a covariance, once solved),
@@ -224,48 +230,47 @@ def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
     return _decompose(A, diffusion_matrix(m), degenerate)
 
 
-def _eigvals_checked(A):
-    """Eigenvalues of one real matrix, verified to come in conjugate pairs.
+def _decompose_one(A, D=None) -> LinearModel:
+    """One matrix as a one-row stack; NumericalError when its eigenvalues
+    fail to pair.
 
-    The same eigendecomposition as a stacked row, so the verdict of
-    `stability` matches that of `linear_model` to the last bit.
+    The same eigendecomposition and verdict as a stacked row, so
+    `stability`, `linear_model` and `solve_lyapunov` agree with
+    `linear_models` to the last bit.
     """
-    lam, _, faults = _spectra(np.asarray(A, dtype=float)[None])
-    if faults:
-        raise NumericalError(faults[0])
-    return lam[0]
-
-
-def stability(A, eps_stable=EPS_STABLE):
-    """Routh-Hurwitz style verdict: stable iff max Re(eig) < -eps_stable.
-
-    Returns (stable, eigenvalues).  Marginal spectra (eigenvalues on the
-    imaginary axis) are reported unstable under the strict inequality.
-    """
-    lam = _eigvals_checked(A)
-    return bool(lam.real.max() < -eps_stable), lam
-
-
-def linear_model(m: ModelParams, s: ClassicalSteadyState) -> LinearModel:
-    """Bundle drift, diffusion, the eigendecomposition and the verdict."""
-    stack = _decompose(drift_matrix(m, s)[None], diffusion_matrix(m))
+    stack = _decompose(np.asarray(A, dtype=float)[None], D)
     if stack.status[0] == FAULT:
         raise NumericalError(stack.reasons[0])
     return stack.model(0)
 
 
-def normal_modes(A, imag_floor=1e-9, eigenvalues=None):
+def stability(A):
+    """Routh-Hurwitz style verdict: stable iff max Re(eig) < -EPS_STABLE.
+
+    Returns (stable, eigenvalues).  Marginal spectra (eigenvalues on the
+    imaginary axis) are reported unstable under the strict inequality.
+    """
+    model = _decompose_one(A)
+    return model.stable, model.eigenvalues
+
+
+def linear_model(m: ModelParams, s: ClassicalSteadyState) -> LinearModel:
+    """Bundle drift, diffusion, the eigendecomposition and the verdict."""
+    return _decompose_one(drift_matrix(m, s), diffusion_matrix(m))
+
+
+def normal_modes(A, eigenvalues=None):
     """Normal modes as (frequency, damping) pairs, sorted by frequency.
 
     Complex-conjugate eigenvalue pairs give frequency |Im| and damping
-    -Re.  Purely real eigenvalues (overdamped spectra) cannot be paired;
+    -Re.  Purely real eigenvalues (|Im| up to IMAG_FLOOR times the
+    spectrum's scale; overdamped spectra) cannot be paired;
     each is returned individually with zero frequency and a warning is
     emitted.  `eigenvalues`, the pair-checked spectrum of `A` when the
     caller already has it, saves the eigen-solve.
     """
-    lam = _eigvals_checked(A) if eigenvalues is None else eigenvalues
-    scale = max(np.abs(lam).max(), 1.0)
-    floor = imag_floor * scale
+    lam = _decompose_one(A).eigenvalues if eigenvalues is None else eigenvalues
+    floor = IMAG_FLOOR * max(np.abs(lam).max(), 1.0)
     complex_part = lam[lam.imag > floor]
     real_part = lam[np.abs(lam.imag) <= floor]
     modes = [(abs(ev.imag), -ev.real) for ev in complex_part]
@@ -295,15 +300,15 @@ def match_modes(reference_freqs, modes):
     return [modes[j] for j in best]
 
 
-def _eigenbasis_solve(A, D, S, neg_sums2, refine=2):
+def _eigenbasis_solve(A, D, S, neg_sums2):
     """Eigenbasis Lyapunov solve of a stack with iterative refinement.
 
     `neg_sums2` holds -2 (l_i + l_j) per row.  Returns (V, residual
     max|A V + V A^T + D| per row).  Each transform S^-1 rhs S^-T takes
     two LU solves with S, the same arithmetic as a one-matrix solve, so a
-    row's covariance is bit for bit that of the row solved alone.  Each
-    refinement step re-solves the residual the same way, which sharpens
-    near-marginal pair divisions.  A row whose S is singular is left NaN,
+    row's covariance is bit for bit that of the row solved alone.  Each of
+    the REFINE_STEPS refinement steps re-solves the residual the same way,
+    which sharpens near-marginal pair divisions.  A row whose S is singular is left NaN,
     so its residual fails the contract.
     """
     ST = S.transpose(0, 2, 1)
@@ -322,12 +327,12 @@ def _eigenbasis_solve(A, D, S, neg_sums2, refine=2):
 
     try:
         V = solve_for(D)
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             V = V + solve_for(residual(V))
     except np.linalg.LinAlgError:
         if len(A) == 1:
             return np.full(A.shape, np.nan), np.full(1, np.nan)
-        rows = [_eigenbasis_solve(A[i:i + 1], D, S[i:i + 1], neg_sums2[i:i + 1], refine)
+        rows = [_eigenbasis_solve(A[i:i + 1], D, S[i:i + 1], neg_sums2[i:i + 1])
                 for i in range(len(A))]
         return (np.concatenate([V for V, _ in rows]),
                 np.concatenate([r for _, r in rows]))
@@ -338,19 +343,19 @@ def _residual(A, V, D):
     return np.abs(A @ V + V @ A.T + D).max()
 
 
-def _lyapunov_rows(A, D, lam, S, pair_floor=PAIR_SUM_FLOOR):
+def _lyapunov_rows(A, D, lam, S):
     """Covariances of a stack of stable drifts from their eigendecompositions.
 
     `D` is the (6, 6) diffusion matrix shared by every row.  Returns
     (V, faults {row: message}); faulted rows of V are NaN.  Rows whose
-    smallest |pair sum| is under `pair_floor` take the direct solve with
+    smallest |pair sum| is under PAIR_SUM_FLOOR take the direct solve with
     a warning; rows whose eigenbasis residual breaks the contract also try
     the direct solve and keep the better of the two.
     """
     bound = RESIDUAL_REL * max(np.abs(D).max(), _TINY)
     neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
     pair_min = 0.5 * np.abs(neg_sums2).min(axis=(1, 2))
-    near = pair_min < pair_floor
+    near = pair_min < PAIR_SUM_FLOOR
     faults = {}
     if near.any():
         rows = np.flatnonzero(~near)
@@ -383,7 +388,20 @@ def _lyapunov_rows(A, D, lam, S, pair_floor=PAIR_SUM_FLOOR):
     return V, faults
 
 
-def solve_lyapunov(A, D, pair_floor=PAIR_SUM_FLOOR) -> np.ndarray:
+def _covariance(model: LinearModel) -> np.ndarray:
+    """Covariance of one decomposed matrix; UnstableSystemError when it is
+    not stable, NumericalError when the solve breaks the contract."""
+    if not model.stable:
+        raise UnstableSystemError("no stationary covariance: max Re(eig) = "
+                                  f"{model.eigenvalues.real.max():.6g}")
+    V, faults = _lyapunov_rows(model.drift[None], model.diffusion,
+                               model.eigenvalues[None], model.eigenvectors[None])
+    if faults:
+        raise NumericalError(faults[0])
+    return V[0]
+
+
+def solve_lyapunov(A, D) -> np.ndarray:
     """Stationary covariance solving A V + V A^T = -D.
 
     The single-matrix case of the stacked solve: one eigendecomposition
@@ -391,24 +409,11 @@ def solve_lyapunov(A, D, pair_floor=PAIR_SUM_FLOOR) -> np.ndarray:
     is not stable, NumericalError when its eigenvalues fail to pair) and
     the eigenbasis solve.  The result is symmetrized and satisfies
     max|A V + V A^T + D| < 1e-10 * max|D|, or NumericalError is raised;
-    when eigenvalue-pair sums come within `pair_floor` of zero the
+    when eigenvalue-pair sums come within PAIR_SUM_FLOOR of zero the
     ill-conditioned eigenbasis path is bypassed in favour of the direct
     vectorized solve (warning emitted, best-effort accuracy).
     """
-    A = np.asarray(A, dtype=float)
-    D = np.asarray(D, dtype=float)
-    stack = _decompose(A[None], D)
-    if stack.status[0] == FAULT:
-        raise NumericalError(stack.reasons[0])
-    lam = stack.eigenvalues[0]
-    if stack.status[0] != OK:
-        raise UnstableSystemError(
-            f"no stationary covariance: max Re(eig) = {lam.real.max():.6g}")
-    V, faults = _lyapunov_rows(stack.drift, D, stack.eigenvalues,
-                               stack.eigenvectors, pair_floor)
-    if faults:
-        raise NumericalError(faults[0])
-    return V[0]
+    return _covariance(_decompose_one(A, np.asarray(D, dtype=float)))
 
 
 def occupation(V, oscillator, clamp=True):
@@ -503,10 +508,4 @@ def steady_covariance(model: LinearModel) -> SteadyCovariance:
 
     Reuses the eigendecomposition carried by `model`.
     """
-    if not model.stable:
-        raise UnstableSystemError("system is unstable; no steady covariance")
-    V, faults = _lyapunov_rows(model.drift[None], model.diffusion,
-                               model.eigenvalues[None], model.eigenvectors[None])
-    if faults:
-        raise NumericalError(faults[0])
-    return covariance_summary(V[0])
+    return covariance_summary(_covariance(model))

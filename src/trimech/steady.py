@@ -38,6 +38,11 @@ from .params import ModelParams
 
 _SQRT2 = math.sqrt(2.0)
 
+#: effective detunings scanned for sign changes of the self-consistency
+#: condition, and the width each root is bisected down to
+SCAN_POINTS = 2001
+BISECT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ClassicalSteadyState:
@@ -164,14 +169,13 @@ def _consistency_residuals(m: ModelParams, delta_bare, delta_effs):
     return np.where(fp.degenerate, np.nan, res)
 
 
-def self_consistent_fixed_points(m: ModelParams, window=None, scan_points=2001,
-                                 tol=1e-12):
+def self_consistent_fixed_points(m: ModelParams, window=None):
     """All fixed points for a bare-detuning parameterization.
 
-    The scalar self-consistency condition is scanned on `scan_points`
+    The scalar self-consistency condition is scanned on SCAN_POINTS
     evenly spaced effective detunings over `window` (default
     +/- (|detuning| + 50)) in one stacked evaluation; each sign change is
-    refined by bisection to `tol`.  Returns the expanded states sorted by
+    refined by bisection to BISECT_TOL.  Returns the expanded states sorted by
     photon number; more than one entry signals optical bistability.
     """
     if m.detuning_mode != "bare":
@@ -180,7 +184,7 @@ def self_consistent_fixed_points(m: ModelParams, window=None, scan_points=2001,
     if window is None:
         half = abs(delta) + 50.0
         window = (-half, half)
-    grid = np.linspace(window[0], window[1], scan_points)
+    grid = np.linspace(window[0], window[1], SCAN_POINTS)
     res = _consistency_residuals(m, delta, grid).tolist()
 
     roots = []
@@ -193,7 +197,7 @@ def self_consistent_fixed_points(m: ModelParams, window=None, scan_points=2001,
             continue
         if r0 * r1 < 0.0:
             lo, hi, flo = grid[i], grid[i + 1], r0
-            while hi - lo > tol:
+            while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
                 fm = _consistency_residuals(m, delta, mid)[0]
                 if math.isnan(fm):

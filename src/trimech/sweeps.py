@@ -40,6 +40,14 @@ from .params import (ModelParams, PhysicalParams, nondimensionalize,
 from .params import drive_from_watts  # noqa: F401  (callers import it from here too)
 from .steady import FixedPoints, fixed_point, fixed_points
 
+#: relative width of the bracket `instability_threshold` bisects down to
+THRESHOLD_REL_TOL = 1e-4
+
+#: coarse cells the optimizer refines, and its detuning step floor
+#: relative to max(|detuning|, 1)
+REFINE_STARTS = 3
+STEP_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class PointBatch:
@@ -226,12 +234,12 @@ def squeezing_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> Sque
     )
 
 
-def instability_threshold(m: ModelParams, drive_lo, drive_hi, rel_tol=1e-4) -> float:
+def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
     """Critical drive where stability is lost, by geometric bisection.
 
     Requires a stable lower bound and an unstable upper bound; the
     returned value is the last stable drive of a bracket of relative
-    width `rel_tol`.
+    width THRESHOLD_REL_TOL.
     """
     if not (0 < drive_lo < drive_hi):
         raise ValueError("need 0 < drive_lo < drive_hi")
@@ -241,7 +249,7 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi, rel_tol=1e-4) -> f
         raise ValueError(f"lower bound {lo:.6g} is not stable")
     if is_stable(replace(m, drive=hi)):
         raise ValueError(f"upper bound {hi:.6g} is not unstable")
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + THRESHOLD_REL_TOL:
         mid = math.sqrt(lo * hi)
         if is_stable(replace(m, drive=mid)):
             lo = mid
@@ -325,7 +333,7 @@ def _search_box(detuning_bounds, drive_bounds):
 
 
 def optimize_scalar(objective, detuning_bounds, drive_bounds,
-                    coarse=(25, 25), refine_starts=3, step_floor=1e-3) -> OptimizeResult:
+                    coarse=(25, 25)) -> OptimizeResult:
     """Deterministic minimizer over (detuning, drive).
 
     `objective(detunings, drives)` takes two equal-length 1-D arrays and
@@ -333,7 +341,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     degenerate).  Stage one evaluates a coarse grid, linear in detuning
     and logarithmic in drive, in one call; stage two runs coordinate
     pattern search (march while improving, then halve the step) from the
-    best `refine_starts` coarse cells down to a relative step floor, with
+    best REFINE_STARTS coarse cells down to a relative step floor, with
     each drive-line scan in one call.  Each drive-line march solves its
     probes speculatively in stacks (`_replay_march`) and takes the same
     path as probing one at a time; `evaluations` counts the probes that
@@ -397,10 +405,10 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
         return fb, lg
 
     best_val, best_x = math.inf, None
-    for val, det0, lg0 in cells[:refine_starts]:
+    for val, det0, lg0 in cells[:REFINE_STARTS]:
         fb, lg = drive_minimum(det0, lg0)
         fb, det, lg = _march(det0, fb, lg, step0[0], lo_b[0], hi_b[0], drive_minimum,
-                             lambda x: step_floor * max(abs(x), 1.0))
+                             lambda x: STEP_FLOOR * max(abs(x), 1.0))
         if fb < best_val:
             best_val, best_x = fb, [det, lg]
 

@@ -236,6 +236,16 @@ class TestConfigBoundary:
         assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
         assert "power_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo, hi", [("3 mW", "1 mW"), ("1 mW", "1 mW"),
+                                        ("1e8", "1e6")])
+    def test_unordered_power_bounds_exit_2(self, tmp_path, capsys, lo, hi):
+        cfg = write_config(tmp_path, NOMINAL + "\n".join([
+            "", "[sweep]", "kind = power", "points = 20",
+            f"power_min = {lo}", f"power_max = {hi}", ""]))
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "power_max" in err
+
     @pytest.mark.parametrize("line, key", [
         ("reflectivity = -1.5", "reflectivity"),
         ("wavelength = 0 nm", "wavelength"),
@@ -296,3 +306,49 @@ class TestCliLandscapePreset:
         best = summary["summary"]["best"]
         assert best["reduction"] >= 100.0
         assert (tmp_path / "landscape.dat").exists()
+
+
+class TestCliOptions:
+    """Each subcommand takes only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--preset", "fig3"],
+        ["validate", "-i", "x.cfg"],
+        ["linear", "--format", "json"],
+        ["steady", "--threads", "2"],
+        ["geometry", "--preset", "fig3"],
+        ["linear", "--preset", "fig2"],
+        ["validate", "--validate-instances", "-3"],
+    ])
+    def test_unread_option_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-o", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, hint", [
+        ("derive", False), ("geometry", False), ("steady", True),
+        ("linear", True), ("sweep", True),
+    ])
+    def test_missing_input_names_preset_only_where_taken(self, tmp_path,
+                                                         capsys, command, hint):
+        assert main([command, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "an input config is required" in err
+        assert ("--preset" in err) == hint
+
+    def test_threads_is_a_no_op(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--preset", "fig3", "-o", str(out1)]) == 0
+        assert main(["sweep", "--preset", "fig3", "--threads", "4",
+                     "-o", str(out2)]) == 0
+        for name in ("sweep.csv", "summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--validate-instances", "0"],
+        ["linear", "--preset", "fig3"],
+    ])
+    def test_trimech_threads_is_not_read(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("TRIMECH_THREADS", "two")
+        assert main(argv + ["-o", str(tmp_path)]) == 0
