@@ -14,17 +14,16 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DegenerateTrapError, NumericalError,
                      PhysicsError, TrimechError, UnstableSystemError)
 from .geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
-                       interaction_form, intracavity_field, lineshape)
+                       intracavity_field, lineshape)
 from .linear import (LinearModel, SteadyCovariance, diffusion_matrix,
                      drift_matrix, linear_model, normal_modes, occupation,
                      physicality_floor, solve_lyapunov, squeezing, stability,
                      steady_covariance, symplectic_form)
 from .params import (HBAR, C_LIGHT, K_BOLTZMANN, ModelParams, PhysicalParams,
                      bose_occupation, linear_coupling, nondimensionalize,
-                     quadratic_coupling, redimensionalize, reference_params,
-                     zpf_ratio)
+                     quadratic_coupling, reference_params, zpf_ratio)
 from .steady import (ClassicalSteadyState, cavity_amplitude,
-                     effective_detuning, effective_frequencies, fixed_point,
+                     effective_detuning, fixed_point,
                      self_consistent_fixed_points, stationarity_residuals)
 from .sweeps import (instability_threshold, occupation_landscape,
                      optimize_scalar, power_sweep, solve_point,
@@ -35,17 +34,17 @@ __all__ = [
     "__version__",
     "ConfigError", "DegenerateTrapError", "NumericalError", "PhysicsError",
     "TrimechError", "UnstableSystemError",
-    "CavitySpec", "PumpGeometry", "chi_for_geometry", "interaction_form",
-    "intracavity_field", "lineshape",
+    "CavitySpec", "PumpGeometry", "chi_for_geometry", "intracavity_field",
+    "lineshape",
     "LinearModel", "SteadyCovariance", "diffusion_matrix", "drift_matrix",
     "linear_model", "normal_modes", "occupation", "physicality_floor",
     "solve_lyapunov", "squeezing", "stability", "steady_covariance",
     "symplectic_form",
     "HBAR", "C_LIGHT", "K_BOLTZMANN", "ModelParams", "PhysicalParams",
     "bose_occupation", "linear_coupling", "nondimensionalize",
-    "quadratic_coupling", "redimensionalize", "reference_params", "zpf_ratio",
+    "quadratic_coupling", "reference_params", "zpf_ratio",
     "ClassicalSteadyState", "cavity_amplitude", "effective_detuning",
-    "effective_frequencies", "fixed_point", "self_consistent_fixed_points",
+    "fixed_point", "self_consistent_fixed_points",
     "stationarity_residuals",
     "instability_threshold", "occupation_landscape", "optimize_scalar",
     "power_sweep", "solve_point", "squeezing_sweep",

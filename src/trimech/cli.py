@@ -276,7 +276,7 @@ def cmd_sweep(args):
             "max_S2": result.max_S2,
         }
     else:
-        result = occupation_landscape(base, *grid, threads=args.threads)
+        result = occupation_landscape(base, *grid)
         columns = ["omega1", "omega2", "n2_min", "n2_thermal", "detuning",
                    "drive", "ok"]
         rows = [
@@ -408,14 +408,15 @@ def build_parser():
     def subcommand(name, handler, config=True, presets=()):
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
+        source = p.add_mutually_exclusive_group() if presets else p
         if config:
-            p.add_argument("-i", "--input", default=None,
-                           help="config file (strict key = value text)")
+            source.add_argument("-i", "--input", default=None,
+                                help="config file (strict key = value text)")
+        if presets:
+            source.add_argument("--preset", choices=("none",) + tuple(presets),
+                                default="none")
         p.add_argument("-o", "--output-dir", default=".",
                        help="directory for output files")
-        if presets:
-            p.add_argument("--preset", choices=("none",) + tuple(presets),
-                           default="none")
         return p
 
     subcommand("derive", cmd_derive)
@@ -423,9 +424,6 @@ def build_parser():
     subcommand("linear", cmd_linear, presets=MODEL_PRESETS)
     p = subcommand("sweep", cmd_sweep, presets=PRESET_NAMES)
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect "
-                        "(sweeps run in one process)")
     subcommand("geometry", cmd_geometry)
     p = subcommand("validate", cmd_validate, config=False)
     p.add_argument("--validate-instances", type=_count, default=50,

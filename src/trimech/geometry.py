@@ -39,6 +39,9 @@ import numpy as np
 
 from .errors import NumericalError
 
+#: kL samples of the one-period lineshape scan in `finesse_estimate`
+FINESSE_SCAN_POINTS = 200_001
+
 
 class PumpGeometry(enum.Enum):
     SYMMETRIC = "symmetric"
@@ -75,15 +78,6 @@ def chi_for_geometry(geometry: PumpGeometry, chi):
     if geometry is PumpGeometry.SYMMETRIC:
         return 0.5 * chi
     return 0.0
-
-
-def interaction_form(geometry: PumpGeometry):
-    """Coefficients (alpha, beta) of the sphere term (alpha*x1 - beta*x2)^2."""
-    if geometry is PumpGeometry.SYMMETRIC:
-        return (0.5, 1.0)
-    if geometry is PumpGeometry.FROM_FIXED_MIRROR:
-        return (1.0, 1.0)
-    return (0.0, 1.0)
 
 
 def lineshape(spec: CavitySpec) -> complex:
@@ -146,14 +140,14 @@ def field_profile_samples(spec: CavitySpec, samples=2001):
     return np.column_stack([z, intensity])
 
 
-def finesse_estimate(spec: CavitySpec, scan_points=200_001):
+def finesse_estimate(spec: CavitySpec):
     """Finesse from a numeric FWHM scan of |lineshape|^2 over one period.
 
     The free spectral range in kL is pi; the analytic small-loss value
     is pi*|r|/(1 - r^2).
     """
     r, t = spec.reflectivity, spec.transmissivity
-    kL = np.linspace(-0.5 * math.pi, 0.5 * math.pi, scan_points)
+    kL = np.linspace(-0.5 * math.pi, 0.5 * math.pi, FINESSE_SCAN_POINTS)
     denom = np.abs(1.0 - r * r * np.exp(2j * kL)) ** 2
     power = t * t / denom
     half = 0.5 * power.max()

@@ -28,6 +28,17 @@ steps of iterative refinement).  Rows with near-degenerate pair sums, or
 whose residual breaks the contract, fall back one by one to the direct
 vectorized solve of `validate.lyapunov_direct`.  A row's result never
 depends on the other rows of its stack.
+
+Each row carries a status: OK, UNSTABLE, DEGENERATE (no valid fixed
+point) or FAULT (no certified result).  A failing row is isolated in one
+place, `_on_rows`: every stage runs on the rows it applies to, fills the
+others with NaN, and when a stacked LAPACK call raises it retries those
+rows one by one, so only a row that fails alone is left without a
+result.  A status becomes an exception in one place, `_raise_for`:
+UnstableSystemError, DegenerateTrapError or NumericalError, so a fault
+never reads as an instability.  The one-row entry points (`stability`,
+`linear_model`, `solve_lyapunov`, `steady_covariance`) solve a one-row
+stack and apply that map.
 """
 
 import itertools
@@ -37,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, UnstableSystemError
+from .errors import DegenerateTrapError, NumericalError, UnstableSystemError
 from .params import ModelParams
 from .steady import ClassicalSteadyState, FixedPoints
 from .validate import lyapunov_direct  # the direct solve doubles as the fallback
@@ -87,6 +98,10 @@ class LinearStack:
     reasons: dict             # row -> message, for DEGENERATE and FAULT rows
 
     def model(self, i) -> LinearModel:
+        """Row `i` as a LinearModel, stable or not; DegenerateTrapError or
+        NumericalError when the row was not decomposed."""
+        _raise_for(self.status[i], self.reasons.get(i), self.eigenvalues[i],
+                   unstable_ok=True)
         return LinearModel(drift=self.drift[i], diffusion=self.diffusion,
                            eigenvalues=self.eigenvalues[i],
                            stable=bool(self.status[i] == OK),
@@ -159,64 +174,85 @@ def diffusion_matrix(m: ModelParams) -> np.ndarray:
     ])
 
 
-def _spectra(A):
-    """One eigendecomposition per row of an (N, n, n) stack, checked for pairing.
+def _on_rows(stage, rows, stacks, outputs):
+    """Run `stage` on the rows selected by the boolean mask `rows` of the
+    (N, ...) arrays `stacks`.
 
-    Returns (eigenvalues (N, n) complex, eigenvectors (N, n, n) complex,
-    faults {row: message}).  A row whose solve fails, or whose eigenvalues
-    do not come in conjugate pairs, is a fault; the other rows are
-    unaffected.
+    Returns one (N, ...) array per output of `stage`, of the row shape and
+    dtype given in `outputs` and NaN on every row not selected, then
+    {row: message} for the rows that failed.  When the stacked LAPACK call
+    raises, the selected rows are retried one by one, so only a row that
+    fails alone is left NaN.
     """
-    faults = {}
+    n = len(rows)
+    failed = {}
     try:
-        lam, S = np.linalg.eig(A)
+        if np.count_nonzero(rows) == n:  # nothing to fill: skip the copies
+            return (*[r.astype(dtype, copy=False)
+                      for r, (_, dtype) in zip(stage(*stacks), outputs)], failed)
+        parts = [(rows, stage(*(s[rows] for s in stacks)))]
     except np.linalg.LinAlgError:
-        # isolate the rows that fail (non-finite input, no convergence)
-        lam = np.full(A.shape[:2], np.nan, dtype=complex)
-        S = np.full(A.shape, np.nan, dtype=complex)
-        for i, a in enumerate(A):
+        parts = []
+        for i in np.flatnonzero(rows):
             try:
-                lam[i], S[i] = np.linalg.eig(a)
+                parts.append(([i], stage(*(s[[i]] for s in stacks))))
             except np.linalg.LinAlgError as exc:
-                faults[i] = f"eigenvalue solver failed: {exc}"
-    # a real spectrum comes back real; every row is handled as complex, so
-    # a row's numbers do not depend on the rest of its stack
-    lam = lam.astype(complex, copy=False)
-    S = S.astype(complex, copy=False)
-    # conjugate pairs: the sorted spectrum equals its sorted conjugate to
-    # within rtol = 1e-9 and atol = 1e-9 * max(|eig|, 1)
-    conjed = np.sort(lam.conj(), axis=1)
-    size = np.abs(conjed)
-    atol = 1e-9 * np.maximum(size.max(axis=1, keepdims=True), 1.0)
-    paired = (np.abs(np.sort(lam, axis=1) - conjed) <= atol + 1e-9 * size).all(axis=1)
-    if not paired.all():
-        for i in np.flatnonzero(~paired):
-            faults.setdefault(int(i), "eigenvalues of a real matrix failed to "
-                                      "pair into conjugates")
-    return lam, S, faults
+                failed[int(i)] = str(exc)
+    out = [np.full((n,) + shape, np.nan, dtype=dtype) for shape, dtype in outputs]
+    for where, results in parts:
+        for o, r in zip(out, results):
+            o[where] = r
+    return (*out, failed)
+
+
+def _raise_for(status, reason, eigenvalues, unstable_ok=False):
+    """Raise the error a row of `status` stands for; return for OK rows, and
+    for UNSTABLE ones when `unstable_ok`.
+
+    The one map from row status to exception: UNSTABLE is
+    UnstableSystemError, DEGENERATE DegenerateTrapError and FAULT
+    NumericalError, so a fault never reads as an instability.  `reason`
+    is the row's message, `eigenvalues` its spectrum.
+    """
+    if status == OK or (status == UNSTABLE and unstable_ok):
+        return
+    if status == UNSTABLE:
+        raise UnstableSystemError("no stationary covariance: max Re(eig) = "
+                                  f"{eigenvalues.real.max():.6g}")
+    raise (DegenerateTrapError if status == DEGENERATE else NumericalError)(reason)
 
 
 def _decompose(A, D, degenerate=None) -> LinearStack:
     """Stack `A` with one eigendecomposition per row.
 
     Rows listed in `degenerate` ({row: message}) are not decomposed; their
-    eigenvalues and eigenvectors are NaN.
+    eigenvalues and eigenvectors are NaN.  A row whose solve fails, or
+    whose eigenvalues do not come in conjugate pairs, is a fault.
     """
     reasons = dict(degenerate or {})
-    if reasons:
-        rows = np.setdiff1d(np.arange(len(A)), list(reasons))
-        lam = np.full(A.shape[:2], np.nan, dtype=complex)
-        S = np.full(A.shape, np.nan, dtype=complex)
-        lam[rows], S[rows], faults = _spectra(A[rows])
-    else:
-        rows = range(len(A))
-        lam, S, faults = _spectra(A)
+    rows = np.ones(len(A), dtype=bool)
+    for i in reasons:
+        rows[i] = False
+    # a real spectrum comes back real; every row is stored as complex, so
+    # a row's numbers do not depend on the rest of its stack
+    lam, S, failed = _on_rows(np.linalg.eig, rows, (A,),
+                              ((A.shape[1:2], complex), (A.shape[1:], complex)))
     status = np.where(lam.real.max(axis=1) < -EPS_STABLE, OK, UNSTABLE).astype(np.int8)
-    if reasons:
-        status[list(reasons)] = DEGENERATE
-    for j, message in faults.items():
-        status[rows[j]] = FAULT
-        reasons[int(rows[j])] = message
+    for i in reasons:
+        status[i] = DEGENERATE
+    faults = {i: f"eigenvalue solver failed: {message}" for i, message in failed.items()}
+    # conjugate pairs: the sorted spectrum equals its sorted conjugate to
+    # within rtol = 1e-9 and atol = 1e-9 * max(|eig|, 1); NaN rows fail
+    conjed = np.sort(lam.conj(), axis=1)
+    size = np.abs(conjed)
+    atol = 1e-9 * np.maximum(size.max(axis=1, keepdims=True), 1.0)
+    paired = (np.abs(np.sort(lam, axis=1) - conjed) <= atol + 1e-9 * size).all(axis=1)
+    for i in (rows & ~paired).nonzero()[0]:
+        faults.setdefault(int(i), "eigenvalues of a real matrix failed to pair "
+                                  "into conjugates")
+    for i, message in faults.items():
+        status[i] = FAULT
+        reasons[i] = message
     return LinearStack(drift=A, diffusion=D, eigenvalues=lam, eigenvectors=S,
                        status=status, reasons=reasons)
 
@@ -225,23 +261,8 @@ def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
     """Drift stack and diffusion of stacked fixed points of `m`, with one
     eigendecomposition per row; degenerate-trap rows are carried over."""
     A = _drift_stack(m, fp.delta_eff, fp.photon_number, fp.x1_bar, fp.x2_bar)
-    degenerate = ({int(i): fp.reason(i) for i in np.flatnonzero(fp.degenerate)}
-                  if fp.degenerate.any() else None)
+    degenerate = {int(i): fp.reason(i) for i in fp.degenerate.nonzero()[0]}
     return _decompose(A, diffusion_matrix(m), degenerate)
-
-
-def _decompose_one(A, D=None) -> LinearModel:
-    """One matrix as a one-row stack; NumericalError when its eigenvalues
-    fail to pair.
-
-    The same eigendecomposition and verdict as a stacked row, so
-    `stability`, `linear_model` and `solve_lyapunov` agree with
-    `linear_models` to the last bit.
-    """
-    stack = _decompose(np.asarray(A, dtype=float)[None], D)
-    if stack.status[0] == FAULT:
-        raise NumericalError(stack.reasons[0])
-    return stack.model(0)
 
 
 def stability(A):
@@ -249,14 +270,17 @@ def stability(A):
 
     Returns (stable, eigenvalues).  Marginal spectra (eigenvalues on the
     imaginary axis) are reported unstable under the strict inequality.
+    The same eigendecomposition and verdict as a stacked row, so
+    `stability`, `linear_model` and `solve_lyapunov` agree with
+    `linear_models` to the last bit.
     """
-    model = _decompose_one(A)
+    model = _decompose(np.asarray(A, dtype=float)[None], None).model(0)
     return model.stable, model.eigenvalues
 
 
 def linear_model(m: ModelParams, s: ClassicalSteadyState) -> LinearModel:
     """Bundle drift, diffusion, the eigendecomposition and the verdict."""
-    return _decompose_one(drift_matrix(m, s), diffusion_matrix(m))
+    return _decompose(drift_matrix(m, s)[None], diffusion_matrix(m)).model(0)
 
 
 def normal_modes(A, eigenvalues=None):
@@ -269,7 +293,7 @@ def normal_modes(A, eigenvalues=None):
     emitted.  `eigenvalues`, the pair-checked spectrum of `A` when the
     caller already has it, saves the eigen-solve.
     """
-    lam = _decompose_one(A).eigenvalues if eigenvalues is None else eigenvalues
+    lam = stability(A)[1] if eigenvalues is None else eigenvalues
     floor = IMAG_FLOOR * max(np.abs(lam).max(), 1.0)
     complex_part = lam[lam.imag > floor]
     real_part = lam[np.abs(lam.imag) <= floor]
@@ -300,7 +324,7 @@ def match_modes(reference_freqs, modes):
     return [modes[j] for j in best]
 
 
-def _eigenbasis_solve(A, D, S, neg_sums2):
+def _eigenbasis_solve(A, S, neg_sums2, D):
     """Eigenbasis Lyapunov solve of a stack with iterative refinement.
 
     `neg_sums2` holds -2 (l_i + l_j) per row.  Returns (V, residual
@@ -308,8 +332,7 @@ def _eigenbasis_solve(A, D, S, neg_sums2):
     two LU solves with S, the same arithmetic as a one-matrix solve, so a
     row's covariance is bit for bit that of the row solved alone.  Each of
     the REFINE_STEPS refinement steps re-solves the residual the same way,
-    which sharpens near-marginal pair divisions.  A row whose S is singular is left NaN,
-    so its residual fails the contract.
+    which sharpens near-marginal pair divisions.
     """
     ST = S.transpose(0, 2, 1)
     AT = A.transpose(0, 2, 1)
@@ -325,17 +348,9 @@ def _eigenbasis_solve(A, D, S, neg_sums2):
     def residual(V):
         return A @ V + V @ AT + D
 
-    try:
-        V = solve_for(D)
-        for _ in range(REFINE_STEPS):
-            V = V + solve_for(residual(V))
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.full(A.shape, np.nan), np.full(1, np.nan)
-        rows = [_eigenbasis_solve(A[i:i + 1], D, S[i:i + 1], neg_sums2[i:i + 1])
-                for i in range(len(A))]
-        return (np.concatenate([V for V, _ in rows]),
-                np.concatenate([r for _, r in rows]))
+    V = solve_for(D)
+    for _ in range(REFINE_STEPS):
+        V = V + solve_for(residual(V))
     return V, np.abs(residual(V)).max(axis=(1, 2))
 
 
@@ -343,36 +358,35 @@ def _residual(A, V, D):
     return np.abs(A @ V + V @ A.T + D).max()
 
 
-def _lyapunov_rows(A, D, lam, S):
-    """Covariances of a stack of stable drifts from their eigendecompositions.
+def _lyapunov_rows(stack: LinearStack):
+    """Covariances of the OK rows of a stack from their eigendecompositions.
 
-    `D` is the (6, 6) diffusion matrix shared by every row.  Returns
-    (V, faults {row: message}); faulted rows of V are NaN.  Rows whose
+    Returns (V, status, reasons) as `steady_covariances` does.  Rows whose
     smallest |pair sum| is under PAIR_SUM_FLOOR take the direct solve with
-    a warning; rows whose eigenbasis residual breaks the contract also try
-    the direct solve and keep the better of the two.
+    a warning; rows whose eigenbasis residual breaks the contract (a
+    singular S leaves it NaN) also try the direct solve and keep the better
+    of the two; rows that still break it turn FAULT.
     """
+    A, D, lam = stack.drift, stack.diffusion, stack.eigenvalues
     bound = RESIDUAL_REL * max(np.abs(D).max(), _TINY)
     neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
     pair_min = 0.5 * np.abs(neg_sums2).min(axis=(1, 2))
-    near = pair_min < PAIR_SUM_FLOOR
+    ok = stack.status == OK
+    near = ok & (pair_min < PAIR_SUM_FLOOR)
+    solved = ok & ~near
+    V, residual, _ = _on_rows(lambda *row: _eigenbasis_solve(*row, D), solved,
+                              (A, stack.eigenvectors, neg_sums2),
+                              ((A.shape[1:], float), ((), float)))
     faults = {}
-    if near.any():
-        rows = np.flatnonzero(~near)
-        V = np.full(A.shape, np.nan)
-        V[rows], residual = _eigenbasis_solve(A[rows], D, S[rows], neg_sums2[rows])
-        for i in np.flatnonzero(near):
-            warnings.warn(
-                f"near-degenerate eigenvalue pair (|sum| = {pair_min[i]:.3g}); "
-                "using vectorized solve", stacklevel=3)
-            try:
-                V[i] = lyapunov_direct(A[i], D)
-            except NumericalError as exc:
-                faults[int(i)] = str(exc)
-    else:
-        rows = np.arange(len(A))
-        V, residual = _eigenbasis_solve(A, D, S, neg_sums2)
-    for i in rows[~(residual <= bound)]:
+    for i in near.nonzero()[0]:
+        warnings.warn(
+            f"near-degenerate eigenvalue pair (|sum| = {pair_min[i]:.3g}); "
+            "using vectorized solve", stacklevel=3)
+        try:
+            V[i] = lyapunov_direct(A[i], D)
+        except NumericalError as exc:
+            faults[int(i)] = str(exc)
+    for i in (solved & ~(residual <= bound)).nonzero()[0]:
         try:
             V_alt = lyapunov_direct(A[i], D)
             if not _residual(A[i], V_alt, D) >= _residual(A[i], V[i], D):
@@ -383,22 +397,11 @@ def _lyapunov_rows(A, D, lam, S):
         if not achieved <= bound:
             faults[int(i)] = (f"Lyapunov residual {achieved:.3g} exceeds contract "
                               f"{bound:.3g}")
+    status = stack.status.copy()
     for i in faults:
+        status[i] = FAULT
         V[i] = np.nan
-    return V, faults
-
-
-def _covariance(model: LinearModel) -> np.ndarray:
-    """Covariance of one decomposed matrix; UnstableSystemError when it is
-    not stable, NumericalError when the solve breaks the contract."""
-    if not model.stable:
-        raise UnstableSystemError("no stationary covariance: max Re(eig) = "
-                                  f"{model.eigenvalues.real.max():.6g}")
-    V, faults = _lyapunov_rows(model.drift[None], model.diffusion,
-                               model.eigenvalues[None], model.eigenvectors[None])
-    if faults:
-        raise NumericalError(faults[0])
-    return V[0]
+    return V, status, {**stack.reasons, **faults}
 
 
 def solve_lyapunov(A, D) -> np.ndarray:
@@ -413,7 +416,10 @@ def solve_lyapunov(A, D) -> np.ndarray:
     ill-conditioned eigenbasis path is bypassed in favour of the direct
     vectorized solve (warning emitted, best-effort accuracy).
     """
-    return _covariance(_decompose_one(A, np.asarray(D, dtype=float)))
+    stack = _decompose(np.asarray(A, dtype=float)[None], np.asarray(D, dtype=float))
+    V, status, reasons = _lyapunov_rows(stack)
+    _raise_for(status[0], reasons.get(0), stack.eigenvalues[0])
+    return V[0]
 
 
 def occupation(V, oscillator, clamp=True):
@@ -486,26 +492,21 @@ def steady_covariances(stack: LinearStack):
     rows, and rows that break the residual contract turn from OK into
     FAULT.
     """
-    status = stack.status.copy()
-    reasons = dict(stack.reasons)
-    rows = np.flatnonzero(status == OK)
-    if len(rows) == len(status):
-        V, faults = _lyapunov_rows(stack.drift, stack.diffusion,
-                                   stack.eigenvalues, stack.eigenvectors)
-    else:
-        V = np.full(stack.drift.shape, np.nan)
-        V[rows], faults = _lyapunov_rows(
-            stack.drift[rows], stack.diffusion,
-            stack.eigenvalues[rows], stack.eigenvectors[rows])
-    for j, message in faults.items():
-        status[rows[j]] = FAULT
-        reasons[int(rows[j])] = message
-    return V, status, reasons
+    # the one-row entry points call `_lyapunov_rows` themselves, so a
+    # fallback solve is attributed to the public function a caller used
+    return _lyapunov_rows(stack)
 
 
 def steady_covariance(model: LinearModel) -> SteadyCovariance:
     """Solve for the stationary covariance and derive the scalar summaries.
 
-    Reuses the eigendecomposition carried by `model`.
+    Reuses the eigendecomposition carried by `model` as a one-row stack.
     """
-    return covariance_summary(_covariance(model))
+    stack = LinearStack(drift=model.drift[None], diffusion=model.diffusion,
+                        eigenvalues=model.eigenvalues[None],
+                        eigenvectors=model.eigenvectors[None],
+                        status=np.array([OK if model.stable else UNSTABLE]),
+                        reasons={})
+    V, status, reasons = _lyapunov_rows(stack)
+    _raise_for(status[0], reasons.get(0), model.eigenvalues)
+    return covariance_summary(V[0])

@@ -227,27 +227,6 @@ def nondimensionalize(p: PhysicalParams, detuning, detuning_mode="effective") ->
     )
 
 
-def redimensionalize(m: ModelParams, cavity_decay) -> dict:
-    """Scale the model rates back to angular lab rates (rad/s).
-
-    Inverse of the unit conversion in `nondimensionalize`; returns the
-    rates only, since masses and geometry are not recoverable from the
-    dimensionless record.
-    """
-    if not cavity_decay > 0:
-        raise ValueError("cavity_decay must be positive")
-    return {
-        "mirror_freq": m.omega1 * cavity_decay,
-        "sphere_freq": m.omega2 * cavity_decay,
-        "mirror_damping": m.gamma1 * cavity_decay,
-        "sphere_damping": m.gamma2 * cavity_decay,
-        "g1": m.g1 * cavity_decay,
-        "g2": m.g2 * cavity_decay,
-        "photon_flux": m.drive * cavity_decay,
-        "detuning": m.detuning * cavity_decay,
-    }
-
-
 def reference_params(**overrides) -> PhysicalParams:
     """Built-in silica-sphere reference parameter set.
 

@@ -29,6 +29,9 @@ PRESET_NAMES = ("fig2", "fig3", "fig4")
 GAMMA1 = 2.8e-3   # 2*pi*140 Hz / (2*pi*50 kHz)
 GAMMA2 = 1e-8     # 2*pi*0.5 mHz / (2*pi*50 kHz)
 
+#: logarithmic power points of the fig3 and fig4 sweep grids
+SWEEP_POINTS = 200
+
 
 def fig3_model() -> ModelParams:
     ref = reference_params()
@@ -43,11 +46,11 @@ def fig3_model() -> ModelParams:
     )
 
 
-def fig3_powers_watts(points=200):
+def fig3_powers_watts():
     """Zero plus a logarithmic power grid bracketing the hybridization
     window and the instability threshold."""
     return np.concatenate([[0.0], np.logspace(np.log10(1.0e-3),
-                                              np.log10(3.2e-3), points)])
+                                              np.log10(3.2e-3), SWEEP_POINTS)])
 
 
 def fig4_model(scaled=True) -> ModelParams:
@@ -62,9 +65,9 @@ def fig4_model(scaled=True) -> ModelParams:
     )
 
 
-def fig4_powers_watts(points=200):
+def fig4_powers_watts():
     return np.concatenate([[0.0], np.logspace(np.log10(1.0e-5),
-                                              np.log10(8.0e-4), points)])
+                                              np.log10(8.0e-4), SWEEP_POINTS)])
 
 
 def fig2_protocol():
@@ -78,11 +81,11 @@ def fig2_protocol():
     }
 
 
-def preset_drives(name, points=200):
+def preset_drives(name):
     """Drive grid (model units) for a sweep preset."""
     ref = reference_params()
     if name == "fig3":
-        return drive_from_watts(ref, fig3_powers_watts(points))
+        return drive_from_watts(ref, fig3_powers_watts())
     if name == "fig4":
-        return drive_from_watts(ref, fig4_powers_watts(points))
+        return drive_from_watts(ref, fig4_powers_watts())
     raise ValueError(f"no drive grid for preset {name!r}")

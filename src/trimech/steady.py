@@ -113,21 +113,6 @@ def _trap_frequencies(m: ModelParams, photon_number):
     return Omega1, Omega2
 
 
-def effective_frequencies(m: ModelParams, photon_number):
-    """Drive-shifted mechanical frequencies (Omega1, Omega2).
-
-    Raises DegenerateTrapError when Omega2 <= 0: the quadratic coupling
-    has flattened or inverted the sphere's trap, and the expansion about
-    a static displacement is meaningless.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Omega1, Omega2 = _trap_frequencies(m, np.float64(photon_number))
-    if Omega2 <= 0:
-        raise DegenerateTrapError(
-            f"sphere trap degenerate: Omega2 = {Omega2:.6g} at |a|^2 = {photon_number:.6g}")
-    return float(Omega1), float(Omega2)
-
-
 def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
     """Closed-form fixed points of stacked (effective detuning, drive) rows.
 

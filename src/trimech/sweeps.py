@@ -29,9 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DegenerateTrapError, NumericalError, PhysicsError,
-                     UnstableSystemError)
-from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
+from .errors import DegenerateTrapError, PhysicsError
+from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack, _raise_for,
                      covariance_summary, linear_model, linear_models,
                      match_modes, normal_modes, occupation, squeezing,
                      steady_covariances)
@@ -61,15 +60,7 @@ class PointBatch:
 
     def row(self, i):
         """(state, model, covariance) of row `i`, or the error it stands for."""
-        status = self.status[i]
-        if status == DEGENERATE:
-            raise DegenerateTrapError(self.reasons[i])
-        if status == UNSTABLE:
-            raise UnstableSystemError(
-                f"unstable at drive {self.states.drive[i]:.6g}, "
-                f"detuning {self.states.delta_eff[i]:.6g}")
-        if status == FAULT:
-            raise NumericalError(self.reasons[i])
+        _raise_for(self.status[i], self.reasons.get(i), self.linear.eigenvalues[i])
         return (self.states.state(i), self.linear.model(i),
                 covariance_summary(self.V[i]))
 
@@ -104,7 +95,10 @@ def is_stable(m: ModelParams) -> bool:
     """Stability verdict including trap degeneracy.
 
     The same one-row eigendecomposition as `solve_point`, so a drive that a
-    sweep finds unstable is unstable here too.
+    sweep finds unstable is unstable here too.  A row whose spectrum
+    cannot be certified raises NumericalError, never reads as unstable; a
+    stable row is stable here even if its covariance would miss the
+    Lyapunov contract, which this verdict does not solve for.
     """
     try:
         s = fixed_point(m)
@@ -478,7 +472,7 @@ def check_landscape_inputs(omega1_grid, omega2_grid, detuning_bounds, drive_boun
 def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
                          detuning_bounds=(-45.0, -2.0),
                          drive_bounds=(1e6, 1e12),
-                         coarse=(25, 25), threads=1) -> LandscapeResult:
+                         coarse=(25, 25)) -> LandscapeResult:
     """Minimized sphere occupation over (detuning, drive) per frequency cell.
 
     Mechanical frequencies are taken in units of the cavity decay rate;
@@ -488,10 +482,7 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     stable point are recorded, not fatal.  omega2 must lie strictly
     between the cavity linewidth (1 in model units) and omega1.  Each
     point records the optimizer's evaluation and solved-row counts and
-    whether its optimum sits on a search bound.  `threads` is accepted for
-    compatibility and has no effect: cells run in order in this process,
-    because the per-cell work holds the GIL and a thread pool only added
-    overhead.
+    whether its optimum sits on a search bound.  Cells run in order.
     """
     omega1_grid, omega2_grid = check_landscape_inputs(
         omega1_grid, omega2_grid, detuning_bounds, drive_bounds)

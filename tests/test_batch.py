@@ -12,7 +12,8 @@ from trimech.errors import DegenerateTrapError, NumericalError, UnstableSystemEr
 from trimech.linear import DEGENERATE, FAULT, OK, UNSTABLE
 from trimech.params import reference_params
 from trimech.presets import fig3_model
-from trimech.sweeps import drive_from_watts, solve_point, solve_points
+from trimech.steady import fixed_point
+from trimech.sweeps import drive_from_watts, is_stable, solve_point, solve_points
 
 STATUS_OF = {UnstableSystemError: UNSTABLE, DegenerateTrapError: DEGENERATE,
              NumericalError: FAULT}
@@ -113,6 +114,17 @@ class TestRowIndependence:
         self.check_others_unchanged(dets, drives, -self.MODEL.detuning,
                                     drives[-1], UNSTABLE)
 
+    def test_fault_row(self):
+        """A NaN drive makes the stacked eigensolver raise; the row is
+        retried alone and faults, and the other rows keep their values."""
+        drives = self.drives()
+        dets = np.full(drives.shape, self.MODEL.detuning)
+        mixed, k = self.check_others_unchanged(dets, drives, self.MODEL.detuning,
+                                               np.nan, FAULT)
+        assert mixed.reasons[k].startswith("eigenvalue solver failed")
+        assert np.isnan(mixed.linear.eigenvalues[k]).all()
+        assert np.isnan(mixed.V[k]).all()
+
     def test_pair_floor_row(self):
         drives = self.drives()
         dets = np.full(drives.shape, self.MODEL.detuning)
@@ -147,6 +159,89 @@ class TestRowIndependence:
         others = np.delete(np.arange(len(drives)), worst)
         assert np.all(tight.status[others] == OK)
         assert np.array_equal(tight.V[others], base.V[others])
+
+
+def eig_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced failure")
+
+
+class TestOneStatusMap:
+    """Every one-row entry point gives the verdict `PointBatch.row` gives."""
+
+    @staticmethod
+    def outcome(call, *args):
+        """(error type, message) that `call` raises, or (None, result)."""
+        try:
+            return None, call(*args)
+        except (UnstableSystemError, DegenerateTrapError, NumericalError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("case, detuning, watts, status", [
+        ("stable", -27.2, 2e-3, OK),
+        ("blue-detuned", 27.2, 2e-3, UNSTABLE),
+        ("inverted trap", -27.2, 1e3, DEGENERATE),
+        ("solver failure", -27.2, 2e-3, FAULT),
+    ])
+    def test_entry_points_agree(self, monkeypatch, case, detuning, watts, status):
+        m = replace(fig3_model(), detuning=detuning,
+                    drive=drive_from_watts(reference_params(), watts))
+        if status == FAULT:
+            monkeypatch.setattr(np.linalg, "eig", eig_fails)
+        batch = solve_points(m, m.detuning, m.drive)
+        assert batch.status[0] == status
+        error, message = self.outcome(batch.row, 0)
+        assert error is {OK: None, UNSTABLE: UnstableSystemError,
+                         DEGENERATE: DegenerateTrapError,
+                         FAULT: NumericalError}[status]
+        if status == FAULT:
+            assert message == "eigenvalue solver failed: forced failure"
+        point = self.outcome(solve_point, m)
+        assert point[0] is error
+        if error is not None:
+            assert point[1] == message
+        if status == FAULT:  # a fault never reads as unstable
+            with pytest.raises(NumericalError, match="forced failure"):
+                is_stable(m)
+        else:
+            assert is_stable(m) == (status == OK)
+        if status == DEGENERATE:  # no fixed point, so no linear model
+            with pytest.raises(DegenerateTrapError):
+                fixed_point(m)
+            return
+        A, D = batch.linear.drift[0], batch.linear.diffusion
+        assert self.outcome(linear.solve_lyapunov, A, D)[:1] == (error,)
+        if status == FAULT:
+            for call, args in ((linear.linear_model, (m, fixed_point(m))),
+                               (linear.stability, (A,)),
+                               (batch.linear.model, (0,))):
+                assert self.outcome(call, *args) == (NumericalError, message)
+            return
+        lm = linear.linear_model(m, fixed_point(m))
+        assert lm.stable == (status == OK)
+        assert linear.stability(A)[0] == lm.stable
+        for call, args in ((linear.solve_lyapunov, (A, D)),
+                           (linear.steady_covariance, (lm,))):
+            got = self.outcome(call, *args)
+            assert got[0] is error
+            if error is not None:
+                assert got[1] == message
+
+    def test_contract_fault_is_not_a_stability_verdict(self, monkeypatch):
+        """A row whose covariance misses the residual contract faults in
+        every covariance entry point; its spectrum is still stable."""
+        m = replace(fig3_model(), drive=drive_from_watts(reference_params(), 2e-3))
+        monkeypatch.setattr(linear, "RESIDUAL_REL", 0.0)
+        monkeypatch.setattr(linear, "lyapunov_direct",
+                            lambda A, D: np.full(A.shape, np.nan))
+        batch = solve_points(m, m.detuning, m.drive)
+        assert batch.status[0] == FAULT
+        lm = linear.linear_model(m, fixed_point(m))
+        for call, args in ((batch.row, (0,)), (solve_point, (m,)),
+                           (linear.solve_lyapunov, (lm.drift, lm.diffusion)),
+                           (linear.steady_covariance, (lm,))):
+            with pytest.raises(NumericalError, match="exceeds contract"):
+                call(*args)
+        assert lm.stable and is_stable(m)
 
 
 class TestOneEigendecompositionPerPoint:

@@ -319,6 +319,10 @@ class TestCliOptions:
         ["geometry", "--preset", "fig3"],
         ["linear", "--preset", "fig2"],
         ["validate", "--validate-instances", "-3"],
+        ["sweep", "--threads", "2"],
+        ["steady", "--preset", "fig3", "-i", "x.cfg"],
+        ["linear", "--preset", "fig3", "-i", "x.cfg"],
+        ["sweep", "--preset", "fig3", "-i", "x.cfg"],
     ])
     def test_unread_option_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -336,14 +340,6 @@ class TestCliOptions:
         err = capsys.readouterr().err
         assert "an input config is required" in err
         assert ("--preset" in err) == hint
-
-    def test_threads_is_a_no_op(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["sweep", "--preset", "fig3", "-o", str(out1)]) == 0
-        assert main(["sweep", "--preset", "fig3", "--threads", "4",
-                     "-o", str(out2)]) == 0
-        for name in ("sweep.csv", "summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--validate-instances", "0"],

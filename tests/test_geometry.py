@@ -8,8 +8,8 @@ import pytest
 from trimech.errors import NumericalError
 from trimech.geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
                               field_profile_samples, finesse_estimate,
-                              interaction_form, intracavity_field,
-                              intracavity_field_sum, lineshape, profile)
+                              intracavity_field, intracavity_field_sum,
+                              lineshape, profile)
 from trimech.linear import drift_matrix
 from trimech.params import ModelParams
 from trimech.steady import fixed_point
@@ -48,7 +48,9 @@ class TestInteractionForm:
         (PumpGeometry.FROM_MOVING_MIRROR, (0.0, 1.0)),
     ])
     def test_quadratic_form_coefficients(self, geometry, coeffs):
-        assert interaction_form(geometry) == coeffs
+        """The sphere term (alpha*x1 - beta*x2)^2 has alpha = chi_for_geometry
+        at chi = 1 and beta = 1."""
+        assert (chi_for_geometry(geometry, 1.0), 1.0) == coeffs
 
 
 class TestIntracavityField:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from trimech.params import (HBAR, C_LIGHT, K_BOLTZMANN, PhysicalParams,
                             bose_occupation, linear_coupling,
                             nondimensionalize, quadratic_coupling,
-                            redimensionalize, reference_params, zpf_ratio)
+                            reference_params, zpf_ratio)
 
 TWO_PI = 2.0 * math.pi
 REF = reference_params()
@@ -153,15 +153,15 @@ class TestNondimensionalize:
         assert rel_err(m.g1, 7.2e-4) < 0.15
 
     def test_round_trip_12_digits(self):
+        """Model rates times the cavity decay give back the lab rates."""
         m = nondimensionalize(REF, -27.2)
-        back = redimensionalize(m, KAPPA)
-        assert back["mirror_freq"] == pytest.approx(REF.mirror_freq, rel=1e-12)
-        assert back["sphere_freq"] == pytest.approx(REF.sphere_freq, rel=1e-12)
-        assert back["mirror_damping"] == pytest.approx(REF.mirror_damping, rel=1e-12)
-        assert back["sphere_damping"] == pytest.approx(REF.sphere_damping, rel=1e-12)
-        assert back["g1"] == pytest.approx(linear_coupling(REF), rel=1e-12)
-        assert back["g2"] == pytest.approx(quadratic_coupling(REF), rel=1e-12)
-        assert back["photon_flux"] == pytest.approx(
+        assert m.omega1 * KAPPA == pytest.approx(REF.mirror_freq, rel=1e-12)
+        assert m.omega2 * KAPPA == pytest.approx(REF.sphere_freq, rel=1e-12)
+        assert m.gamma1 * KAPPA == pytest.approx(REF.mirror_damping, rel=1e-12)
+        assert m.gamma2 * KAPPA == pytest.approx(REF.sphere_damping, rel=1e-12)
+        assert m.g1 * KAPPA == pytest.approx(linear_coupling(REF), rel=1e-12)
+        assert m.g2 * KAPPA == pytest.approx(quadratic_coupling(REF), rel=1e-12)
+        assert m.drive * KAPPA == pytest.approx(
             REF.input_power / (HBAR * REF.cavity_freq), rel=1e-12)
 
     def test_caption_sets_from_scaling(self):

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from trimech.errors import DegenerateTrapError
 from trimech.params import ModelParams
 from trimech.steady import (cavity_amplitude, effective_detuning,
-                            effective_frequencies, fixed_point,
+                            fixed_point, fixed_points,
                             self_consistent_fixed_points,
                             stationarity_residuals)
 
@@ -46,27 +46,36 @@ class TestCavityAmplitude:
                                        rel=1e-12, abs=1e-300)
 
 
+def at_photon_number(m, photon_number):
+    """Stacked fixed point of one row with |a|^2 = `photon_number`: at
+    effective detuning 1 the photon number equals the drive."""
+    fp = fixed_points(m, 1.0, photon_number)
+    assert fp.photon_number[0] == photon_number
+    return fp
+
+
 class TestEffectiveFrequencies:
     def test_no_quadratic_coupling(self):
         m = basic_model(g2=0.0)
-        assert effective_frequencies(m, 1e8) == (m.omega1, m.omega2)
+        fp = at_photon_number(m, 1e8)
+        assert (fp.Omega1[0], fp.Omega2[0]) == (m.omega1, m.omega2)
 
     def test_chi_zero_keeps_mirror_frequency(self):
         m = basic_model(chi=0.0)
-        Om1, Om2 = effective_frequencies(m, 1e8)
-        assert Om1 == m.omega1
-        assert Om2 == pytest.approx(m.omega2 + 2 * m.g2 * 1e8, rel=1e-14)
+        fp = at_photon_number(m, 1e8)
+        assert fp.Omega1[0] == m.omega1
+        assert fp.Omega2[0] == pytest.approx(m.omega2 + 2 * m.g2 * 1e8, rel=1e-14)
 
     def test_fig3_scale_arithmetic(self):
-        m = basic_model()
-        _, Om2 = effective_frequencies(m, 1e8)
-        assert Om2 == pytest.approx(3.352, rel=1e-12)
+        fp = at_photon_number(basic_model(), 1e8)
+        assert fp.Omega2[0] == pytest.approx(3.352, rel=1e-12)
 
     def test_degenerate_trap_signalled(self):
-        m = basic_model()
         # photon number beyond omega2 / (2 |g2|) inverts the trap
-        with pytest.raises(DegenerateTrapError):
-            effective_frequencies(m, 1.0e10)
+        fp = at_photon_number(basic_model(), 1.0e10)
+        assert fp.degenerate[0]
+        with pytest.raises(DegenerateTrapError, match="sphere trap degenerate"):
+            fp.state(0)
 
 
 class TestFixedPoint:

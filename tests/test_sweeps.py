@@ -396,15 +396,6 @@ class TestOccupationLandscape:
             assert p.solved_rows == sum(rows) >= p.evaluations
             assert len(rows) < p.evaluations / 5
 
-    def test_threads_do_not_change_content(self):
-        base = fig2_protocol()["base"]
-        omega1 = np.array([10.0])
-        omega2 = np.array([3.0, 3.4])
-        serial = occupation_landscape(base, omega1, omega2, coarse=(9, 9))
-        threaded = occupation_landscape(base, omega1, omega2, coarse=(9, 9),
-                                        threads=4)
-        assert serial.points == threaded.points
-
 
 class TestRecomputability:
     def test_sweep_scalars_bit_identical_from_model(self):
