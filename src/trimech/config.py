@@ -180,9 +180,12 @@ def sweep_section(sections):
         if key == "kind":
             continue
         if key in ("points", "omega1_count", "omega2_count"):
+            # a frequency axis may be one cell, a drive grid may not
+            least = 2 if key == "points" else 1
             value = _parse_number(raw, key, line)
-            if value != int(value) or value < 2:
-                raise ConfigError("expected an integer >= 2", key=key, line=line)
+            if value != int(value) or value < least:
+                raise ConfigError(f"expected an integer >= {least}", key=key,
+                                  line=line)
             out[key] = int(value)
         elif key in ("power_min", "power_max"):
             parts = raw.split()
@@ -194,6 +197,11 @@ def sweep_section(sections):
                 raise ConfigError("expected a positive power", key=key, line=line)
         else:
             out[key] = _parse_number(raw, key, line)
+    for axis in ("omega1", "omega2"):
+        lo, hi = out.get(f"{axis}_min"), out.get(f"{axis}_max")
+        if out.get(f"{axis}_count") == 1 and None not in (lo, hi) and lo != hi:
+            raise ConfigError(f"a count of 1 needs {axis}_min = {axis}_max",
+                              key=f"{axis}_count", line=body[f"{axis}_count"][1])
     return out
 
 

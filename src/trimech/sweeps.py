@@ -21,6 +21,12 @@ The drive-line march is replayed against the values solved so far and
 solves, in one stack, every probe it would make if none of the unknown
 ones improved; it repeats until a replay meets no unknown probe, so the
 search and its optimum are those of a march that probes one at a time.
+Each refinement start is a generator of such requests, and the starts
+run in lockstep rounds: a round's requests from every live start go to
+the objective in one call.  Values are kept per (detuning, drive) row
+for the whole search, so each distinct row is solved once; as a stacked
+row equals the row solved alone, none of this changes a value, an
+optimum or an evaluation count.
 """
 
 import math
@@ -253,10 +259,12 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
 
 
 def _march(x, fx, carry, step, lo, hi, probe, floor_of):
-    """One coordinate of the pattern search: march each direction while
-    `probe(x, carry) -> (value, carry)` improves on `fx` within [lo, hi],
+    """One coordinate of the pattern search, as a generator: march each
+    direction while `probe(x, carry)` improves on `fx` within [lo, hi],
     halve the step when neither does, stop at `floor_of(x)` (re-read at
-    each halving).  Returns the best (value, x, carry)."""
+    each halving).  `probe` is a generator returning (value, carry); the
+    march passes its requests through (`yield from`).  Returns the best
+    (value, x, carry)."""
     floor = floor_of(x)
     while step > floor:
         moved = False
@@ -265,7 +273,7 @@ def _march(x, fx, carry, step, lo, hi, probe, floor_of):
                 nxt = min(max(x + sgn * step, lo), hi)
                 if nxt == x:
                     break
-                v, c = probe(nxt, carry)
+                v, c = yield from probe(nxt, carry)
                 if not v < fx:
                     break
                 fx, x, carry, moved = v, nxt, c, True
@@ -275,16 +283,17 @@ def _march(x, fx, carry, step, lo, hi, probe, floor_of):
     return fx, x, carry
 
 
-def _replay_march(x, fx, step, lo, hi, floor_of, solve):
+def _replay_march(x, fx, step, lo, hi, floor_of, request):
     """`_march` along one line, with its probes solved in stacks.
 
-    Each pass replays the march from the start against a memo of solved
-    values.  A probe missing from the memo counts as no improvement and is
-    recorded, so one pass records every probe the march would make if
-    none of the unknown ones improved; `solve(xs) -> values` then solves
-    them, deduplicated, in one call.  The pass that meets no unknown probe
-    is the march that probes one at a time.  Returns (value, x, probes),
-    `probes` being that march's probe count.
+    A generator.  Each pass replays the march from the start against a
+    memo of solved values.  A probe missing from the memo counts as no
+    improvement and is recorded, so one pass records every probe the
+    march would make if none of the unknown ones improved; the generator
+    then yields `request(xs)` for them, deduplicated, and is sent their
+    values.  The pass that meets no unknown probe is the march that
+    probes one at a time.  Returns (value, x, probes), `probes` being
+    that march's probe count.
     """
     memo = {}
     while True:
@@ -294,16 +303,47 @@ def _replay_march(x, fx, step, lo, hi, floor_of, solve):
         def probe(p, carry):
             nonlocal probes
             probes += 1
-            if p in memo:
-                return memo[p], carry
-            unknown.append(p)
-            return math.inf, carry
+            if p not in memo:
+                unknown.append(p)
+            return memo.get(p, math.inf), carry
+            yield  # a generator that requests nothing: the replay reads the memo
 
-        fx_best, x_best, _ = _march(x, fx, None, step, lo, hi, probe, floor_of)
+        fx_best, x_best, _ = yield from _march(x, fx, None, step, lo, hi, probe,
+                                               floor_of)
         if not unknown:
             return fx_best, x_best, probes
         xs = list(dict.fromkeys(unknown))
-        memo.update(zip(xs, solve(xs)))
+        memo.update(zip(xs, (yield request(xs))))
+
+
+def _lockstep(steppers, solve):
+    """Run generators that yield (detuning, log-drives) requests side by side.
+
+    Each round gathers the requests of every live stepper into one
+    `solve(points) -> values` call over (detuning, log drive) points and
+    sends each stepper its slice.  Returns the steppers' return values,
+    in order.
+    """
+    results = [None] * len(steppers)
+    asks = {}
+
+    def advance(i, values):
+        try:
+            asks[i] = steppers[i].send(values)
+        except StopIteration as stop:
+            asks.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(steppers)):
+        advance(i, None)
+    while asks:
+        live = list(asks.items())
+        values = solve([(det, lg) for _, (det, lgs) in live for lg in lgs])
+        at = 0
+        for i, (_, lgs) in live:
+            advance(i, values[at:at + len(lgs)])
+            at += len(lgs)
+    return results
 
 
 @dataclass(frozen=True)
@@ -313,7 +353,7 @@ class OptimizeResult:
     drive: float
     on_boundary: bool
     evaluations: int  # objective values the search consumed
-    solved_rows: int  # rows solved, speculative drive-line probes included
+    solved_rows: int  # distinct rows solved, speculative drive-line probes included
 
 
 def _search_box(detuning_bounds, drive_bounds):
@@ -335,36 +375,41 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     degenerate).  Stage one evaluates a coarse grid, linear in detuning
     and logarithmic in drive, in one call; stage two runs coordinate
     pattern search (march while improving, then halve the step) from the
-    best REFINE_STARTS coarse cells down to a relative step floor, with
-    each drive-line scan in one call.  Each drive-line march solves its
-    probes speculatively in stacks (`_replay_march`) and takes the same
-    path as probing one at a time; `evaluations` counts the probes that
-    path consumed and `solved_rows` every row the objective was given.
-    Emits a warning when the optimum sits on a bound.
+    best REFINE_STARTS coarse cells down to a relative step floor.  Each
+    refinement is a generator that yields its drive-line scans and its
+    speculative drive-line march probes (`_replay_march`, which takes the
+    same path as probing one at a time); the starts run in lockstep, each
+    round's requests in one objective call, and the best start is taken
+    in start order once all have finished.  Values are kept per
+    (detuning, log10 drive) row, so the objective sees each distinct row
+    once.  `evaluations` counts the probes the search consumed and
+    `solved_rows` the distinct rows the objective was given, speculative
+    ones included.  Emits a warning when the optimum sits on a bound.
     """
     d_lo, d_hi, p_lo, p_hi = _search_box(detuning_bounds, drive_bounds)
     n_det, n_drv = coarse
     dets = np.linspace(d_lo, d_hi, n_det)
     logs = np.linspace(math.log10(p_lo), math.log10(p_hi), n_drv)
 
-    rows = 0
+    solved = {}
 
-    def f(det, lgs):
-        """Objective at one detuning (or one per entry) over log10 drives."""
-        nonlocal rows
-        rows += len(lgs)
-        drives = np.array([10.0 ** lg for lg in lgs])
-        return np.asarray(objective(np.broadcast_to(det, drives.shape), drives),
-                          dtype=float)
+    def f(points):
+        """Objective values at (detuning, log10 drive) points; only rows
+        not solved before reach the objective, deduplicated, in one call."""
+        new = [p for p in dict.fromkeys(points) if p not in solved]
+        if new:
+            values = objective(np.array([det for det, _ in new]),
+                               np.array([10.0 ** lg for _, lg in new]))
+            solved.update(zip(new, np.asarray(values, dtype=float).tolist()))
+        return [solved[p] for p in points]
 
-    grid_det = np.repeat(dets, n_drv)
-    grid_lg = np.tile(logs, n_det)
-    cells = [(val, dv, lg)
-             for val, dv, lg in zip(f(grid_det, grid_lg).tolist(), grid_det, grid_lg)
+    grid = list(zip(np.repeat(dets, n_drv), np.tile(logs, n_det)))
+    cells = [(val, dv, lg) for val, (dv, lg) in zip(f(grid), grid)
              if math.isfinite(val)]
-    evals = rows
+    evals = len(grid)
     if not cells:
-        return OptimizeResult(math.inf, math.nan, math.nan, False, evals, rows)
+        return OptimizeResult(math.inf, math.nan, math.nan, False, evals,
+                              len(solved))
     cells.sort(key=lambda c: (c[0], c[1], c[2]))
 
     lo_b = (d_lo, math.log10(p_lo))
@@ -377,7 +422,8 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     # wide) that drifts smoothly with detuning, so the drive coordinate
     # gets an exact line minimization (local scan plus marching halving)
     # and the detuning coordinate an outer march over those per-detuning
-    # minima, warm-started at the neighbouring needle position.
+    # minima, warm-started at the neighbouring needle position.  Both are
+    # generators yielding (detuning, log10 drives) requests.
     lg_lo, lg_hi = lo_b[1], hi_b[1]
 
     def drive_minimum(det, seed_lg, span=0.3, scan=25):
@@ -387,22 +433,27 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
         if hi <= lo:
             lo, hi = lg_lo, lg_hi
         grid = np.linspace(lo, hi, scan)
-        vals = f(det, grid)
+        vals = yield det, grid
         evals += scan
         i = int(np.argmin(vals))
         fb, lg = float(vals[i]), grid[i]
         if not math.isfinite(fb):
             return math.inf, seed_lg
-        fb, lg, probes = _replay_march(lg, fb, grid[1] - grid[0], lg_lo, lg_hi,
-                                       lambda x: 1e-4, lambda xs: f(det, xs))
+        fb, lg, probes = yield from _replay_march(
+            lg, fb, grid[1] - grid[0], lg_lo, lg_hi, lambda x: 1e-4,
+            lambda xs: (det, xs))
         evals += probes
         return fb, lg
 
+    def refine(det0, lg0):
+        fb, lg = yield from drive_minimum(det0, lg0)
+        return (yield from _march(det0, fb, lg, step0[0], lo_b[0], hi_b[0],
+                                  drive_minimum,
+                                  lambda x: STEP_FLOOR * max(abs(x), 1.0)))
+
     best_val, best_x = math.inf, None
-    for val, det0, lg0 in cells[:REFINE_STARTS]:
-        fb, lg = drive_minimum(det0, lg0)
-        fb, det, lg = _march(det0, fb, lg, step0[0], lo_b[0], hi_b[0], drive_minimum,
-                             lambda x: STEP_FLOOR * max(abs(x), 1.0))
+    for fb, det, lg in _lockstep([refine(det0, lg0)
+                                  for _, det0, lg0 in cells[:REFINE_STARTS]], f):
         if fb < best_val:
             best_val, best_x = fb, [det, lg]
 
@@ -413,7 +464,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
                       stacklevel=2)
     return OptimizeResult(value=best_val, detuning=best_x[0],
                           drive=10.0 ** best_x[1], on_boundary=on_boundary,
-                          evaluations=evals, solved_rows=rows)
+                          evaluations=evals, solved_rows=len(solved))
 
 
 def sphere_occupation_objective(m: ModelParams):
@@ -440,7 +491,7 @@ class LandscapePoint:
     message: str = ""
     on_boundary: bool = False  # the optimum sits on a search bound
     evaluations: int = 0       # objective evaluations spent on the cell
-    solved_rows: int = 0       # rows solved for them, speculative ones included
+    solved_rows: int = 0       # distinct rows solved for them, speculative included
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,42 @@ class TestConfigBoundary:
         assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
         assert "bounds" in capsys.readouterr().err
 
+    def test_one_row_landscape_equals_its_row_of_two(self, tmp_path):
+        """A frequency axis of one cell (min = max) needs no dummy row: the
+        omega1 = 10 cells equal those of a two-row config whose other row
+        (omega1 = 1, below every omega2) is excluded."""
+        rows = {}
+        for name, lo, count in (("one", 10, 1), ("two", 1, 2)):
+            cfg = write_config(tmp_path, NOMINAL + "\n".join([
+                "", "[sweep]", "kind = landscape", f"omega1_min = {lo}",
+                "omega1_max = 10", f"omega1_count = {count}",
+                "omega2_min = 2", "omega2_max = 3.4", "omega2_count = 2", ""]),
+                name=f"{name}.cfg")
+            out = tmp_path / name
+            assert main(["sweep", "-i", cfg, "-o", str(out)]) == 0
+            rows[name] = [ln for ln in (out / "sweep.csv").read_text().splitlines()
+                          if ln.startswith("1.0000000000000000e+01,")]
+        assert len(rows["one"]) == 2
+        assert rows["one"] == rows["two"]
+
+    @pytest.mark.parametrize("axis", ["omega1", "omega2"])
+    def test_count_of_one_needs_equal_bounds(self, tmp_path, capsys, axis):
+        text = self.LANDSCAPE.format(lo="3.0").replace(f"{axis}_count = 2",
+                                                       f"{axis}_count = 1")
+        if axis == "omega1":
+            text = text.replace("omega1_max = 10", "omega1_max = 12")
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{axis}_count" in err
+
+    def test_drive_grid_of_one_point_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, NOMINAL + "\n".join([
+            "", "[sweep]", "kind = power", "points = 1",
+            "power_min = 1e-5 W", "power_max = 1e-4 W", ""]))
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        assert "points" in capsys.readouterr().err
+
     def test_nonpositive_power_bound_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, NOMINAL + "\n".join([
             "", "[sweep]", "kind = power", "points = 20",

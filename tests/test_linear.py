@@ -225,6 +225,38 @@ class TestLyapunov:
             assert np.array_equal(V, V.T)
 
 
+class TestScipyOracle:
+    def test_fig2_rows_match_bartels_stewart(self):
+        """200 seeded (detuning, drive) rows of the fig2 cell at omega2 =
+        1.95: every stable row's stacked covariance matches SciPy's
+        Bartels-Stewart solve of A V + V A^T = -D (a test-only oracle)."""
+        pytest.importorskip("scipy")
+        from scipy.linalg import solve_continuous_lyapunov
+
+        from trimech.linear import OK
+        from trimech.params import nondimensionalize
+        from trimech.presets import fig2_protocol
+        from trimech.sweeps import solve_points
+        base = fig2_protocol()["base"]
+        kappa = base.cavity_decay
+        m = nondimensionalize(replace(base, mirror_freq=10.0 * kappa,
+                                      sphere_freq=1.95 * kappa), detuning=-1.0)
+        rng = np.random.default_rng(20121)
+        dets = rng.uniform(-45.0, -2.0, 200)
+        drives = 10.0 ** rng.uniform(6.0, 12.0, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = solve_points(replace(m, detuning_mode="effective"),
+                                 dets, drives)
+        ok = np.flatnonzero(batch.status == OK)
+        assert ok.size >= 100
+        D = batch.linear.diffusion
+        for i in ok:
+            V = batch.V[i]
+            V_ref = solve_continuous_lyapunov(batch.linear.drift[i], -D)
+            assert np.abs(V - V_ref).max() <= 1e-6 * np.abs(V).max()
+
+
 class TestOccupationAndSqueezing:
     def test_ground_state_block(self):
         V = 0.5 * np.eye(6)

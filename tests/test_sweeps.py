@@ -267,6 +267,17 @@ class TestOptimizeScalar:
         assert res.value <= quoted
 
 
+def _run(march, solve=None):
+    """Drive a march generator to its return value, answering each request
+    with `solve(request)`."""
+    try:
+        request = next(march)
+        while True:
+            request = march.send(solve(request))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _probe_by_probe(g, x, step, lo, hi, floor):
     """`_march` probing `g` one point at a time: (value, x, probes)."""
     probes = []
@@ -274,9 +285,10 @@ def _probe_by_probe(g, x, step, lo, hi, floor):
     def probe(p, carry):
         probes.append(p)
         return g(np.array([p]))[0], carry
+        yield  # a probe that requests nothing
 
-    value, x_best, _ = _march(x, g(np.array([x]))[0], None, step, lo, hi,
-                              probe, lambda _: floor)
+    value, x_best, _ = _run(_march(x, g(np.array([x]))[0], None, step, lo, hi,
+                                   probe, lambda _: floor))
     return value, x_best, len(probes)
 
 
@@ -304,8 +316,8 @@ class TestReplayMarch:
             return g(np.array(xs, dtype=float))
 
         fx0 = g(np.array([x0]))[0]
-        value, x, probes = _replay_march(x0, fx0, step, lo, hi,
-                                         lambda _: 1e-4, solve)
+        value, x, probes = _run(_replay_march(x0, fx0, step, lo, hi,
+                                              lambda _: 1e-4, list), solve)
         assert (value, x, probes) == _probe_by_probe(g, x0, step, lo, hi, 1e-4)
         assert len(solved) < probes
         if case == "first probe improves":
@@ -364,37 +376,56 @@ class TestOccupationLandscape:
         assert point.n2_min == opt.value
 
     def test_search_pinned_and_stacked(self, monkeypatch):
-        """Two benchmark cells keep their probe counts and bit-exact optima,
-        while the drive-line marches reach the objective in few stacked calls."""
+        """The eight benchmark cells keep their probe counts and bit-exact
+        optima, while the objective sees each distinct row once, in few
+        stacked calls."""
         import trimech.sweeps as sweeps
         proto = fig2_protocol()
         real = sweeps.sphere_occupation_objective
-        calls = []  # per cell: the row count of each objective call
+        calls = []  # per cell: the (detuning, drive) rows of each objective call
 
         def counting(m):
             objective = real(m)
             calls.append([])
 
             def counted(detunings, drives):
-                calls[-1].append(np.size(detunings))
+                calls[-1].append(list(zip(np.ravel(detunings).tolist(),
+                                          np.ravel(drives).tolist())))
                 return objective(detunings, drives)
             return counted
 
         monkeypatch.setattr(sweeps, "sphere_occupation_objective", counting)
-        result = occupation_landscape(reference_params(), [10.0], [1.95, 8.55],
-                                      detuning_bounds=proto["detuning_bounds"],
-                                      drive_bounds=proto["drive_bounds"])
+        result = occupation_landscape(
+            reference_params(), [10.0],
+            [1.95, 3.15, 3.6, 4.95, 6.0, 6.45, 7.95, 8.55],
+            detuning_bounds=proto["detuning_bounds"],
+            drive_bounds=proto["drive_bounds"])
+        # (evaluations, solved_rows, n2_min, detuning, drive)
         expected = [
-            (5317, "0x1.326870eec283bp+9", "-0x1.2220000000001p+5",
+            (5317, 3932, "0x1.326870eec283bp+9", "-0x1.2220000000001p+5",
              "0x1.9195b8079add2p+36"),
-            (2755, "0x1.1d6d8631103c4p+12", "-0x1.6800000000000p+5",
+            (5059, 4326, "0x1.1c84dbc1d7716p+9", "-0x1.5c5aaaaaaaaa8p+5",
+             "0x1.44bd8d85dffa7p+37"),
+            (4043, 3162, "0x1.1d85de78a1466p+9", "-0x1.678d555555556p+5",
+             "0x1.589a13f0793ecp+37"),
+            (4361, 3090, "0x1.5b009433171ffp+9", "-0x1.67fffffffffffp+5",
+             "0x1.2a475c1b6ae74p+37"),
+            (3737, 3114, "0x1.ddc5917d9df5dp+9", "-0x1.67ffffffffffep+5",
+             "0x1.f6d8261f1d6e9p+36"),
+            (3984, 3541, "0x1.1ee212f73757fp+10", "-0x1.67ffffffffffdp+5",
+             "0x1.c9873cb877c89p+36"),
+            (3029, 2847, "0x1.551acbe8f2c06p+11", "-0x1.6800000000000p+5",
+             "0x1.1d325af2d770cp+36"),
+            (2755, 2961, "0x1.1d6d8631103c4p+12", "-0x1.6800000000000p+5",
              "0x1.9eda200bf7eb0p+35"),
         ]
-        assert [(p.evaluations, float(p.n2_min).hex(), float(p.detuning).hex(),
-                 float(p.drive).hex()) for p in result.points] == expected
-        for p, rows in zip(result.points, calls):
-            assert p.solved_rows == sum(rows) >= p.evaluations
-            assert len(rows) < p.evaluations / 5
+        assert [(p.evaluations, p.solved_rows, float(p.n2_min).hex(),
+                 float(p.detuning).hex(), float(p.drive).hex())
+                for p in result.points] == expected
+        for p, cell in zip(result.points, calls):
+            rows = [row for call in cell for row in call]
+            assert p.solved_rows == len(rows) == len(set(rows))
+            assert len(cell) < p.evaluations / 20
 
 
 class TestRecomputability:
