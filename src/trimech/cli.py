@@ -32,8 +32,8 @@ from .params import drive_from_watts, nondimensionalize, reference_params
 from .presets import (PRESET_NAMES, fig2_protocol, fig3_model, fig4_model,
                       preset_drives)
 from .steady import fixed_point, self_consistent_fixed_points, stationarity_residuals
-from .sweeps import (check_landscape_inputs, occupation_landscape, power_sweep,
-                     squeezing_sweep)
+from .sweeps import (DETUNING_BOUNDS, DRIVE_BOUNDS, check_landscape_inputs,
+                     occupation_landscape, power_sweep, squeezing_sweep)
 from .validate import ODE_TOL, PAIR_TOL, IntegrationSpec, cross_check
 
 EXIT_CONFIG = 2
@@ -219,9 +219,10 @@ def _sweep_job(args):
                              spec["omega1_count"])
         omega2 = np.linspace(spec["omega2_min"], spec["omega2_max"],
                              spec["omega2_count"])
-        bounds_det = (spec.get("detuning_min", -45.0),
-                      spec.get("detuning_max", -2.0))
-        bounds_drv = (spec.get("drive_min", 1e6), spec.get("drive_max", 1e12))
+        bounds_det = (spec.get("detuning_min", DETUNING_BOUNDS[0]),
+                      spec.get("detuning_max", DETUNING_BOUNDS[1]))
+        bounds_drv = (spec.get("drive_min", DRIVE_BOUNDS[0]),
+                      spec.get("drive_max", DRIVE_BOUNDS[1]))
         with _config_values():
             check_landscape_inputs(omega1, omega2, bounds_det, bounds_drv)
         return kind, None, phys, (omega1, omega2, bounds_det, bounds_drv)

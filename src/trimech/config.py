@@ -117,18 +117,26 @@ def _parse_quantity(raw, units, angular, key, line):
     return value
 
 
-def physical_params(sections) -> PhysicalParams:
-    """Build a validated PhysicalParams from the [physical] section."""
-    if "physical" not in sections:
-        raise ConfigError("missing [physical] section")
-    body = sections["physical"]
+def _section(sections, name, keys, required=()):
+    """The body of section [name]: ConfigError if the section is missing,
+    holds a key outside `keys` or lacks a key of `required`."""
+    if name not in sections:
+        raise ConfigError(f"missing [{name}] section")
+    body = sections[name]
     for key in body:
-        if key not in _PHYSICAL_FIELDS:
+        if key not in keys:
             raise ConfigError("unknown key", key=key, line=body[key][1])
-    values = {}
-    for key, (units, angular) in _PHYSICAL_FIELDS.items():
+    for key in required:
         if key not in body:
             raise ConfigError("missing mandatory key", key=key)
+    return body
+
+
+def physical_params(sections) -> PhysicalParams:
+    """Build a validated PhysicalParams from the [physical] section."""
+    body = _section(sections, "physical", _PHYSICAL_FIELDS, _PHYSICAL_FIELDS)
+    values = {}
+    for key, (units, angular) in _PHYSICAL_FIELDS.items():
         raw, line = body[key]
         if key == "sphere_site":
             values[key] = raw
@@ -142,14 +150,7 @@ def physical_params(sections) -> PhysicalParams:
 
 def model_section(sections):
     """Detuning settings from [model]: (detuning, detuning_mode)."""
-    if "model" not in sections:
-        raise ConfigError("missing [model] section")
-    body = sections["model"]
-    for key in body:
-        if key not in _MODEL_KEYS:
-            raise ConfigError("unknown key", key=key, line=body[key][1])
-    if "detuning" not in body:
-        raise ConfigError("missing mandatory key", key="detuning")
+    body = _section(sections, "model", _MODEL_KEYS, ("detuning",))
     raw, line = body["detuning"]
     detuning = _parse_number(raw, "detuning", line)
     mode = "effective"
@@ -163,14 +164,7 @@ def model_section(sections):
 
 def sweep_section(sections):
     """Raw sweep settings from [sweep] with type checks applied."""
-    if "sweep" not in sections:
-        raise ConfigError("missing [sweep] section")
-    body = sections["sweep"]
-    for key in body:
-        if key not in _SWEEP_KEYS:
-            raise ConfigError("unknown key", key=key, line=body[key][1])
-    if "kind" not in body:
-        raise ConfigError("missing mandatory key", key="kind")
+    body = _section(sections, "sweep", _SWEEP_KEYS, ("kind",))
     kind, line = body["kind"]
     if kind not in ("power", "squeezing", "landscape"):
         raise ConfigError("kind must be power, squeezing or landscape",
@@ -207,23 +201,15 @@ def sweep_section(sections):
 
 def geometry_section(sections):
     """Cavity geometry settings from [geometry]."""
-    if "geometry" not in sections:
-        raise ConfigError("missing [geometry] section")
-    body = sections["geometry"]
-    for key in body:
-        if key not in _GEOMETRY_KEYS:
-            raise ConfigError("unknown key", key=key, line=body[key][1])
+    body = _section(sections, "geometry", _GEOMETRY_KEYS,
+                    ("length", "wavelength", "reflectivity", "transmissivity"))
     out = {}
     for key in ("length", "wavelength"):
-        if key not in body:
-            raise ConfigError("missing mandatory key", key=key)
         raw, line = body[key]
         out[key] = _parse_quantity(raw, _LENGTH, False, key, line)
         if not out[key] > 0:
             raise ConfigError("expected a positive length", key=key, line=line)
     for key in ("reflectivity", "transmissivity"):
-        if key not in body:
-            raise ConfigError("missing mandatory key", key=key)
         raw, line = body[key]
         out[key] = _parse_number(raw, key, line)
     if "variant" in body:

@@ -25,9 +25,10 @@ its eigenvalues give the stability verdict and the conjugate-pair check,
 and with S they give the covariance in the eigenbasis (transform D by
 solves with S, divide by eigenvalue-pair sums, transform back, then two
 steps of iterative refinement).  Rows with near-degenerate pair sums, or
-whose residual breaks the contract, fall back one by one to the direct
-vectorized solve of `validate.lyapunov_direct`.  A row's result never
-depends on the other rows of its stack.
+whose residual breaks the contract, also try the direct vectorized solve
+of `validate.lyapunov_direct`, one by one, and keep the better result; a
+row still over the contract is a fault, so every covariance returned
+meets it.  A row's result never depends on the other rows of its stack.
 
 Each row carries a status: OK, UNSTABLE, DEGENERATE (no valid fixed
 point) or FAULT (no certified result).  A failing row is isolated in one
@@ -56,7 +57,7 @@ from .validate import lyapunov_direct  # the direct solve doubles as the fallbac
 #: stability margin: stable means max Re(eig) < -EPS_STABLE
 EPS_STABLE = 1e-12
 
-#: eigenvalue-pair sums smaller than this trigger the vectorized fallback
+#: eigenvalue-pair sums smaller than this also try the vectorized solve
 PAIR_SUM_FLOOR = 1e-10
 
 #: Lyapunov residual contract, relative to max|D|
@@ -288,20 +289,17 @@ def normal_modes(A, eigenvalues=None):
 
     Complex-conjugate eigenvalue pairs give frequency |Im| and damping
     -Re.  Purely real eigenvalues (|Im| up to IMAG_FLOOR times the
-    spectrum's scale; overdamped spectra) cannot be paired;
-    each is returned individually with zero frequency and a warning is
-    emitted.  `eigenvalues`, the pair-checked spectrum of `A` when the
-    caller already has it, saves the eigen-solve.
+    spectrum's scale; overdamped spectra) cannot be paired; each is
+    returned individually as a zero-frequency entry, which is how a
+    caller tells them apart.  `eigenvalues`, the pair-checked spectrum of
+    `A` when the caller already has it, saves the eigen-solve.
     """
     lam = stability(A)[1] if eigenvalues is None else eigenvalues
     floor = IMAG_FLOOR * max(np.abs(lam).max(), 1.0)
     complex_part = lam[lam.imag > floor]
     real_part = lam[np.abs(lam.imag) <= floor]
     modes = [(abs(ev.imag), -ev.real) for ev in complex_part]
-    if len(real_part):
-        warnings.warn("eigenvalues could not all be paired into oscillatory modes; "
-                      "returning zero-frequency entries", stacklevel=2)
-        modes.extend((0.0, -ev.real) for ev in np.sort(real_part.real))
+    modes.extend((0.0, -ev.real) for ev in np.sort(real_part.real))
     modes.sort(key=lambda fd: fd[0])
     return modes
 
@@ -361,39 +359,37 @@ def _residual(A, V, D):
 def _lyapunov_rows(stack: LinearStack):
     """Covariances of the OK rows of a stack from their eigendecompositions.
 
-    Returns (V, status, reasons) as `steady_covariances` does.  Rows whose
-    smallest |pair sum| is under PAIR_SUM_FLOOR take the direct solve with
-    a warning; rows whose eigenbasis residual breaks the contract (a
-    singular S leaves it NaN) also try the direct solve and keep the better
-    of the two; rows that still break it turn FAULT.
+    Returns (V, status, reasons) as `steady_covariances` does.  Every OK
+    row gets the eigenbasis solve.  A row whose smallest |pair sum| is
+    under PAIR_SUM_FLOOR (with a warning), or whose residual breaks the
+    contract (a singular S leaves it NaN), also tries the direct solve and
+    keeps the better of the two; a row that still breaks the contract
+    turns FAULT, so every covariance returned meets it.
     """
     A, D, lam = stack.drift, stack.diffusion, stack.eigenvalues
     bound = RESIDUAL_REL * max(np.abs(D).max(), _TINY)
     neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
     pair_min = 0.5 * np.abs(neg_sums2).min(axis=(1, 2))
     ok = stack.status == OK
-    near = ok & (pair_min < PAIR_SUM_FLOOR)
-    solved = ok & ~near
-    V, residual, _ = _on_rows(lambda *row: _eigenbasis_solve(*row, D), solved,
+    near = pair_min < PAIR_SUM_FLOOR
+    V, residual, _ = _on_rows(lambda *row: _eigenbasis_solve(*row, D), ok,
                               (A, stack.eigenvectors, neg_sums2),
                               ((A.shape[1:], float), ((), float)))
     faults = {}
-    for i in near.nonzero()[0]:
-        warnings.warn(
-            f"near-degenerate eigenvalue pair (|sum| = {pair_min[i]:.3g}); "
-            "using vectorized solve", stacklevel=3)
-        try:
-            V[i] = lyapunov_direct(A[i], D)
-        except NumericalError as exc:
-            faults[int(i)] = str(exc)
-    for i in (solved & ~(residual <= bound)).nonzero()[0]:
+    for i in (ok & (near | ~(residual <= bound))).nonzero()[0]:
+        if near[i]:
+            warnings.warn(
+                f"near-degenerate eigenvalue pair (|sum| = {pair_min[i]:.3g}); "
+                "also trying the vectorized solve", stacklevel=3)
+        achieved = _residual(A[i], V[i], D)
         try:
             V_alt = lyapunov_direct(A[i], D)
-            if not _residual(A[i], V_alt, D) >= _residual(A[i], V[i], D):
-                V[i] = V_alt
         except NumericalError:
             pass
-        achieved = _residual(A[i], V[i], D)
+        else:
+            alt = _residual(A[i], V_alt, D)
+            if not alt >= achieved:
+                V[i], achieved = V_alt, alt
         if not achieved <= bound:
             faults[int(i)] = (f"Lyapunov residual {achieved:.3g} exceeds contract "
                               f"{bound:.3g}")
@@ -411,10 +407,10 @@ def solve_lyapunov(A, D) -> np.ndarray:
     of A gives the stability verdict (raises UnstableSystemError when A
     is not stable, NumericalError when its eigenvalues fail to pair) and
     the eigenbasis solve.  The result is symmetrized and satisfies
-    max|A V + V A^T + D| < 1e-10 * max|D|, or NumericalError is raised;
-    when eigenvalue-pair sums come within PAIR_SUM_FLOOR of zero the
-    ill-conditioned eigenbasis path is bypassed in favour of the direct
-    vectorized solve (warning emitted, best-effort accuracy).
+    max|A V + V A^T + D| <= 1e-10 * max|D|, or NumericalError is raised.
+    When eigenvalue-pair sums come within PAIR_SUM_FLOOR of zero, a
+    warning is emitted and the direct vectorized solve is tried as well;
+    the result with the smaller residual is kept.
     """
     stack = _decompose(np.asarray(A, dtype=float)[None], np.asarray(D, dtype=float))
     V, status, reasons = _lyapunov_rows(stack)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .params import (ModelParams, bose_occupation, drive_from_watts,
                      reference_params)
+from .sweeps import DETUNING_BOUNDS, DRIVE_BOUNDS
 
 PRESET_NAMES = ("fig2", "fig3", "fig4")
 
@@ -76,8 +77,8 @@ def fig2_protocol():
         "base": reference_params(bath_temp_mirror=0.050, bath_temp_sphere=1.0),
         "omega1": np.array([10.0]),
         "omega2": np.array([1.5, 2.0, 2.5, 3.0, 3.4, 4.0, 5.0, 6.5, 8.0]),
-        "detuning_bounds": (-45.0, -2.0),
-        "drive_bounds": (1e6, 1e12),
+        "detuning_bounds": DETUNING_BOUNDS,
+        "drive_bounds": DRIVE_BOUNDS,
     }
 
 

@@ -30,7 +30,6 @@ optimum or an evaluation count.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +51,15 @@ THRESHOLD_REL_TOL = 1e-4
 #: relative to max(|detuning|, 1)
 REFINE_STARTS = 3
 STEP_FLOOR = 1e-3
+
+#: each drive-line minimization scans DRIVE_SCAN points across
+#: +-DRIVE_SPAN decades around its seed drive
+DRIVE_SPAN = 0.3
+DRIVE_SCAN = 25
+
+#: the fig2 search box: effective detuning and model-unit drive
+DETUNING_BOUNDS = (-45.0, -2.0)
+DRIVE_BOUNDS = (1e6, 1e12)
 
 
 @dataclass(frozen=True)
@@ -191,12 +199,10 @@ def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSwe
     end = kept.size
     reference = [abs(m.detuning), m.omega1, m.omega2]
     tracked = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # overdamped rows fall back to 0-frequency
-        for A, lam in zip(batch.linear.drift[:end], batch.linear.eigenvalues[:end]):
-            modes = match_modes(reference, normal_modes(A, eigenvalues=lam))
-            reference = [f for f, _ in modes]
-            tracked.append(modes)
+    for A, lam in zip(batch.linear.drift[:end], batch.linear.eigenvalues[:end]):
+        modes = match_modes(reference, normal_modes(A, eigenvalues=lam))
+        reference = [f for f, _ in modes]
+        tracked.append(modes)
     tracked = np.array(tracked)  # (n, 3, 2): (frequency, damping) per branch
     freqs = tracked[..., 0]
     sep = np.abs(freqs[:, 1] - freqs[:, 2])
@@ -384,7 +390,8 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     (detuning, log10 drive) row, so the objective sees each distinct row
     once.  `evaluations` counts the probes the search consumed and
     `solved_rows` the distinct rows the objective was given, speculative
-    ones included.  Emits a warning when the optimum sits on a bound.
+    ones included.  `on_boundary` says whether the optimum sits on a
+    bound of the search box.
     """
     d_lo, d_hi, p_lo, p_hi = _search_box(detuning_bounds, drive_bounds)
     n_det, n_drv = coarse
@@ -426,15 +433,15 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     # generators yielding (detuning, log10 drives) requests.
     lg_lo, lg_hi = lo_b[1], hi_b[1]
 
-    def drive_minimum(det, seed_lg, span=0.3, scan=25):
+    def drive_minimum(det, seed_lg):
         nonlocal evals
-        lo = max(lg_lo, seed_lg - span)
-        hi = min(lg_hi, seed_lg + span)
+        lo = max(lg_lo, seed_lg - DRIVE_SPAN)
+        hi = min(lg_hi, seed_lg + DRIVE_SPAN)
         if hi <= lo:
             lo, hi = lg_lo, lg_hi
-        grid = np.linspace(lo, hi, scan)
+        grid = np.linspace(lo, hi, DRIVE_SCAN)
         vals = yield det, grid
-        evals += scan
+        evals += DRIVE_SCAN
         i = int(np.argmin(vals))
         fb, lg = float(vals[i]), grid[i]
         if not math.isfinite(fb):
@@ -459,9 +466,6 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
 
     on_boundary = (best_x[0] in (d_lo, d_hi)
                    or best_x[1] in (math.log10(p_lo), math.log10(p_hi)))
-    if on_boundary:
-        warnings.warn("optimum lies on a search bound; consider widening the box",
-                      stacklevel=2)
     return OptimizeResult(value=best_val, detuning=best_x[0],
                           drive=10.0 ** best_x[1], on_boundary=on_boundary,
                           evaluations=evals, solved_rows=len(solved))
@@ -521,8 +525,8 @@ def check_landscape_inputs(omega1_grid, omega2_grid, detuning_bounds, drive_boun
 
 
 def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
-                         detuning_bounds=(-45.0, -2.0),
-                         drive_bounds=(1e6, 1e12),
+                         detuning_bounds=DETUNING_BOUNDS,
+                         drive_bounds=DRIVE_BOUNDS,
                          coarse=(25, 25)) -> LandscapeResult:
     """Minimized sphere occupation over (detuning, drive) per frequency cell.
 
@@ -545,10 +549,8 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
                                   math.nan, False, "omega2 >= omega1 excluded")
         phys = replace(base, mirror_freq=o1 * kappa, sphere_freq=o2 * kappa)
         m = nondimensionalize(phys, detuning=-1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a boundary optimum is recorded in on_boundary
-            opt = optimize_scalar(sphere_occupation_objective(m),
-                                  detuning_bounds, drive_bounds, coarse=coarse)
+        opt = optimize_scalar(sphere_occupation_objective(m),
+                              detuning_bounds, drive_bounds, coarse=coarse)
         if not math.isfinite(opt.value):
             return LandscapePoint(o1, o2, math.inf, m.n2, math.nan, math.nan,
                                   False, "no stable point in bounds",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,7 +333,15 @@ class TestCliGeometryValidate:
 
 class TestCliLandscapePreset:
     def test_fig2_preset_writes_landscape(self, tmp_path):
-        assert main(["sweep", "--preset", "fig2", "-o", str(tmp_path)]) == 0
+        """The landscape files.  This and the fig3 and fig4 sweeps run with
+        warnings as errors: boundary optima and zero-frequency modes are
+        data on the results, and nothing else may escape."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("fig3", "fig4"):
+                assert main(["sweep", "--preset", name,
+                             "-o", str(tmp_path / name)]) == 0
+            assert main(["sweep", "--preset", "fig2", "-o", str(tmp_path)]) == 0
         rows = [ln for ln in (tmp_path / "sweep.csv").read_text().splitlines()
                 if ln and not ln.startswith("#")]
         header = rows[0].split(",")

@@ -167,7 +167,8 @@ class TestNormalModes:
         A[1, :2] = [2.0, -1.0]
         A[2:4, 2:4] = [[0.0, 0.1], [-0.1, -5.0]]
         A[4:6, 4:6] = [[0.0, 1.0], [-1.0, -0.1]]
-        with pytest.warns(UserWarning, match="paired"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero frequencies are the data
             modes = normal_modes(A)
         assert len(modes) == 4
         assert sum(1 for f, _ in modes if f == 0.0) == 2
@@ -223,6 +224,28 @@ class TestLyapunov:
         for _, _, lm in model_draws_100[:25]:
             V = solve_lyapunov(lm.drift, lm.diffusion)
             assert np.array_equal(V, V.T)
+
+    @pytest.mark.parametrize("w, g, n, eps", [
+        (1, 1e-11, 1e6, 1e-6), (1, 3e-11, 1e6, 1e-6), (30, 1e-11, 1e5, 1e-4),
+        (30, 1e-11, 1e6, 1e-4), (30, 3e-11, 1e5, 1e-4), (30, 3e-11, 1e6, 1e-4),
+        (100, 1e-11, 1e6, 1e-4)])
+    def test_near_degenerate_rows_meet_the_contract_or_fault(self, w, g, n, eps):
+        """A hot, weakly damped oscillator (pair sum ~ 2g, under the floor)
+        coupled by eps to the cavity, where the direct solve alone misses
+        the contract: the covariance returned meets it, or the solve raises."""
+        A = np.zeros((6, 6))
+        A[0:2, 0:2] = [[-1.0, -10.0], [10.0, -1.0]]
+        A[2:4, 2:4] = [[0.0, 5.0], [-5.0, -0.1]]
+        A[4:6, 4:6] = [[0.0, w], [-w, -2.0 * g]]
+        A[1, 4] = A[5, 0] = eps
+        D = np.diag([1.0, 1.0, 0.0, 0.2, 0.0, 2.0 * g * (2.0 * n + 1.0)])
+        with pytest.warns(UserWarning, match="vectorized"):
+            try:
+                V = solve_lyapunov(A, D)
+            except NumericalError as exc:
+                assert "exceeds contract" in str(exc)
+                return
+        assert np.abs(A @ V + V @ A.T + D).max() <= 1e-10 * np.abs(D).max()
 
 
 class TestScipyOracle:
