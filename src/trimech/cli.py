@@ -26,7 +26,7 @@ from .config import (ConfigError, fmt, format_matrix, format_record,
                      geometry_section, model_section, parse_sections,
                      physical_params, sweep_section)
 from .errors import NumericalError, PhysicsError
-from .geometry import CavitySpec, PumpGeometry, field_profile_samples, lineshape
+from .geometry import CavitySpec, field_profile_samples, lineshape
 from .linear import linear_model, physicality_floor, steady_covariance
 from .params import drive_from_watts, nondimensionalize, reference_params
 from .presets import (PRESET_NAMES, fig2_protocol, fig3_model, fig4_model,
@@ -210,11 +210,6 @@ def _sweep_job(args):
     spec = sweep_section(sections)
     kind = spec["kind"]
     if kind == "landscape":
-        for key in ("omega1_min", "omega1_max", "omega1_count",
-                    "omega2_min", "omega2_max", "omega2_count"):
-            if key not in spec:
-                raise ConfigError("missing mandatory key for landscape sweep",
-                                  key=key)
         omega1 = np.linspace(spec["omega1_min"], spec["omega1_max"],
                              spec["omega1_count"])
         omega2 = np.linspace(spec["omega2_min"], spec["omega2_max"],
@@ -229,18 +224,10 @@ def _sweep_job(args):
     m = _config_model(phys, sections)
     if m.detuning_mode != "effective":
         raise ConfigError("power sweeps require detuning_mode = effective")
-    for key in ("points", "power_min", "power_max"):
-        if key not in spec:
-            raise ConfigError("missing mandatory key for power sweep", key=key)
-    lo_kind, lo = spec["power_min"]
-    hi_kind, hi = spec["power_max"]
-    if lo_kind != hi_kind:
-        raise ConfigError("power_min and power_max must both be watts or both "
-                          "model-unit drives", key="power_max")
-    if not lo < hi:
-        raise ConfigError("power_min must be below power_max", key="power_max")
-    drives = np.logspace(math.log10(lo), math.log10(hi), spec["points"])
-    if lo_kind == "watts":
+    unit, lo = spec["power_min"]
+    drives = np.logspace(math.log10(lo), math.log10(spec["power_max"][1]),
+                         spec["points"])
+    if unit == "watts":
         drives = drive_from_watts(phys, drives)
     return kind, m, phys, drives
 
@@ -325,10 +312,9 @@ def cmd_geometry(args):
                           wavenumber=2.0 * math.pi / geo["wavelength"],
                           reflectivity=geo["reflectivity"],
                           transmissivity=geo["transmissivity"])
-    variant = PumpGeometry(geo["variant"])
     table = field_profile_samples(spec, geo["samples"])
     echo = _echo_header({
-        "variant": variant.value,
+        "variant": geo["variant"].value,
         "length_m": fmt(spec.length),
         "wavenumber_per_m": fmt(spec.wavenumber),
         "reflectivity": fmt(spec.reflectivity),

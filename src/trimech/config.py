@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
+from .geometry import PROFILE_SAMPLES, PumpGeometry
 from .params import PhysicalParams
 
 _LENGTH = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6,
@@ -51,10 +52,15 @@ _PHYSICAL_FIELDS = {
 }
 
 _MODEL_KEYS = {"detuning", "detuning_mode"}
-_SWEEP_KEYS = {"kind", "points", "power_min", "power_max",
-               "omega1_min", "omega1_max", "omega1_count",
-               "omega2_min", "omega2_max", "omega2_count",
-               "detuning_min", "detuning_max", "drive_min", "drive_max"}
+#: [sweep] kind -> (keys it requires, optional keys it reads) besides `kind`
+_SWEEP_KINDS = {
+    "power": (("points", "power_min", "power_max"), ()),
+    "squeezing": (("points", "power_min", "power_max"), ()),
+    "landscape": (("omega1_min", "omega1_max", "omega1_count",
+                   "omega2_min", "omega2_max", "omega2_count"),
+                  ("detuning_min", "detuning_max", "drive_min", "drive_max")),
+}
+_SWEEP_KEYS = {"kind"}.union(*(req + opt for req, opt in _SWEEP_KINDS.values()))
 _GEOMETRY_KEYS = {"variant", "length", "wavelength", "reflectivity",
                   "transmissivity", "samples"}
 
@@ -96,6 +102,13 @@ def _parse_number(raw, key, line):
         raise ConfigError(f"not a number: {raw!r}", key=key, line=line) from None
 
 
+def _parse_count(raw, key, line, least):
+    value = _parse_number(raw, key, line)
+    if value != int(value) or value < least:
+        raise ConfigError(f"expected an integer >= {least}", key=key, line=line)
+    return int(value)
+
+
 def _parse_quantity(raw, units, angular, key, line):
     parts = raw.split()
     if units is None:
@@ -117,18 +130,19 @@ def _parse_quantity(raw, units, angular, key, line):
     return value
 
 
-def _section(sections, name, keys, required=()):
+def _section(sections, name, keys, required=(), where=""):
     """The body of section [name]: ConfigError if the section is missing,
-    holds a key outside `keys` or lacks a key of `required`."""
+    holds a key outside `keys` or lacks a key of `required` (`where` ends
+    the last two messages)."""
     if name not in sections:
         raise ConfigError(f"missing [{name}] section")
     body = sections[name]
     for key in body:
         if key not in keys:
-            raise ConfigError("unknown key", key=key, line=body[key][1])
+            raise ConfigError("unknown key" + where, key=key, line=body[key][1])
     for key in required:
         if key not in body:
-            raise ConfigError("missing mandatory key", key=key)
+            raise ConfigError("missing mandatory key" + where, key=key)
     return body
 
 
@@ -163,27 +177,24 @@ def model_section(sections):
 
 
 def sweep_section(sections):
-    """Raw sweep settings from [sweep] with type checks applied."""
-    body = _section(sections, "sweep", _SWEEP_KEYS, ("kind",))
-    kind, line = body["kind"]
-    if kind not in ("power", "squeezing", "landscape"):
+    """Sweep settings from [sweep]: the keys its kind reads, type-checked,
+    with power bounds as ordered ("watts" | "drive", value) pairs."""
+    kind, line = _section(sections, "sweep", _SWEEP_KEYS, ("kind",))["kind"]
+    if kind not in _SWEEP_KINDS:
         raise ConfigError("kind must be power, squeezing or landscape",
                           key="kind", line=line)
+    required, optional = _SWEEP_KINDS[kind]
+    body = _section(sections, "sweep", ("kind",) + required + optional,
+                    required, where=f" for kind = {kind}")
     out = {"kind": kind}
     for key, (raw, line) in body.items():
         if key == "kind":
             continue
         if key in ("points", "omega1_count", "omega2_count"):
             # a frequency axis may be one cell, a drive grid may not
-            least = 2 if key == "points" else 1
-            value = _parse_number(raw, key, line)
-            if value != int(value) or value < least:
-                raise ConfigError(f"expected an integer >= {least}", key=key,
-                                  line=line)
-            out[key] = int(value)
+            out[key] = _parse_count(raw, key, line, 2 if key == "points" else 1)
         elif key in ("power_min", "power_max"):
-            parts = raw.split()
-            if len(parts) == 2:  # watts with unit
+            if len(raw.split()) == 2:  # watts with unit
                 out[key] = ("watts", _parse_quantity(raw, _POWER, False, key, line))
             else:               # unit-free model drive
                 out[key] = ("drive", _parse_number(raw, key, line))
@@ -191,11 +202,20 @@ def sweep_section(sections):
                 raise ConfigError("expected a positive power", key=key, line=line)
         else:
             out[key] = _parse_number(raw, key, line)
-    for axis in ("omega1", "omega2"):
-        lo, hi = out.get(f"{axis}_min"), out.get(f"{axis}_max")
-        if out.get(f"{axis}_count") == 1 and None not in (lo, hi) and lo != hi:
-            raise ConfigError(f"a count of 1 needs {axis}_min = {axis}_max",
-                              key=f"{axis}_count", line=body[f"{axis}_count"][1])
+    if kind == "landscape":
+        for axis in ("omega1", "omega2"):
+            if out[f"{axis}_count"] == 1 and out[f"{axis}_min"] != out[f"{axis}_max"]:
+                raise ConfigError(f"a count of 1 needs {axis}_min = {axis}_max",
+                                  key=f"{axis}_count", line=body[f"{axis}_count"][1])
+        return out
+    (lo_unit, lo), (hi_unit, hi) = out["power_min"], out["power_max"]
+    line = body["power_max"][1]
+    if lo_unit != hi_unit:
+        raise ConfigError("power_min and power_max must both be watts or both "
+                          "model-unit drives", key="power_max", line=line)
+    if not lo < hi:
+        raise ConfigError("power_min must be below power_max", key="power_max",
+                          line=line)
     return out
 
 
@@ -212,21 +232,14 @@ def geometry_section(sections):
     for key in ("reflectivity", "transmissivity"):
         raw, line = body[key]
         out[key] = _parse_number(raw, key, line)
-    if "variant" in body:
-        raw, line = body["variant"]
-        if raw not in ("symmetric", "from_fixed_mirror", "from_moving_mirror"):
-            raise ConfigError("unknown geometry variant", key="variant", line=line)
-        out["variant"] = raw
-    else:
-        out["variant"] = "from_fixed_mirror"
-    if "samples" in body:
-        raw, line = body["samples"]
-        value = _parse_number(raw, "samples", line)
-        if value != int(value) or value < 2:
-            raise ConfigError("expected an integer >= 2", key="samples", line=line)
-        out["samples"] = int(value)
-    else:
-        out["samples"] = 2001
+    raw, line = body.get("variant", (PumpGeometry.FROM_FIXED_MIRROR.value, None))
+    try:
+        out["variant"] = PumpGeometry(raw)
+    except ValueError:
+        raise ConfigError("unknown geometry variant", key="variant",
+                          line=line) from None
+    raw, line = body.get("samples", (str(PROFILE_SAMPLES), None))
+    out["samples"] = _parse_count(raw, "samples", line, 2)
     return out
 
 

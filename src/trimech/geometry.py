@@ -42,6 +42,9 @@ from .errors import NumericalError
 #: kL samples of the one-period lineshape scan in `finesse_estimate`
 FINESSE_SCAN_POINTS = 200_001
 
+#: default z samples of `field_profile_samples` and of a [geometry] config
+PROFILE_SAMPLES = 2001
+
 
 class PumpGeometry(enum.Enum):
     SYMMETRIC = "symmetric"
@@ -131,7 +134,7 @@ def intracavity_field_sum(z, spec: CavitySpec, round_trips=10_000):
     return t * total
 
 
-def field_profile_samples(spec: CavitySpec, samples=2001):
+def field_profile_samples(spec: CavitySpec, samples=PROFILE_SAMPLES):
     """Two-column (z, |E(z)|^2) sampling across the cavity for export."""
     if samples < 2:
         raise ValueError("need at least 2 samples")

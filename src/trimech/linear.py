@@ -26,9 +26,9 @@ and with S they give the covariance in the eigenbasis (transform D by
 solves with S, divide by eigenvalue-pair sums, transform back, then two
 steps of iterative refinement).  Rows with near-degenerate pair sums, or
 whose residual breaks the contract, also try the direct vectorized solve
-of `validate.lyapunov_direct`, one by one, and keep the better result; a
-row still over the contract is a fault, so every covariance returned
-meets it.  A row's result never depends on the other rows of its stack.
+of `validate.lyapunov_direct` one by one, refined while over the contract,
+and keep the better result; a row still over it is a fault, so every
+covariance returned meets it.  No row depends on the rest of its stack.
 
 Each row carries a status: OK, UNSTABLE, DEGENERATE (no valid fixed
 point) or FAULT (no certified result).  A failing row is isolated in one
@@ -66,7 +66,7 @@ RESIDUAL_REL = 1e-10
 #: eigenvalues with |Im| at most this, relative to max(|eig|, 1), count as real
 IMAG_FLOOR = 1e-9
 
-#: iterative-refinement steps of the eigenbasis Lyapunov solve
+#: iterative-refinement steps of each Lyapunov solve route
 REFINE_STEPS = 2
 
 _TINY = np.finfo(float).tiny
@@ -333,7 +333,6 @@ def _eigenbasis_solve(A, S, neg_sums2, D):
     which sharpens near-marginal pair divisions.
     """
     ST = S.transpose(0, 2, 1)
-    AT = A.transpose(0, 2, 1)
 
     def solve_for(rhs):
         # S (S^-1 rhs S^-T / -(l_i + l_j)) S^T for symmetric rhs; dividing
@@ -343,17 +342,15 @@ def _eigenbasis_solve(A, S, neg_sums2, D):
         V = (S @ Vt @ ST).real
         return V + V.transpose(0, 2, 1)
 
-    def residual(V):
-        return A @ V + V @ AT + D
-
     V = solve_for(D)
     for _ in range(REFINE_STEPS):
-        V = V + solve_for(residual(V))
-    return V, np.abs(residual(V)).max(axis=(1, 2))
+        V = V + solve_for(_residual(A, V, D))
+    return V, np.abs(_residual(A, V, D)).max(axis=(1, 2))
 
 
 def _residual(A, V, D):
-    return np.abs(A @ V + V @ A.T + D).max()
+    """A V + V A^T + D of one row or a stack."""
+    return A @ V + V @ np.swapaxes(A, -1, -2) + D
 
 
 def _lyapunov_rows(stack: LinearStack):
@@ -362,9 +359,9 @@ def _lyapunov_rows(stack: LinearStack):
     Returns (V, status, reasons) as `steady_covariances` does.  Every OK
     row gets the eigenbasis solve.  A row whose smallest |pair sum| is
     under PAIR_SUM_FLOOR (with a warning), or whose residual breaks the
-    contract (a singular S leaves it NaN), also tries the direct solve and
-    keeps the better of the two; a row that still breaks the contract
-    turns FAULT, so every covariance returned meets it.
+    contract (a singular S leaves it NaN), also tries the direct solve,
+    refined while over the contract, and keeps the better of the two; a
+    row still over it turns FAULT, so every covariance returned meets it.
     """
     A, D, lam = stack.drift, stack.diffusion, stack.eigenvalues
     bound = RESIDUAL_REL * max(np.abs(D).max(), _TINY)
@@ -381,15 +378,19 @@ def _lyapunov_rows(stack: LinearStack):
             warnings.warn(
                 f"near-degenerate eigenvalue pair (|sum| = {pair_min[i]:.3g}); "
                 "also trying the vectorized solve", stacklevel=3)
-        achieved = _residual(A[i], V[i], D)
+        achieved = np.abs(_residual(A[i], V[i], D)).max()
         try:
             V_alt = lyapunov_direct(A[i], D)
+            for step in range(REFINE_STEPS + 1):
+                rhs = _residual(A[i], V_alt, D)
+                alt = np.abs(rhs).max()
+                if not alt >= achieved:
+                    V[i], achieved = V_alt, alt
+                if achieved <= bound or step == REFINE_STEPS:
+                    break
+                V_alt = V_alt + lyapunov_direct(A[i], rhs)
         except NumericalError:
             pass
-        else:
-            alt = _residual(A[i], V_alt, D)
-            if not alt >= achieved:
-                V[i], achieved = V_alt, alt
         if not achieved <= bound:
             faults[int(i)] = (f"Lyapunov residual {achieved:.3g} exceeds contract "
                               f"{bound:.3g}")

@@ -394,9 +394,10 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     bound of the search box.
     """
     d_lo, d_hi, p_lo, p_hi = _search_box(detuning_bounds, drive_bounds)
+    lg_lo, lg_hi = math.log10(p_lo), math.log10(p_hi)
     n_det, n_drv = coarse
     dets = np.linspace(d_lo, d_hi, n_det)
-    logs = np.linspace(math.log10(p_lo), math.log10(p_hi), n_drv)
+    logs = np.linspace(lg_lo, lg_hi, n_drv)
 
     solved = {}
 
@@ -417,12 +418,9 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     if not cells:
         return OptimizeResult(math.inf, math.nan, math.nan, False, evals,
                               len(solved))
-    cells.sort(key=lambda c: (c[0], c[1], c[2]))
+    cells.sort()
 
-    lo_b = (d_lo, math.log10(p_lo))
-    hi_b = (d_hi, math.log10(p_hi))
-    step0 = (dets[1] - dets[0] if n_det > 1 else 0.1 * (d_hi - d_lo),
-             logs[1] - logs[0] if n_drv > 1 else 0.1)
+    det_step = dets[1] - dets[0] if n_det > 1 else 0.1 * (d_hi - d_lo)
 
     # Stage two is nested coordinate descent.  The objective's valley is a
     # needle in drive (the hybridization window is well under a percent
@@ -431,7 +429,6 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     # and the detuning coordinate an outer march over those per-detuning
     # minima, warm-started at the neighbouring needle position.  Both are
     # generators yielding (detuning, log10 drives) requests.
-    lg_lo, lg_hi = lo_b[1], hi_b[1]
 
     def drive_minimum(det, seed_lg):
         nonlocal evals
@@ -454,7 +451,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
 
     def refine(det0, lg0):
         fb, lg = yield from drive_minimum(det0, lg0)
-        return (yield from _march(det0, fb, lg, step0[0], lo_b[0], hi_b[0],
+        return (yield from _march(det0, fb, lg, det_step, d_lo, d_hi,
                                   drive_minimum,
                                   lambda x: STEP_FLOOR * max(abs(x), 1.0)))
 
@@ -464,8 +461,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
         if fb < best_val:
             best_val, best_x = fb, [det, lg]
 
-    on_boundary = (best_x[0] in (d_lo, d_hi)
-                   or best_x[1] in (math.log10(p_lo), math.log10(p_hi)))
+    on_boundary = best_x[0] in (d_lo, d_hi) or best_x[1] in (lg_lo, lg_hi)
     return OptimizeResult(value=best_val, detuning=best_x[0],
                           drive=10.0 ** best_x[1], on_boundary=on_boundary,
                           evaluations=evals, solved_rows=len(solved))

@@ -9,7 +9,9 @@ import pytest
 
 from trimech.cli import main
 from trimech.config import (ConfigError, format_matrix, format_record,
-                            model_section, parse_sections, physical_params)
+                            geometry_section, model_section, parse_sections,
+                            physical_params, sweep_section)
+from trimech.geometry import PROFILE_SAMPLES, PumpGeometry
 from trimech.params import linear_coupling, quadratic_coupling
 
 NOMINAL = """
@@ -97,6 +99,17 @@ class TestParsing:
             assert "line 2" in str(exc)
         else:
             raise AssertionError("expected ConfigError")
+
+    def test_geometry_variant_is_a_pump_geometry(self):
+        text = "\n".join(["[geometry]", "length = 0.5 cm", "wavelength = 1064 nm",
+                          "reflectivity = -0.9", "transmissivity = 0.1", ""])
+        geo = geometry_section(parse_sections(text))
+        assert geo["variant"] is PumpGeometry.FROM_FIXED_MIRROR
+        assert geo["samples"] == PROFILE_SAMPLES
+        geo = geometry_section(parse_sections(text + "variant = symmetric\n"))
+        assert geo["variant"] is PumpGeometry.SYMMETRIC
+        with pytest.raises(ConfigError, match="line 6: key 'variant'"):
+            geometry_section(parse_sections(text + "variant = sideways\n"))
 
     def test_record_formatting(self):
         record = format_record("demo", {"alpha": 1.0, "mode": "effective"})
@@ -305,6 +318,66 @@ class TestConfigBoundary:
         monkeypatch.setattr(cli, "power_sweep", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(["sweep", "--preset", "fig3", "-o", str(tmp_path)])
+
+
+class TestSweepKeys:
+    """Each [sweep] kind accepts exactly the keys it reads."""
+
+    SWEEPS = {
+        "power": ["points = 20", "power_min = 1e-5 W", "power_max = 1e-4 W"],
+        "squeezing": ["points = 20", "power_min = 1e-5 W", "power_max = 1e-4 W"],
+        "landscape": ["omega1_min = 10", "omega1_max = 10", "omega1_count = 1",
+                      "omega2_min = 3.0", "omega2_max = 3.4",
+                      "omega2_count = 2"],
+    }
+    FOREIGN = {
+        "landscape": ["points = 99", "power_min = 1 W", "power_max = 2 W"],
+        "power": ["omega1_min = 1", "omega1_max = 10", "omega1_count = 7",
+                  "omega2_min = 2", "omega2_max = 3", "omega2_count = 2",
+                  "detuning_min = -3", "detuning_max = -2", "drive_min = 1e6",
+                  "drive_max = 5"],
+    }
+    FOREIGN["squeezing"] = FOREIGN["power"]
+
+    @classmethod
+    def config(cls, kind, lines):
+        return NOMINAL + "\n".join(["", "[sweep]", f"kind = {kind}", *lines, ""])
+
+    @pytest.mark.parametrize("kind, extra", [
+        (kind, line) for kind, lines in FOREIGN.items() for line in lines])
+    def test_key_of_another_kind_exits_2(self, tmp_path, capsys, kind, extra):
+        text = self.config(kind, self.SWEEPS[kind] + [extra])
+        key = extra.split(" =")[0]
+        line = text.splitlines().index(extra) + 1
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert f"line {line}: key '{key}'" in err and f"kind = {kind}" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("kind, missing", [
+        (kind, line) for kind, lines in SWEEPS.items() for line in lines])
+    def test_missing_key_of_the_kind_exits_2(self, tmp_path, capsys, kind,
+                                             missing):
+        lines = [ln for ln in self.SWEEPS[kind] if ln != missing]
+        cfg = write_config(tmp_path, self.config(kind, lines))
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "missing mandatory key" in err
+        assert f"key '{missing.split(' =')[0]}'" in err
+
+    @pytest.mark.parametrize("kind", ["power", "squeezing"])
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("1e-5 W", "1e6", "both be watts"), ("1e6", "1e-4 W", "both be watts"),
+        ("2 mW", "1 mW", "below"), ("1e6", "1e6", "below")])
+    def test_power_bounds(self, kind, lo, hi, message):
+        text = self.config(kind, ["points = 20", f"power_min = {lo}",
+                                  f"power_max = {hi}"])
+        with pytest.raises(ConfigError, match=message) as exc:
+            sweep_section(parse_sections(text))
+        assert exc.value.key == "power_max"
+        assert exc.value.line == text.splitlines().index(f"power_max = {hi}") + 1
 
 
 class TestCliGeometryValidate:

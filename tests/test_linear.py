@@ -16,6 +16,7 @@ from trimech.linear import (EPS_STABLE, diffusion_matrix, drift_matrix,
                             symplectic_form)
 from trimech.params import ModelParams
 from trimech.steady import fixed_point
+from trimech.validate import lyapunov_direct
 
 
 def basic_model(**overrides):
@@ -233,12 +234,7 @@ class TestLyapunov:
         """A hot, weakly damped oscillator (pair sum ~ 2g, under the floor)
         coupled by eps to the cavity, where the direct solve alone misses
         the contract: the covariance returned meets it, or the solve raises."""
-        A = np.zeros((6, 6))
-        A[0:2, 0:2] = [[-1.0, -10.0], [10.0, -1.0]]
-        A[2:4, 2:4] = [[0.0, 5.0], [-5.0, -0.1]]
-        A[4:6, 4:6] = [[0.0, w], [-w, -2.0 * g]]
-        A[1, 4] = A[5, 0] = eps
-        D = np.diag([1.0, 1.0, 0.0, 0.2, 0.0, 2.0 * g * (2.0 * n + 1.0)])
+        A, D = self.near_degenerate(w, g, n, eps)
         with pytest.warns(UserWarning, match="vectorized"):
             try:
                 V = solve_lyapunov(A, D)
@@ -246,6 +242,28 @@ class TestLyapunov:
                 assert "exceeds contract" in str(exc)
                 return
         assert np.abs(A @ V + V @ A.T + D).max() <= 1e-10 * np.abs(D).max()
+
+    def test_refined_fallback_certifies_a_row_the_direct_solve_misses(self):
+        """Here the eigenbasis and the direct solve both miss the contract
+        (the direct one by about 75x); refining the direct solve with
+        direct solves of its residual meets it."""
+        A, D = self.near_degenerate(30, 3e-11, 1e6, 1e-4)
+        with pytest.warns(UserWarning, match="vectorized"):
+            V = solve_lyapunov(A, D)
+        bound = 1e-10 * np.abs(D).max()
+        assert np.abs(A @ V + V @ A.T + D).max() <= bound
+        V0 = lyapunov_direct(A, D)
+        assert np.abs(A @ V0 + V0 @ A.T + D).max() > bound
+
+    @staticmethod
+    def near_degenerate(w, g, n, eps):
+        A = np.zeros((6, 6))
+        A[0:2, 0:2] = [[-1.0, -10.0], [10.0, -1.0]]
+        A[2:4, 2:4] = [[0.0, 5.0], [-5.0, -0.1]]
+        A[4:6, 4:6] = [[0.0, w], [-w, -2.0 * g]]
+        A[1, 4] = A[5, 0] = eps
+        D = np.diag([1.0, 1.0, 0.0, 0.2, 0.0, 2.0 * g * (2.0 * n + 1.0)])
+        return A, D
 
 
 class TestScipyOracle:
@@ -339,7 +357,6 @@ class TestDecouplingTheorem:
         from the full 6x6 solve equals the value of its isolated 2x2
         block (which includes the quadratic frequency shift but no
         cooling channel)."""
-        from trimech.validate import lyapunov_direct
         rng = np.random.default_rng(7)
         checked = 0
         while checked < 100:
