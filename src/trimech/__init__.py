@@ -18,7 +18,7 @@ from .geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
 from .linear import (LinearModel, SteadyCovariance, diffusion_matrix,
                      drift_matrix, linear_model, normal_modes, occupation,
                      physicality_floor, solve_lyapunov, squeezing, stability,
-                     steady_covariance, symplectic_form)
+                     symplectic_form)
 from .params import (HBAR, C_LIGHT, K_BOLTZMANN, ModelParams, PhysicalParams,
                      bose_occupation, linear_coupling, nondimensionalize,
                      quadratic_coupling, reference_params, zpf_ratio)
@@ -38,8 +38,7 @@ __all__ = [
     "lineshape",
     "LinearModel", "SteadyCovariance", "diffusion_matrix", "drift_matrix",
     "linear_model", "normal_modes", "occupation", "physicality_floor",
-    "solve_lyapunov", "squeezing", "stability", "steady_covariance",
-    "symplectic_form",
+    "solve_lyapunov", "squeezing", "stability", "symplectic_form",
     "HBAR", "C_LIGHT", "K_BOLTZMANN", "ModelParams", "PhysicalParams",
     "bose_occupation", "linear_coupling", "nondimensionalize",
     "quadratic_coupling", "reference_params", "zpf_ratio",

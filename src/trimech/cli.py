@@ -27,13 +27,14 @@ from .config import (ConfigError, fmt, format_matrix, format_record,
                      physical_params, sweep_section)
 from .errors import NumericalError, PhysicsError
 from .geometry import CavitySpec, field_profile_samples, lineshape
-from .linear import linear_model, physicality_floor, steady_covariance
+from .linear import linear_model, physicality_floor
 from .params import drive_from_watts, nondimensionalize, reference_params
 from .presets import (PRESET_NAMES, fig2_protocol, fig3_model, fig4_model,
                       preset_drives)
 from .steady import fixed_point, self_consistent_fixed_points, stationarity_residuals
 from .sweeps import (DETUNING_BOUNDS, DRIVE_BOUNDS, check_landscape_inputs,
-                     occupation_landscape, power_sweep, squeezing_sweep)
+                     occupation_landscape, power_sweep, solve_points,
+                     squeezing_sweep)
 from .validate import ODE_TOL, PAIR_TOL, IntegrationSpec, cross_check
 
 EXIT_CONFIG = 2
@@ -160,11 +161,11 @@ def cmd_steady(args):
 
 def cmd_linear(args):
     m = _model_from_args(args)
-    states = _branches(m)
+    batch = solve_points(m, [s.delta_eff for s in _branches(m)], m.drive)
     blocks = [_echo_header(_model_echo(m))]
     any_stable = False
-    for i, s in enumerate(states):
-        lm = linear_model(m, s)
+    for i in range(len(batch.status)):
+        lm = batch.linear.model(i)
         blocks.append(format_matrix(f"drift matrix A, branch {i}", lm.drift))
         blocks.append(format_matrix(f"diffusion matrix D, branch {i}",
                                     lm.diffusion))
@@ -174,7 +175,7 @@ def cmd_linear(args):
         eig_map["stable"] = "true" if lm.stable else "false"
         blocks.append(format_record(f"eigenvalues, branch {i}", eig_map))
         if lm.stable:
-            cov = steady_covariance(lm)
+            cov = batch.row(i)[2]
             blocks.append(format_matrix(f"covariance V, branch {i}", cov.V))
             blocks.append(format_record(f"derived scalars, branch {i}", {
                 "n1": cov.n1, "n2": cov.n2,

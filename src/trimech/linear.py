@@ -21,12 +21,12 @@ are independent.
 
 Every solve runs on a stack of N drift matrices, and a single matrix is
 the N = 1 case.  Each row gets exactly one eigendecomposition A = S L S^-1;
-its eigenvalues give the stability verdict and the conjugate-pair check,
-and with S they give the covariance in the eigenbasis (transform D by
-solves with S, divide by eigenvalue-pair sums, transform back, then two
-steps of iterative refinement).  Rows with near-degenerate pair sums, or
-whose residual breaks the contract, also try the direct vectorized solve
-of `validate.lyapunov_direct` one by one, refined while over the contract,
+its eigenvalues give the stability verdict, and with S they give the
+covariance in the eigenbasis (transform D by solves with S, divide by
+eigenvalue-pair sums, transform back, then two steps of iterative
+refinement).  Rows with near-degenerate pair sums, or whose residual
+breaks the contract, also try the direct vectorized solve of
+`validate.lyapunov_direct` one by one, refined while over the contract,
 and keep the better result; a row still over it is a fault, so every
 covariance returned meets it.  No row depends on the rest of its stack.
 
@@ -38,8 +38,9 @@ rows one by one, so only a row that fails alone is left without a
 result.  A status becomes an exception in one place, `_raise_for`:
 UnstableSystemError, DegenerateTrapError or NumericalError, so a fault
 never reads as an instability.  The one-row entry points (`stability`,
-`linear_model`, `solve_lyapunov`, `steady_covariance`) solve a one-row
-stack and apply that map.
+`linear_model`, `solve_lyapunov`) solve a one-row stack and apply that
+map; `sweeps.solve_points` runs the whole chain on a stack, from fixed
+points to covariances.
 """
 
 import itertools
@@ -227,8 +228,10 @@ def _decompose(A, D, degenerate=None) -> LinearStack:
     """Stack `A` with one eigendecomposition per row.
 
     Rows listed in `degenerate` ({row: message}) are not decomposed; their
-    eigenvalues and eigenvectors are NaN.  A row whose solve fails, or
-    whose eigenvalues do not come in conjugate pairs, is a fault.
+    eigenvalues and eigenvectors are NaN.  A row whose solve fails is a
+    fault.  LAPACK returns each complex pair of a real matrix as
+    wr +- i wi with the same wr and wi, so a decomposed spectrum is paired
+    into conjugates exactly.
     """
     reasons = dict(degenerate or {})
     rows = np.ones(len(A), dtype=bool)
@@ -241,19 +244,9 @@ def _decompose(A, D, degenerate=None) -> LinearStack:
     status = np.where(lam.real.max(axis=1) < -EPS_STABLE, OK, UNSTABLE).astype(np.int8)
     for i in reasons:
         status[i] = DEGENERATE
-    faults = {i: f"eigenvalue solver failed: {message}" for i, message in failed.items()}
-    # conjugate pairs: the sorted spectrum equals its sorted conjugate to
-    # within rtol = 1e-9 and atol = 1e-9 * max(|eig|, 1); NaN rows fail
-    conjed = np.sort(lam.conj(), axis=1)
-    size = np.abs(conjed)
-    atol = 1e-9 * np.maximum(size.max(axis=1, keepdims=True), 1.0)
-    paired = (np.abs(np.sort(lam, axis=1) - conjed) <= atol + 1e-9 * size).all(axis=1)
-    for i in (rows & ~paired).nonzero()[0]:
-        faults.setdefault(int(i), "eigenvalues of a real matrix failed to pair "
-                                  "into conjugates")
-    for i, message in faults.items():
+    for i, message in failed.items():
         status[i] = FAULT
-        reasons[i] = message
+        reasons[i] = f"eigenvalue solver failed: {message}"
     return LinearStack(drift=A, diffusion=D, eigenvalues=lam, eigenvectors=S,
                        status=status, reasons=reasons)
 
@@ -284,20 +277,19 @@ def linear_model(m: ModelParams, s: ClassicalSteadyState) -> LinearModel:
     return _decompose(drift_matrix(m, s)[None], diffusion_matrix(m)).model(0)
 
 
-def normal_modes(A, eigenvalues=None):
-    """Normal modes as (frequency, damping) pairs, sorted by frequency.
+def normal_modes(eigenvalues):
+    """Normal modes of a drift spectrum as (frequency, damping) pairs,
+    sorted by frequency.
 
     Complex-conjugate eigenvalue pairs give frequency |Im| and damping
     -Re.  Purely real eigenvalues (|Im| up to IMAG_FLOOR times the
     spectrum's scale; overdamped spectra) cannot be paired; each is
     returned individually as a zero-frequency entry, which is how a
-    caller tells them apart.  `eigenvalues`, the pair-checked spectrum of
-    `A` when the caller already has it, saves the eigen-solve.
+    caller tells them apart.
     """
-    lam = stability(A)[1] if eigenvalues is None else eigenvalues
-    floor = IMAG_FLOOR * max(np.abs(lam).max(), 1.0)
-    complex_part = lam[lam.imag > floor]
-    real_part = lam[np.abs(lam.imag) <= floor]
+    floor = IMAG_FLOOR * max(np.abs(eigenvalues).max(), 1.0)
+    complex_part = eigenvalues[eigenvalues.imag > floor]
+    real_part = eigenvalues[np.abs(eigenvalues.imag) <= floor]
     modes = [(abs(ev.imag), -ev.real) for ev in complex_part]
     modes.extend((0.0, -ev.real) for ev in np.sort(real_part.real))
     modes.sort(key=lambda fd: fd[0])
@@ -406,8 +398,8 @@ def solve_lyapunov(A, D) -> np.ndarray:
 
     The single-matrix case of the stacked solve: one eigendecomposition
     of A gives the stability verdict (raises UnstableSystemError when A
-    is not stable, NumericalError when its eigenvalues fail to pair) and
-    the eigenbasis solve.  The result is symmetrized and satisfies
+    is not stable, NumericalError when the eigensolver fails) and the
+    eigenbasis solve.  The result is symmetrized and satisfies
     max|A V + V A^T + D| <= 1e-10 * max|D|, or NumericalError is raised.
     When eigenvalue-pair sums come within PAIR_SUM_FLOOR of zero, a
     warning is emitted and the direct vectorized solve is tried as well;
@@ -493,17 +485,3 @@ def steady_covariances(stack: LinearStack):
     # fallback solve is attributed to the public function a caller used
     return _lyapunov_rows(stack)
 
-
-def steady_covariance(model: LinearModel) -> SteadyCovariance:
-    """Solve for the stationary covariance and derive the scalar summaries.
-
-    Reuses the eigendecomposition carried by `model` as a one-row stack.
-    """
-    stack = LinearStack(drift=model.drift[None], diffusion=model.diffusion,
-                        eigenvalues=model.eigenvalues[None],
-                        eigenvectors=model.eigenvectors[None],
-                        status=np.array([OK if model.stable else UNSTABLE]),
-                        reasons={})
-    V, status, reasons = _lyapunov_rows(stack)
-    _raise_for(status[0], reasons.get(0), model.eigenvalues)
-    return covariance_summary(V[0])

@@ -24,8 +24,8 @@ effective potential is flat or inverted and no valid fixed point exists.
 With an effective-detuning parameterization the fixed point is in closed
 form.  With a bare detuning the scalar self-consistency condition
 dt_eff = dt + g1 x1(dt_eff) - g2 (chi x1 - x2)^2(dt_eff) is solved by a
-dense scan plus bisection; several roots may coexist (optical
-bistability) and all are returned.
+dense scan plus bisection of every bracket in lockstep; several roots
+may coexist (optical bistability) and all are returned.
 """
 
 import math
@@ -159,9 +159,14 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
 
     The scalar self-consistency condition is scanned on SCAN_POINTS
     evenly spaced effective detunings over `window` (default
-    +/- (|detuning| + 50)) in one stacked evaluation; each sign change is
-    refined by bisection to BISECT_TOL.  Returns the expanded states sorted by
-    photon number; more than one entry signals optical bistability.
+    +/- (|detuning| + 50)) in one stacked evaluation.  A scan cell is
+    skipped when either end is NaN (degenerate trap); otherwise its left
+    end is a root when its residual is exactly zero, and a sign change
+    is bracketed.  All brackets are bisected in lockstep to BISECT_TOL,
+    one stacked evaluation per halving; a bracket whose midpoint is NaN
+    stops there.  The last scan point is a root when its residual is
+    exactly zero.  Returns the expanded states sorted by photon number;
+    more than one entry signals optical bistability.
     """
     if m.detuning_mode != "bare":
         raise ValueError("self_consistent_fixed_points requires detuning_mode='bare'")
@@ -170,38 +175,39 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
         half = abs(delta) + 50.0
         window = (-half, half)
     grid = np.linspace(window[0], window[1], SCAN_POINTS)
-    res = _consistency_residuals(m, delta, grid).tolist()
+    res = _consistency_residuals(m, delta, grid)
 
-    roots = []
-    for i in range(len(grid) - 1):
-        r0, r1 = res[i], res[i + 1]
-        if math.isnan(r0) or math.isnan(r1):
-            continue
-        if r0 == 0.0:
-            roots.append(grid[i])
-            continue
-        if r0 * r1 < 0.0:
-            lo, hi, flo = grid[i], grid[i + 1], r0
-            while hi - lo > BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                fm = _consistency_residuals(m, delta, mid)[0]
-                if math.isnan(fm):
-                    break
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+    r0, r1 = res[:-1], res[1:]
+    valid = ~np.isnan(r0) & ~np.isnan(r1)
+    zero = valid & (r0 == 0.0)
+    # the products keep float semantics: overflow gives inf, inf * 0 NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = valid & ~zero & (r0 * r1 < 0.0)
+    cells = np.flatnonzero(zero | cross)
+    lo, hi, flo = grid[cells], grid[cells + 1], r0[cells]
+    live = cross[cells] & (hi - lo > BISECT_TOL)
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        fm = _consistency_residuals(m, delta, mid)
+        moved = live & ~np.isnan(fm)  # a NaN midpoint freezes its bracket
+        with np.errstate(over="ignore", invalid="ignore"):
+            left = moved & (flo * fm <= 0.0)
+        right = moved & ~left
+        hi = np.where(left, mid, hi)
+        lo = np.where(right, mid, lo)
+        flo = np.where(right, fm, flo)
+        live = moved & (hi - lo > BISECT_TOL)
+    roots = np.where(zero[cells], lo, 0.5 * (lo + hi))
     if res[-1] == 0.0:
-        roots.append(grid[-1])
+        roots = np.append(roots, grid[-1])
 
-    if not roots:
+    if not roots.size:
         raise NumericalError(
             f"no self-consistent fixed point found for detuning {delta} "
             f"in window {window}")
 
     fp = fixed_points(m, roots, m.drive)
-    states = [fp.state(i) for i in range(len(roots))]
+    states = [fp.state(i) for i in range(roots.size)]
     states.sort(key=lambda s: s.photon_number)
     return states
 

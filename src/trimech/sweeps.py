@@ -83,11 +83,10 @@ def solve_points(m: ModelParams, detunings, drives) -> PointBatch:
     """Fixed points, linear models and covariances of stacked rows.
 
     `detunings` (effective) and `drives` broadcast to one shape (N,); the
-    other parameters come from `m`.  Each row gets one eigendecomposition,
-    and a row's result does not depend on the other rows.
+    other parameters come from `m`, whose detuning, detuning mode and
+    drive are not read.  Each row gets one eigendecomposition, and a
+    row's result does not depend on the other rows.
     """
-    if m.detuning_mode != "effective":
-        raise ValueError("solve_points requires detuning_mode='effective'")
     fp = fixed_points(m, detunings, drives)
     stack = linear_models(m, fp)
     V, status, reasons = steady_covariances(stack)
@@ -102,6 +101,8 @@ def solve_point(m: ModelParams):
     raises DegenerateTrapError or UnstableSystemError when no stable
     stationary state exists, NumericalError when none can be certified.
     """
+    if m.detuning_mode != "effective":
+        raise ValueError("solve_point requires detuning_mode='effective'")
     return solve_points(m, m.detuning, m.drive).row(0)
 
 
@@ -166,6 +167,8 @@ def _stable_prefix(m: ModelParams, drives, base: PhysicalParams):
     swept drive), or None when there is none: a numerical fault ends the
     rows but never stands in for the instability.
     """
+    if m.detuning_mode != "effective":
+        raise ValueError("power and squeezing sweeps require detuning_mode='effective'")
     drives = np.array(drives, dtype=float)
     batch = solve_points(m, m.detuning, drives)
     failed = np.flatnonzero(batch.status != OK)
@@ -199,8 +202,8 @@ def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSwe
     end = kept.size
     reference = [abs(m.detuning), m.omega1, m.omega2]
     tracked = []
-    for A, lam in zip(batch.linear.drift[:end], batch.linear.eigenvalues[:end]):
-        modes = match_modes(reference, normal_modes(A, eigenvalues=lam))
+    for lam in batch.linear.eigenvalues[:end]:
+        modes = match_modes(reference, normal_modes(lam))
         reference = [f for f, _ in modes]
         tracked.append(modes)
     tracked = np.array(tracked)  # (n, 3, 2): (frequency, damping) per branch
@@ -470,10 +473,9 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
 def sphere_occupation_objective(m: ModelParams):
     """Objective over stacked (effective detuning, drive) rows returning
     the sphere occupation, +inf where no stable covariance exists."""
-    base = replace(m, detuning_mode="effective")
 
     def objective(detunings, drives):
-        batch = solve_points(base, detunings, drives)
+        batch = solve_points(m, detunings, drives)
         n2 = np.where(batch.status == OK, occupation(batch.V, 2), math.inf)
         return n2.reshape(np.shape(detunings))[()]
     return objective

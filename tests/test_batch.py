@@ -72,7 +72,6 @@ class TestRowsMatchSolvePoint:
             batch = solve_points(m, m.detuning, m.drive)
             assert np.array_equal(linear.solve_lyapunov(lm.drift, lm.diffusion),
                                   batch.V[0])
-            assert np.array_equal(linear.steady_covariance(lm).V, batch.V[0])
 
 
 class TestRowIndependence:
@@ -219,12 +218,10 @@ class TestOneStatusMap:
         lm = linear.linear_model(m, fixed_point(m))
         assert lm.stable == (status == OK)
         assert linear.stability(A)[0] == lm.stable
-        for call, args in ((linear.solve_lyapunov, (A, D)),
-                           (linear.steady_covariance, (lm,))):
-            got = self.outcome(call, *args)
-            assert got[0] is error
-            if error is not None:
-                assert got[1] == message
+        got = self.outcome(linear.solve_lyapunov, A, D)
+        assert got[0] is error
+        if error is not None:
+            assert got[1] == message
 
     def test_contract_fault_is_not_a_stability_verdict(self, monkeypatch):
         """A row whose covariance misses the residual contract faults in
@@ -237,8 +234,7 @@ class TestOneStatusMap:
         assert batch.status[0] == FAULT
         lm = linear.linear_model(m, fixed_point(m))
         for call, args in ((batch.row, (0,)), (solve_point, (m,)),
-                           (linear.solve_lyapunov, (lm.drift, lm.diffusion)),
-                           (linear.steady_covariance, (lm,))):
+                           (linear.solve_lyapunov, (lm.drift, lm.diffusion))):
             with pytest.raises(NumericalError, match="exceeds contract"):
                 call(*args)
         assert lm.stable and is_stable(m)

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trimech.errors import DegenerateTrapError
+import trimech.steady as steady
+from trimech.errors import DegenerateTrapError, NumericalError
 from trimech.params import ModelParams
-from trimech.steady import (cavity_amplitude, effective_detuning,
-                            fixed_point, fixed_points,
+from trimech.steady import (BISECT_TOL, SCAN_POINTS, cavity_amplitude,
+                            effective_detuning, fixed_point, fixed_points,
                             self_consistent_fixed_points,
                             stationarity_residuals)
 
-from conftest import stable_model_draws
+from conftest import SEED, draw_model
 
 
 def basic_model(**overrides):
@@ -184,6 +185,127 @@ class TestSelfConsistent:
     def test_requires_bare_mode(self):
         with pytest.raises(ValueError, match="bare"):
             self_consistent_fixed_points(basic_model())
+
+
+def scalar_reference(m, window=None):
+    """The root search as one scan cell and one root at a time: scan the
+    residuals, skip a cell with a NaN end, take an exactly-zero left end
+    as a root, bisect each sign change alone until its width is at most
+    BISECT_TOL or its midpoint is NaN, and take an exactly-zero last scan
+    point as a root.  The reference the lockstep search must match."""
+    delta = m.detuning
+    if window is None:
+        half = abs(delta) + 50.0
+        window = (-half, half)
+    grid = np.linspace(window[0], window[1], SCAN_POINTS)
+    res = steady._consistency_residuals(m, delta, grid).tolist()
+    roots = []
+    for i in range(len(grid) - 1):
+        r0, r1 = res[i], res[i + 1]
+        if math.isnan(r0) or math.isnan(r1):
+            continue
+        if r0 == 0.0:
+            roots.append(grid[i])
+            continue
+        if r0 * r1 < 0.0:
+            lo, hi, flo = grid[i], grid[i + 1], r0
+            while hi - lo > BISECT_TOL:
+                mid = 0.5 * (lo + hi)
+                fm = steady._consistency_residuals(m, delta, mid)[0]
+                if math.isnan(fm):
+                    break
+                if flo * fm <= 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            roots.append(0.5 * (lo + hi))
+    if res[-1] == 0.0:
+        roots.append(grid[-1])
+    if not roots:
+        raise NumericalError(
+            f"no self-consistent fixed point found for detuning {delta} "
+            f"in window {window}")
+    fp = fixed_points(m, roots, m.drive)
+    return sorted((fp.state(i) for i in range(len(roots))),
+                  key=lambda s: s.photon_number)
+
+
+def outcome(search, m, window=None):
+    """The states a search returns, or the error it raises, as text: repr
+    writes each float's shortest round-trip form, so equal text means
+    equal bits."""
+    try:
+        return repr(search(m, window))
+    except (NumericalError, DegenerateTrapError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+KERR = ModelParams(omega1=1.0, omega2=3.4, gamma1=1e-3, gamma2=1e-6,
+                   g1=0.1, g2=0.0, chi=3.7e-3, drive=1000.0,
+                   n1=0.0, n2=0.0, detuning=-12.0, detuning_mode="bare")
+UNCOUPLED = basic_model(g1=0.0, g2=0.0, detuning_mode="bare", detuning=-3.0)
+
+
+class TestLockstepSearch:
+    """The lockstep search returns the scalar reference's states, bit for bit."""
+
+    def test_seeded_bare_draws(self):
+        rng = np.random.default_rng(SEED)
+        counts = set()
+        for _ in range(40):
+            m = replace(draw_model(rng), detuning_mode="bare")
+            got = outcome(self_consistent_fixed_points, m)
+            assert got == outcome(scalar_reference, m)
+            counts.add(got.count("ClassicalSteadyState("))
+        assert {1, 3} <= counts
+
+    @pytest.mark.parametrize("m", [KERR, UNCOUPLED], ids=["kerr", "uncoupled"])
+    def test_named_cases(self, m):
+        got = outcome(self_consistent_fixed_points, m)
+        assert got == outcome(scalar_reference, m)
+        assert got.count("ClassicalSteadyState(") == (3 if m is KERR else 1)
+
+    @pytest.mark.parametrize("centre, half, window", [
+        (-3.0, 1e-6, None), (-2.999, 1e-4, (-4.0, -2.0))],
+        ids=["midpoint", "right-of-zero"])
+    def test_forced_nan_band(self, monkeypatch, centre, half, window):
+        """A NaN band forced into the uncoupled residual.  "midpoint":
+        inside the only sign-change cell, around the root at -3, so the
+        bisection stops at the first midpoint in the band, short of
+        BISECT_TOL.  "right-of-zero": on the scan point right of an
+        exactly-zero one, so that zero is no root and none is found."""
+        residuals = steady._consistency_residuals
+
+        def banded(m, delta_bare, delta_effs):
+            res = residuals(m, delta_bare, delta_effs)
+            return np.where(np.abs(np.asarray(delta_effs) - centre) < half, np.nan, res)
+        monkeypatch.setattr(steady, "_consistency_residuals", banded)
+        got = outcome(self_consistent_fixed_points, UNCOUPLED, window)
+        assert got == outcome(scalar_reference, UNCOUPLED, window)
+        if window is None:
+            (state,) = self_consistent_fixed_points(UNCOUPLED)
+            assert 1e-7 < abs(state.delta_eff + 3.0) < 1e-6
+        else:
+            assert got.startswith("NumericalError: no self-consistent fixed point")
+
+    #: scan steps of 2**-10 whose grid is exact, with -3 midway between
+    #: two scan points
+    DYADIC = (-3.0 - 1000.5 * 2.0 ** -10, -3.0 + 999.5 * 2.0 ** -10)
+
+    @pytest.mark.parametrize("window", [(-4.0, -2.0), (-4.0, -3.0), DYADIC],
+                             ids=["inner", "last", "midpoint"])
+    def test_exact_zero_residual(self, window):
+        """The uncoupled residual is exactly zero at -3: an inner scan
+        point, the last scan point, and the first bisection midpoint."""
+        grid = np.linspace(*window, SCAN_POINTS)
+        res = steady._consistency_residuals(UNCOUPLED, UNCOUPLED.detuning, grid)
+        on_grid = window is not self.DYADIC
+        assert np.count_nonzero(res == 0.0) == on_grid
+        assert on_grid or -3.0 in 0.5 * (grid[:-1] + grid[1:])
+        got = outcome(self_consistent_fixed_points, UNCOUPLED, window)
+        assert got == outcome(scalar_reference, UNCOUPLED, window)
+        (state,) = self_consistent_fixed_points(UNCOUPLED, window)
+        assert abs(state.delta_eff + 3.0) <= (0.0 if on_grid else BISECT_TOL)
 
 
 class TestContinuity:

@@ -194,6 +194,22 @@ class TestNoStableRow:
             sweep(m, drives, base=REF)
 
 
+class TestBareDetuningRefused:
+    """Every entry point that reads `m.detuning` as effective refuses a
+    bare one instead of solving at the wrong detuning."""
+
+    @pytest.mark.parametrize("sweep", [power_sweep, squeezing_sweep])
+    def test_sweeps(self, sweep):
+        m = replace(fig3_model(), detuning_mode="bare")
+        with pytest.raises(ValueError, match="detuning_mode='effective'"):
+            sweep(m, preset_drives("fig3"), base=REF)
+
+    def test_solve_point(self):
+        from trimech.sweeps import solve_point
+        with pytest.raises(ValueError, match="detuning_mode='effective'"):
+            solve_point(replace(fig3_model(), detuning_mode="bare"))
+
+
 class TestInstabilityThreshold:
     def test_requires_bracket(self):
         m = fig3_model()
