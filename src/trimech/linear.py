@@ -40,7 +40,7 @@ UnstableSystemError, DegenerateTrapError or NumericalError, so a fault
 never reads as an instability.  The one-row entry points (`stability`,
 `linear_model`, `solve_lyapunov`) solve a one-row stack and apply that
 map; `sweeps.solve_points` runs the whole chain on a stack, from fixed
-points to covariances.
+points through `linear_models` to the covariances of `_lyapunov_rows`.
 """
 
 import itertools
@@ -260,7 +260,7 @@ def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
 
 
 def stability(A):
-    """Routh-Hurwitz style verdict: stable iff max Re(eig) < -EPS_STABLE.
+    """Eigenvalue verdict: stable iff max Re(eig) < -EPS_STABLE.
 
     Returns (stable, eigenvalues).  Marginal spectra (eigenvalues on the
     imaginary axis) are reported unstable under the strict inequality.
@@ -348,12 +348,14 @@ def _residual(A, V, D):
 def _lyapunov_rows(stack: LinearStack):
     """Covariances of the OK rows of a stack from their eigendecompositions.
 
-    Returns (V, status, reasons) as `steady_covariances` does.  Every OK
-    row gets the eigenbasis solve.  A row whose smallest |pair sum| is
-    under PAIR_SUM_FLOOR (with a warning), or whose residual breaks the
-    contract (a singular S leaves it NaN), also tries the direct solve,
-    refined while over the contract, and keeps the better of the two; a
-    row still over it turns FAULT, so every covariance returned meets it.
+    Returns (V, status, reasons): V is (N, 6, 6) and NaN except on OK
+    rows, and rows that break the residual contract turn from OK into
+    FAULT.  Every OK row gets the eigenbasis solve.  A row whose smallest
+    |pair sum| is under PAIR_SUM_FLOOR (with a warning), or whose
+    residual breaks the contract (a singular S leaves it NaN), also tries
+    the direct solve, refined while over the contract, and keeps the
+    better of the two; a row still over it turns FAULT, so every
+    covariance returned meets it.
     """
     A, D, lam = stack.drift, stack.diffusion, stack.eigenvalues
     bound = RESIDUAL_REL * max(np.abs(D).max(), _TINY)
@@ -472,16 +474,3 @@ def covariance_summary(V) -> SteadyCovariance:
         S1=squeezing(V, 1),
         S2=squeezing(V, 2),
     )
-
-
-def steady_covariances(stack: LinearStack):
-    """Stationary covariances of the stable rows of a stack.
-
-    Returns (V, status, reasons): V is (N, 6, 6) and NaN except on OK
-    rows, and rows that break the residual contract turn from OK into
-    FAULT.
-    """
-    # the one-row entry points call `_lyapunov_rows` themselves, so a
-    # fallback solve is attributed to the public function a caller used
-    return _lyapunov_rows(stack)
-

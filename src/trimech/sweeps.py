@@ -17,16 +17,16 @@ in detuning, logarithmic in drive) followed by coordinate pattern
 search with successive halving from the best few coarse cells.  The
 cooling ridge is narrow in power, which is why refinement (one loop for
 both coordinates) marches each improving direction as far as it pays.
-The drive-line march is replayed against the values solved so far and
-solves, in one stack, every probe it would make if none of the unknown
-ones improved; it repeats until a replay meets no unknown probe, so the
-search and its optimum are those of a march that probes one at a time.
-Each refinement start is a generator of such requests, and the starts
-run in lockstep rounds: a round's requests from every live start go to
-the objective in one call.  Values are kept per (detuning, drive) row
-for the whole search, so each distinct row is solved once; as a stacked
-row equals the row solved alone, none of this changes a value, an
-optimum or an evaluation count.
+The search keeps one memo of values per (detuning, drive) row.  The
+drive-line march is replayed against it and solves, in one stack, every
+probe it would make if none of the unknown ones improved; it repeats
+until a replay meets no unknown probe, so the search and its optimum are
+those of a march that probes one at a time.  Each refinement start is a
+generator of requests, each for rows the memo lacks, and the starts run
+in lockstep rounds: a round's requests from every live start go to the
+objective in one call, so each distinct row is solved once and each
+call brings new rows.  As a stacked row equals the row solved alone,
+none of this changes a value, an optimum or an evaluation count.
 """
 
 import math
@@ -35,10 +35,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateTrapError, PhysicsError
-from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack, _raise_for,
-                     covariance_summary, linear_model, linear_models,
-                     match_modes, normal_modes, occupation, squeezing,
-                     steady_covariances)
+from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
+                     _lyapunov_rows, _raise_for, covariance_summary,
+                     linear_model, linear_models, match_modes, normal_modes,
+                     occupation, squeezing)
 from .params import (ModelParams, PhysicalParams, nondimensionalize,
                      watts_from_drive)
 from .params import drive_from_watts  # noqa: F401  (callers import it from here too)
@@ -89,7 +89,7 @@ def solve_points(m: ModelParams, detunings, drives) -> PointBatch:
     """
     fp = fixed_points(m, detunings, drives)
     stack = linear_models(m, fp)
-    V, status, reasons = steady_covariances(stack)
+    V, status, reasons = _lyapunov_rows(stack)
     return PointBatch(states=fp, linear=stack, V=V, status=status,
                       reasons=reasons)
 
@@ -292,19 +292,20 @@ def _march(x, fx, carry, step, lo, hi, probe, floor_of):
     return fx, x, carry
 
 
-def _replay_march(x, fx, step, lo, hi, floor_of, request):
-    """`_march` along one line, with its probes solved in stacks.
+def _replay_march(solved, det, x, fx, step, lo, hi, floor_of):
+    """`_march` along the line at detuning `det`, with its probes solved
+    in stacks.
 
-    A generator.  Each pass replays the march from the start against a
-    memo of solved values.  A probe missing from the memo counts as no
-    improvement and is recorded, so one pass records every probe the
-    march would make if none of the unknown ones improved; the generator
-    then yields `request(xs)` for them, deduplicated, and is sent their
-    values.  The pass that meets no unknown probe is the march that
-    probes one at a time.  Returns (value, x, probes), `probes` being
-    that march's probe count.
+    A generator.  Each pass replays the march from the start against
+    `solved`, the search's memo of values keyed by (detuning, x).  A
+    probe missing from it counts as no improvement and is recorded, so
+    one pass records every probe the march would make if none of the
+    unknown ones improved; the generator then yields the request
+    (det, xs) for them, deduplicated, and expects `solved` to hold their
+    values when it resumes.  The pass that meets no unknown probe is the
+    march that probes one at a time.  Returns (value, x, probes),
+    `probes` being that march's probe count.
     """
-    memo = {}
     while True:
         unknown = []
         probes = 0
@@ -312,17 +313,16 @@ def _replay_march(x, fx, step, lo, hi, floor_of, request):
         def probe(p, carry):
             nonlocal probes
             probes += 1
-            if p not in memo:
+            if (det, p) not in solved:
                 unknown.append(p)
-            return memo.get(p, math.inf), carry
+            return solved.get((det, p), math.inf), carry
             yield  # a generator that requests nothing: the replay reads the memo
 
         fx_best, x_best, _ = yield from _march(x, fx, None, step, lo, hi, probe,
                                                floor_of)
         if not unknown:
             return fx_best, x_best, probes
-        xs = list(dict.fromkeys(unknown))
-        memo.update(zip(xs, (yield request(xs))))
+        yield det, list(dict.fromkeys(unknown))
 
 
 def _lockstep(steppers, solve):
@@ -389,12 +389,13 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     speculative drive-line march probes (`_replay_march`, which takes the
     same path as probing one at a time); the starts run in lockstep, each
     round's requests in one objective call, and the best start is taken
-    in start order once all have finished.  Values are kept per
-    (detuning, log10 drive) row, so the objective sees each distinct row
-    once.  `evaluations` counts the probes the search consumed and
-    `solved_rows` the distinct rows the objective was given, speculative
-    ones included.  `on_boundary` says whether the optimum sits on a
-    bound of the search box.
+    in start order once all have finished.  Values are kept in one memo
+    per (detuning, log10 drive) row, and a request names only rows the
+    memo lacks, so the objective sees each distinct row once.
+    `evaluations` counts the probes the search consumed and `solved_rows`
+    the distinct rows the objective was given, speculative ones included.
+    `on_boundary` says whether the optimum lies within its coordinate's
+    step floor of a bound of the search box; the optimum is not moved.
     """
     d_lo, d_hi, p_lo, p_hi = _search_box(detuning_bounds, drive_bounds)
     lg_lo, lg_hi = math.log10(p_lo), math.log10(p_hi)
@@ -433,6 +434,11 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     # minima, warm-started at the neighbouring needle position.  Both are
     # generators yielding (detuning, log10 drives) requests.
 
+    lg_floor = 1e-4
+
+    def det_floor(det):
+        return STEP_FLOOR * max(abs(det), 1.0)
+
     def drive_minimum(det, seed_lg):
         nonlocal evals
         lo = max(lg_lo, seed_lg - DRIVE_SPAN)
@@ -440,34 +446,38 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
         if hi <= lo:
             lo, hi = lg_lo, lg_hi
         grid = np.linspace(lo, hi, DRIVE_SCAN)
-        vals = yield det, grid
+        new = [lg for lg in grid if (det, lg) not in solved]
+        if new:
+            yield det, new
+        vals = [solved[det, lg] for lg in grid]
         evals += DRIVE_SCAN
         i = int(np.argmin(vals))
-        fb, lg = float(vals[i]), grid[i]
+        fb, lg = vals[i], grid[i]
         if not math.isfinite(fb):
             return math.inf, seed_lg
         fb, lg, probes = yield from _replay_march(
-            lg, fb, grid[1] - grid[0], lg_lo, lg_hi, lambda x: 1e-4,
-            lambda xs: (det, xs))
+            solved, det, lg, fb, grid[1] - grid[0], lg_lo, lg_hi,
+            lambda _: lg_floor)
         evals += probes
         return fb, lg
 
     def refine(det0, lg0):
         fb, lg = yield from drive_minimum(det0, lg0)
         return (yield from _march(det0, fb, lg, det_step, d_lo, d_hi,
-                                  drive_minimum,
-                                  lambda x: STEP_FLOOR * max(abs(x), 1.0)))
+                                  drive_minimum, det_floor))
 
     best_val, best_x = math.inf, None
     for fb, det, lg in _lockstep([refine(det0, lg0)
                                   for _, det0, lg0 in cells[:REFINE_STARTS]], f):
         if fb < best_val:
-            best_val, best_x = fb, [det, lg]
+            best_val, best_x = fb, (det, lg)
 
-    on_boundary = best_x[0] in (d_lo, d_hi) or best_x[1] in (lg_lo, lg_hi)
-    return OptimizeResult(value=best_val, detuning=best_x[0],
-                          drive=10.0 ** best_x[1], on_boundary=on_boundary,
-                          evaluations=evals, solved_rows=len(solved))
+    det, lg = best_x
+    on_boundary = (min(det - d_lo, d_hi - det) <= det_floor(det)
+                   or min(lg - lg_lo, lg_hi - lg) <= lg_floor)
+    return OptimizeResult(value=best_val, detuning=det, drive=10.0 ** lg,
+                          on_boundary=on_boundary, evaluations=evals,
+                          solved_rows=len(solved))
 
 
 def sphere_occupation_objective(m: ModelParams):

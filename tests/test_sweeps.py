@@ -125,15 +125,15 @@ class TestSweepBracket:
         """Make the stacked solve report `row` as a numerical fault."""
         import trimech.sweeps as sweeps
         from trimech.linear import FAULT
-        real = sweeps.steady_covariances
+        real = sweeps._lyapunov_rows
 
-        def steady_covariances(stack):
+        def lyapunov_rows(stack):
             V, status, reasons = real(stack)
             status[row] = FAULT
             reasons[row] = "Lyapunov residual exceeds contract"
             return V, status, reasons
 
-        monkeypatch.setattr(sweeps, "steady_covariances", steady_covariances)
+        monkeypatch.setattr(sweeps, "_lyapunov_rows", lyapunov_rows)
 
     def test_numerical_fault_ends_rows_but_not_the_bracket(self, monkeypatch):
         """A row without a certified covariance ends the rows; the bracket
@@ -310,7 +310,8 @@ def _probe_by_probe(g, x, step, lo, hi, floor):
 
 
 class TestReplayMarch:
-    """The stacked replay takes the march that probes one point at a time."""
+    """The stacked replay takes the march that probes one point at a time,
+    and asks only for rows its memo lacks."""
 
     CASES = {
         "quadratic": (lambda x: (x - 0.37) ** 2, 0.0, 0.25, -2.0, 2.0),
@@ -322,23 +323,45 @@ class TestReplayMarch:
         "optimum on hi": (lambda x: -x, 0.3, 0.25, -1.0, 1.0),
         "first probe improves": (lambda x: (x - 1.7) ** 2, 0.0, 0.25, -2.0, 2.0),
     }
+    DET = -7.0  # the detuning of the replayed line
+
+    def replay(self, case, memo):
+        """Run the replay of `case` against `memo`, a {(detuning, x): value}
+        dict it fills: (value, x, probes) and the size of each request."""
+        g, x0, step, lo, hi = self.CASES[case]
+        sizes = []
+
+        def solve(request):
+            det, xs = request
+            assert det == self.DET
+            assert not any((det, x) in memo for x in xs)  # only rows it lacks
+            sizes.append(len(xs))
+            memo.update(zip(((det, x) for x in xs), g(np.array(xs, dtype=float))))
+
+        fx0 = g(np.array([x0]))[0]
+        result = _run(_replay_march(memo, self.DET, x0, fx0, step, lo, hi,
+                                    lambda _: 1e-4), solve)
+        return result, sizes
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_probe_by_probe_march(self, case):
         g, x0, step, lo, hi = self.CASES[case]
-        solved = []
-
-        def solve(xs):
-            solved.append(len(xs))
-            return g(np.array(xs, dtype=float))
-
-        fx0 = g(np.array([x0]))[0]
-        value, x, probes = _run(_replay_march(x0, fx0, step, lo, hi,
-                                              lambda _: 1e-4, list), solve)
+        (value, x, probes), sizes = self.replay(case, {})
         assert (value, x, probes) == _probe_by_probe(g, x0, step, lo, hi, 1e-4)
-        assert len(solved) < probes
+        assert len(sizes) < probes
         if case == "first probe improves":
-            assert sum(solved) > probes  # speculative rows were thrown away
+            assert sum(sizes) > probes  # speculative rows were thrown away
+
+    def test_memo_rows_are_not_asked_again(self):
+        """Starting from a memo that holds a drive-scan-like grid of the
+        line, the replay takes the same march and asks for fewer rows."""
+        g, x0, step, lo, hi = self.CASES["needle"]
+        grid = np.linspace(x0 - 0.3, x0 + 0.3, 25)
+        memo = dict(zip(((self.DET, x) for x in grid), g(grid)))
+        fresh, fresh_sizes = self.replay("needle", {})
+        warm, sizes = self.replay("needle", memo)
+        assert warm == fresh == _probe_by_probe(g, x0, step, lo, hi, 1e-4)
+        assert 0 < sum(sizes) < sum(fresh_sizes)
 
 
 class TestOccupationLandscape:
@@ -392,18 +415,36 @@ class TestOccupationLandscape:
         assert point.on_boundary == opt.on_boundary
         assert point.n2_min == opt.value
 
+    def test_on_boundary_up_to_the_march_floor(self):
+        """fig2 preset cells whose optimum ends on the detuning bound up to
+        roundoff read on_boundary, and the optimum is not snapped to it;
+        omega2 = 3.4 ends 0.11 inside the bound and does not."""
+        proto = fig2_protocol()
+        result = occupation_landscape(proto["base"], proto["omega1"],
+                                      [3.4, 4.0, 5.0, 6.5, 8.0],
+                                      proto["detuning_bounds"],
+                                      proto["drive_bounds"])
+        assert [p.on_boundary for p in result.points] == [False] + [True] * 4
+        assert [p.detuning for p in result.points][1:] == [
+            -44.99999999999997, -44.99999999999998, -45.0, -44.999999999999986]
+        assert result.points[0].detuning == pytest.approx(-44.888, abs=1e-3)
+
     def test_search_pinned_and_stacked(self, monkeypatch):
         """The eight benchmark cells keep their probe counts and bit-exact
         optima, while the objective sees each distinct row once, in few
-        stacked calls."""
+        stacked calls, and every request of the search (the coarse grid
+        and each lockstep round) brings it at least one new row."""
         import trimech.sweeps as sweeps
         proto = fig2_protocol()
         real = sweeps.sphere_occupation_objective
-        calls = []  # per cell: the (detuning, drive) rows of each objective call
+        real_lockstep = sweeps._lockstep
+        calls = []     # per cell: the (detuning, drive) rows of each objective call
+        requests = []  # per cell: calls of the search's memoized objective
 
         def counting(m):
             objective = real(m)
             calls.append([])
+            requests.append(1)  # the coarse grid
 
             def counted(detunings, drives):
                 calls[-1].append(list(zip(np.ravel(detunings).tolist(),
@@ -411,7 +452,14 @@ class TestOccupationLandscape:
                 return objective(detunings, drives)
             return counted
 
+        def lockstep(steppers, solve):
+            def counted(points):
+                requests[-1] += 1
+                return solve(points)
+            return real_lockstep(steppers, counted)
+
         monkeypatch.setattr(sweeps, "sphere_occupation_objective", counting)
+        monkeypatch.setattr(sweeps, "_lockstep", lockstep)
         result = occupation_landscape(
             reference_params(), [10.0],
             [1.95, 3.15, 3.6, 4.95, 6.0, 6.45, 7.95, 8.55],
@@ -419,17 +467,17 @@ class TestOccupationLandscape:
             drive_bounds=proto["drive_bounds"])
         # (evaluations, solved_rows, n2_min, detuning, drive)
         expected = [
-            (5317, 3932, "0x1.326870eec283bp+9", "-0x1.2220000000001p+5",
+            (5317, 3892, "0x1.326870eec283bp+9", "-0x1.2220000000001p+5",
              "0x1.9195b8079add2p+36"),
-            (5059, 4326, "0x1.1c84dbc1d7716p+9", "-0x1.5c5aaaaaaaaa8p+5",
+            (5059, 4248, "0x1.1c84dbc1d7716p+9", "-0x1.5c5aaaaaaaaa8p+5",
              "0x1.44bd8d85dffa7p+37"),
-            (4043, 3162, "0x1.1d85de78a1466p+9", "-0x1.678d555555556p+5",
+            (4043, 3143, "0x1.1d85de78a1466p+9", "-0x1.678d555555556p+5",
              "0x1.589a13f0793ecp+37"),
-            (4361, 3090, "0x1.5b009433171ffp+9", "-0x1.67fffffffffffp+5",
+            (4361, 3072, "0x1.5b009433171ffp+9", "-0x1.67fffffffffffp+5",
              "0x1.2a475c1b6ae74p+37"),
-            (3737, 3114, "0x1.ddc5917d9df5dp+9", "-0x1.67ffffffffffep+5",
+            (3737, 3090, "0x1.ddc5917d9df5dp+9", "-0x1.67ffffffffffep+5",
              "0x1.f6d8261f1d6e9p+36"),
-            (3984, 3541, "0x1.1ee212f73757fp+10", "-0x1.67ffffffffffdp+5",
+            (3984, 3535, "0x1.1ee212f73757fp+10", "-0x1.67ffffffffffdp+5",
              "0x1.c9873cb877c89p+36"),
             (3029, 2847, "0x1.551acbe8f2c06p+11", "-0x1.6800000000000p+5",
              "0x1.1d325af2d770cp+36"),
@@ -443,6 +491,8 @@ class TestOccupationLandscape:
             rows = [row for call in cell for row in call]
             assert p.solved_rows == len(rows) == len(set(rows))
             assert len(cell) < p.evaluations / 20
+        assert requests == [len(cell) for cell in calls]
+        assert sum(requests) == 852
 
 
 class TestRecomputability:
