@@ -22,10 +22,10 @@ are independent.
 Every solve runs on a stack of N drift matrices, and a single matrix is
 the N = 1 case.  Each row gets exactly one eigendecomposition A = S L S^-1;
 its eigenvalues give the stability verdict, and with S they give the
-covariance in the eigenbasis (transform D by solves with S, divide by
-eigenvalue-pair sums, transform back, then two steps of iterative
-refinement).  Rows with near-degenerate pair sums, or whose residual
-breaks the contract, also try the direct vectorized solve of
+covariance in the eigenbasis (invert S once, transform D with S^-1,
+divide by eigenvalue-pair sums, transform back, then two steps of
+iterative refinement).  Rows with near-degenerate pair sums, or whose
+residual breaks the contract, also try the direct vectorized solve of
 `validate.lyapunov_direct` one by one, refined while over the contract,
 and keep the better result; a row still over it is a fault, so every
 covariance returned meets it.  No row depends on the rest of its stack.
@@ -318,18 +318,21 @@ def _eigenbasis_solve(A, S, neg_sums2, D):
     """Eigenbasis Lyapunov solve of a stack with iterative refinement.
 
     `neg_sums2` holds -2 (l_i + l_j) per row.  Returns (V, residual
-    max|A V + V A^T + D| per row).  Each transform S^-1 rhs S^-T takes
-    two LU solves with S, the same arithmetic as a one-matrix solve, so a
-    row's covariance is bit for bit that of the row solved alone.  Each of
-    the REFINE_STEPS refinement steps re-solves the residual the same way,
-    which sharpens near-marginal pair divisions.
+    max|A V + V A^T + D| per row).  S is inverted once per row, and each
+    transform S^-1 rhs S^-T is two products with that inverse, the same
+    arithmetic as a one-matrix solve, so a row's covariance is bit for
+    bit that of the row solved alone.  Each of the REFINE_STEPS
+    refinement steps re-solves the residual the same way, which sharpens
+    near-marginal pair divisions.
     """
     ST = S.transpose(0, 2, 1)
+    Si = np.linalg.inv(S)
+    SiT = Si.transpose(0, 2, 1)
 
     def solve_for(rhs):
         # S (S^-1 rhs S^-T / -(l_i + l_j)) S^T for symmetric rhs; dividing
         # by twice the pair sums halves V exactly, so V + V^T symmetrizes
-        Vt = np.linalg.solve(S, np.linalg.solve(S, rhs).transpose(0, 2, 1))
+        Vt = Si @ rhs @ SiT
         Vt /= neg_sums2
         V = (S @ Vt @ ST).real
         return V + V.transpose(0, 2, 1)

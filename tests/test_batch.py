@@ -133,6 +133,42 @@ class TestRowIndependence:
         # the undriven sphere sits in its bath: V22 = n2 + 1/2
         assert mixed.V[k, 4, 4] == pytest.approx(self.MODEL.n2 + 0.5, rel=1e-6)
 
+    @pytest.mark.parametrize("inv_raises", [False, True])
+    def test_defective_row(self, monkeypatch, inv_raises):
+        """A drift whose decoupled sphere block is a Jordan block (eigenvalue
+        -1/2 twice, one eigenvector) has an eigenvector matrix that is
+        singular up to roundoff.  Stacked between ordinary rows, it meets
+        the contract or faults on it, both when inverting that matrix
+        blows up (as it does here) and when it raises (forced, as LAPACK
+        does on an exactly zero pivot); the other rows keep their values."""
+        m = self.MODEL
+        base = solve_points(m, m.detuning, self.drives())
+        A, D = base.linear.drift, base.linear.diffusion
+        J = A[0].copy()
+        J[:, 4:] = J[4:, :] = 0.0
+        J[4:6, 4:6] = [[-0.5, 1.0], [0.0, -0.5]]
+        k = len(A) // 2
+        stack = linear._decompose(np.insert(A, k, J, axis=0), D)
+        assert np.linalg.cond(stack.eigenvectors[k]) > 1e15
+        if inv_raises:
+            real_inv = np.linalg.inv
+
+            def inv(a):
+                if np.any(np.linalg.cond(a) > 1e15):
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return real_inv(a)
+            monkeypatch.setattr(np.linalg, "inv", inv)
+        V, status, reasons = linear._lyapunov_rows(stack)
+        if status[k] == OK:
+            bound = linear.RESIDUAL_REL * np.abs(D).max()
+            assert np.abs(J @ V[k] + V[k] @ J.T + D).max() <= bound
+        else:
+            assert status[k] == FAULT
+            assert "Lyapunov residual" in reasons[k]
+        others = np.delete(np.arange(len(A) + 1), k)
+        assert np.array_equal(status[others], base.status)
+        assert np.array_equal(V[others], base.V)
+
     def test_rows_over_the_contract(self, monkeypatch):
         """Tightening the contract below the worst row's residual sends
         that row to the fallback (and here to a fault) without touching

@@ -65,15 +65,15 @@ RUNS = {
 DIGESTS = {
     "linear-bare": {
         "linear.txt":
-            "9562d12b4c4dbf649cc12e7aee8c6cd070f574d070af316db3721113e00c2c7e",
+            "dbef31214de47eecc3af3c4bf74befee563300ef88ad7b9e463d99a743ada433",
     },
     "linear-fig3": {
         "linear.txt":
-            "68e5a7478d3857c52f790e8a8c7457636358567eded9c5ff151c92b1958f1fba",
+            "d6a08c6dddbf933237b8347292f50862e4c74837826a76ef5f043f3f248d88ca",
     },
     "linear-fig4": {
         "linear.txt":
-            "fb1b9b997f7bf6e605e1ed432f8307fff5733f00bcf7701d2cf70d02c7d95903",
+            "0fe9d05d14ddd077e1129bf5244cf9692043f3ca51143fe33841ce035b8bb800",
     },
     "steady-bare": {
         "steady_state.txt":
@@ -89,27 +89,27 @@ DIGESTS = {
     },
     "sweep-fig2": {
         "landscape.dat":
-            "d1a858aa5065840ef4276bffef472a35d2a9e6db4ab4a60188f8b9469ddc2ace",
+            "56b52da05a7cba12a3de546c6ae9fffe0a19b3b92c440ac4bfe455c58ed5ce76",
         "summary.json":
-            "1d8876a73332beb06c93399241c301d79558c4ec2eccbd0736d8b688b6ba22bf",
+            "0befbbea5b99f169b545e4c49dea1972ca496b170d236ced9cc542ef02b455fa",
         "sweep.csv":
-            "2a73bef9b2be0d6b02b0458c96ed9bc0b120ff64ddc4804b2ff3ac48dcf8bf47",
+            "c242a03a52114584285a00c767ccb64fce3cf6157d0f5b7224e0250a2058dacf",
     },
     "sweep-fig3": {
         "summary.json":
-            "4698c7c4d1e79cc0b1383adad19db9e3a75fb5966d0c002552a62a1331b3110a",
+            "cbb24935b445334e4e183d0c0d42b83abb6300b87e53364cf890c18163ef0ee9",
         "sweep.csv":
-            "0b9049401fd0957f6682e7fae3ca1eab61e710bb6cd2efb6dd7a12765fd83601",
+            "92c1a219431eba3ced9601433de6ec35a70610e3c1f24ab3b73afb80871a2302",
     },
     "sweep-fig4": {
         "summary.json":
-            "9b7169edae25a9f188e75cb6c07c30a311ce8158bf58b68c212e5769590cb7e7",
+            "7efb42a7f17215961a295efda3738d7797c14d30fea29cf9c599c32fd5f06385",
         "sweep.csv":
-            "8fd5c3ee90653544825d40d069e39469ad74be287464f16c2b72e879aff25525",
+            "aa08c0194579d05e47015f6f552cb66d60e9e978359a158250fe9043c4c8ce0b",
     },
     "validate": {
         "validation.txt":
-            "b9734625f1535395bf4a2fa8af1108945ac1e57b961df92622408b3f33fed15a",
+            "8dbfca7c486cb2873d2f45788ca9d4b909999f59a0af6411fe8879e40e4e0ba3",
     },
 }
 
