@@ -24,11 +24,11 @@ the N = 1 case.  Each row gets exactly one eigendecomposition A = S L S^-1;
 its eigenvalues give the stability verdict, and with S they give the
 covariance in the eigenbasis (invert S once, transform D with S^-1,
 divide by eigenvalue-pair sums, transform back, then two steps of
-iterative refinement).  Rows with near-degenerate pair sums, or whose
-residual breaks the contract, also try the direct vectorized solve of
-`validate.lyapunov_direct` one by one, refined while over the contract,
-and keep the better result; a row still over it is a fault, so every
-covariance returned meets it.  No row depends on the rest of its stack.
+iterative refinement).  One rule sends a row elsewhere: a row whose
+residual is not within the contract tries the direct vectorized solve of
+`validate.lyapunov_direct`, refined while over the contract, and keeps
+the better result; a row still over it is a fault, so every covariance
+returned meets it.  No row depends on the rest of its stack.
 
 Each row carries a status: OK, UNSTABLE, DEGENERATE (no valid fixed
 point) or FAULT (no certified result).  A failing row is isolated in one
@@ -57,9 +57,6 @@ from .validate import lyapunov_direct  # the direct solve doubles as the fallbac
 
 #: stability margin: stable means max Re(eig) < -EPS_STABLE
 EPS_STABLE = 1e-12
-
-#: eigenvalue-pair sums smaller than this also try the vectorized solve
-PAIR_SUM_FLOOR = 1e-10
 
 #: Lyapunov residual contract, relative to max|D|
 RESIDUAL_REL = 1e-10
@@ -353,28 +350,21 @@ def _lyapunov_rows(stack: LinearStack):
 
     Returns (V, status, reasons): V is (N, 6, 6) and NaN except on OK
     rows, and rows that break the residual contract turn from OK into
-    FAULT.  Every OK row gets the eigenbasis solve.  A row whose smallest
-    |pair sum| is under PAIR_SUM_FLOOR (with a warning), or whose
-    residual breaks the contract (a singular S leaves it NaN), also tries
-    the direct solve, refined while over the contract, and keeps the
-    better of the two; a row still over it turns FAULT, so every
-    covariance returned meets it.
+    FAULT.  Every OK row gets the eigenbasis solve.  A row whose residual
+    is not within RESIDUAL_REL * max|D| (a singular S leaves it NaN, which
+    counts as a miss) also tries the direct solve, refined while over the
+    contract, and keeps the better of the two; a row still over it turns
+    FAULT, so every covariance returned meets it.
     """
     A, D, lam = stack.drift, stack.diffusion, stack.eigenvalues
     bound = RESIDUAL_REL * max(np.abs(D).max(), _TINY)
     neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
-    pair_min = 0.5 * np.abs(neg_sums2).min(axis=(1, 2))
     ok = stack.status == OK
-    near = pair_min < PAIR_SUM_FLOOR
     V, residual, _ = _on_rows(lambda *row: _eigenbasis_solve(*row, D), ok,
                               (A, stack.eigenvectors, neg_sums2),
                               ((A.shape[1:], float), ((), float)))
     faults = {}
-    for i in (ok & (near | ~(residual <= bound))).nonzero()[0]:
-        if near[i]:
-            warnings.warn(
-                f"near-degenerate eigenvalue pair (|sum| = {pair_min[i]:.3g}); "
-                "also trying the vectorized solve", stacklevel=3)
+    for i in (ok & ~(residual <= bound)).nonzero()[0]:
         achieved = np.abs(_residual(A[i], V[i], D)).max()
         try:
             V_alt = lyapunov_direct(A[i], D)
@@ -406,9 +396,9 @@ def solve_lyapunov(A, D) -> np.ndarray:
     is not stable, NumericalError when the eigensolver fails) and the
     eigenbasis solve.  The result is symmetrized and satisfies
     max|A V + V A^T + D| <= 1e-10 * max|D|, or NumericalError is raised.
-    When eigenvalue-pair sums come within PAIR_SUM_FLOOR of zero, a
-    warning is emitted and the direct vectorized solve is tried as well;
-    the result with the smaller residual is kept.
+    When the eigenbasis result misses that contract, the refined direct
+    vectorized solve is tried as well and the result with the smaller
+    residual is kept.
     """
     stack = _decompose(np.asarray(A, dtype=float)[None], np.asarray(D, dtype=float))
     V, status, reasons = _lyapunov_rows(stack)

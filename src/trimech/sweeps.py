@@ -109,11 +109,12 @@ def solve_point(m: ModelParams):
 def is_stable(m: ModelParams) -> bool:
     """Stability verdict including trap degeneracy.
 
-    The same one-row eigendecomposition as `solve_point`, so a drive that a
-    sweep finds unstable is unstable here too.  A row whose spectrum
-    cannot be certified raises NumericalError, never reads as unstable; a
-    stable row is stable here even if its covariance would miss the
-    Lyapunov contract, which this verdict does not solve for.
+    The verdict is spectral: the same one-row eigendecomposition as
+    `solve_point`, so a drive that a sweep finds unstable is unstable here
+    too.  A row whose spectrum cannot be certified raises NumericalError,
+    never reads as unstable; a stable row is stable here even if its
+    covariance would miss the Lyapunov contract, which this verdict does
+    not solve for, so a sweep can stop at it with `stop_reason = "fault"`.
     """
     try:
         s = fixed_point(m)
@@ -248,7 +249,9 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
 
     Requires a stable lower bound and an unstable upper bound; the
     returned value is the last stable drive of a bracket of relative
-    width THRESHOLD_REL_TOL.
+    width THRESHOLD_REL_TOL.  Stable means the spectral verdict of
+    `is_stable`, so the drive returned can be one whose covariance misses
+    the Lyapunov contract and that `solve_points` reports as FAULT.
     """
     if not (0 < drive_lo < drive_hi):
         raise ValueError("need 0 < drive_lo < drive_hi")
@@ -443,8 +446,6 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
         nonlocal evals
         lo = max(lg_lo, seed_lg - DRIVE_SPAN)
         hi = min(lg_hi, seed_lg + DRIVE_SPAN)
-        if hi <= lo:
-            lo, hi = lg_lo, lg_hi
         grid = np.linspace(lo, hi, DRIVE_SCAN)
         new = [lg for lg in grid if (det, lg) not in solved]
         if new:

@@ -77,8 +77,8 @@ class TestRowsMatchSolvePoint:
 class TestRowIndependence:
     """A special row leaves every other row of its batch unchanged."""
 
-    # gamma2 = 4e-11 puts the undriven row's sphere pair sum (8e-11) under
-    # the 1e-10 floor; the driven rows near hybridization sit well above it
+    # gamma2 = 4e-11 gives the undriven row a sphere pair sum of 8e-11;
+    # the driven rows near hybridization sit well above it
     MODEL = replace(fig3_model(), gamma2=4e-11)
     WATTS = np.array([2e-3, 2.5e-3, 2.55e-3, 2.58e-3, 2.6e-3, 2.7e-3])
 
@@ -124,12 +124,11 @@ class TestRowIndependence:
         assert np.isnan(mixed.linear.eigenvalues[k]).all()
         assert np.isnan(mixed.V[k]).all()
 
-    def test_pair_floor_row(self):
+    def test_small_pair_sum_row(self):
         drives = self.drives()
         dets = np.full(drives.shape, self.MODEL.detuning)
-        with pytest.warns(UserWarning, match="vectorized"):
-            mixed, k = self.check_others_unchanged(dets, drives,
-                                                   self.MODEL.detuning, 0.0, OK)
+        mixed, k = self.check_others_unchanged(dets, drives,
+                                               self.MODEL.detuning, 0.0, OK)
         # the undriven sphere sits in its bath: V22 = n2 + 1/2
         assert mixed.V[k, 4, 4] == pytest.approx(self.MODEL.n2 + 0.5, rel=1e-6)
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import trimech.linear as linear
 from trimech.errors import NumericalError, UnstableSystemError
 from trimech.linear import (EPS_STABLE, diffusion_matrix, drift_matrix,
                             linear_model, match_modes, normal_modes,
@@ -221,12 +222,11 @@ class TestLyapunov:
         with pytest.raises(UnstableSystemError):
             solve_lyapunov(A, np.eye(6))
 
-    def test_degenerate_pair_falls_back_with_warning(self):
-        # abscissa ~ -1e-11 puts an eigenvalue-pair sum under the floor
+    def test_degenerate_pair_meets_the_contract(self):
+        # abscissa ~ -1e-11 puts an eigenvalue-pair sum near 2e-11
         A = np.diag([-1e-11, -1e-11, -1.0, -1.0, -1.0, -1.0])
         D = np.diag([1e-11, 1e-11, 1.0, 1.0, 1.0, 1.0])
-        with pytest.warns(UserWarning, match="vectorized"):
-            V = solve_lyapunov(A, D)
+        V = solve_lyapunov(A, D)
         assert V[0, 0] == pytest.approx(0.5, rel=1e-6)
 
     def test_symmetry(self, model_draws_100):
@@ -239,29 +239,52 @@ class TestLyapunov:
         (30, 1e-11, 1e6, 1e-4), (30, 3e-11, 1e5, 1e-4), (30, 3e-11, 1e6, 1e-4),
         (100, 1e-11, 1e6, 1e-4)])
     def test_near_degenerate_rows_meet_the_contract_or_fault(self, w, g, n, eps):
-        """A hot, weakly damped oscillator (pair sum ~ 2g, under the floor)
+        """A hot, weakly damped oscillator (pair sum ~ 2g, under 1e-10)
         coupled by eps to the cavity, where the direct solve alone misses
         the contract: the covariance returned meets it, or the solve raises."""
         A, D = self.near_degenerate(w, g, n, eps)
-        with pytest.warns(UserWarning, match="vectorized"):
-            try:
-                V = solve_lyapunov(A, D)
-            except NumericalError as exc:
-                assert "exceeds contract" in str(exc)
-                return
+        try:
+            V = solve_lyapunov(A, D)
+        except NumericalError as exc:
+            assert "exceeds contract" in str(exc)
+            return
         assert np.abs(A @ V + V @ A.T + D).max() <= 1e-10 * np.abs(D).max()
+
+    #: draw 17 of test_seeded_near_degenerate_draw, a row whose eigenbasis
+    #: residual misses the contract (by about 300x)
+    DRAW_17 = (63.18941741832496, 2.2588007534701816e-11, 754964.9001074878,
+               0.0006400238457560141)
 
     def test_refined_fallback_certifies_a_row_the_direct_solve_misses(self):
         """Here the eigenbasis and the direct solve both miss the contract
-        (the direct one by about 75x); refining the direct solve with
-        direct solves of its residual meets it."""
-        A, D = self.near_degenerate(30, 3e-11, 1e6, 1e-4)
-        with pytest.warns(UserWarning, match="vectorized"):
-            V = solve_lyapunov(A, D)
+        (each by about 300x); refining the direct solve with direct solves
+        of its residual meets it."""
+        A, D = self.near_degenerate(*self.DRAW_17)
+        V = solve_lyapunov(A, D)
         bound = 1e-10 * np.abs(D).max()
         assert np.abs(A @ V + V @ A.T + D).max() <= bound
         V0 = lyapunov_direct(A, D)
         assert np.abs(A @ V0 + V0 @ A.T + D).max() > bound
+
+    def test_only_a_residual_miss_reaches_the_direct_solve(self, monkeypatch):
+        """A small pair sum alone (8e-11 here) does not call the direct
+        solve, nor warn (pytest turns warnings into errors), when the
+        eigenbasis meets the contract; a row whose eigenbasis residual
+        misses it does."""
+        calls = []
+
+        def counting_direct(A, D):
+            calls.append(1)
+            return lyapunov_direct(A, D)
+        monkeypatch.setattr(linear, "lyapunov_direct", counting_direct)
+        A = np.diag([-4e-11, -1.0, -1.5, -2.0, -2.5, -3.0])
+        D = np.eye(6)
+        V = solve_lyapunov(A, D)
+        assert not calls
+        assert V[0, 0] == pytest.approx(1.25e10, rel=1e-12)
+        assert np.abs(A @ V + V @ A.T + D).max() <= 1e-10 * np.abs(D).max()
+        solve_lyapunov(*self.near_degenerate(*self.DRAW_17))
+        assert calls
 
     #: FAULT rows of the seeded draw of test_seeded_near_degenerate_draw
     #: (of 1986 stable rows), recorded under numpy NUMPY
@@ -292,7 +315,7 @@ class TestLyapunov:
                     assert "exceeds contract" in str(exc)
                     faults += 1
                     continue
-            assert all("near-degenerate" in str(c.message) for c in caught)
+            assert not caught
             assert np.abs(A @ V + V @ A.T + D).max() <= 1e-10 * np.abs(D).max()
         assert faults <= self.SEEDED_FAULTS
 

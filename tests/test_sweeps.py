@@ -16,6 +16,8 @@ from trimech.sweeps import (_march, _replay_march, drive_from_watts,
                             sphere_occupation_objective, squeezing_sweep,
                             watts_from_drive)
 
+from test_golden import NUMPY
+
 REF = reference_params()
 
 
@@ -100,15 +102,49 @@ detuning = -9.519019
 """
 
 
-def fault_sweep_input():
+# The same fig4-like set at another sphere frequency and detuning, where
+# the drive that instability_threshold returns (9.7051e9) is stable by its
+# spectrum while its covariance misses the contract (residual 2.61e-10).
+SPECTRAL_THRESHOLD_CONFIG = """\
+[physical]
+wavelength = 1064 nm
+cavity_length = 0.5 cm
+cavity_decay = 50 kHz
+mirror_mass = 40 ng
+mirror_freq = 1 MHz
+mirror_damping = 140 Hz
+sphere_radius = 0.5 um
+sphere_density = 2650 kg/m^3
+refractive_index = 1.5
+sphere_freq = 493.355 kHz
+sphere_damping = 0.5 mHz
+cavity_waist = 4 um
+bath_temp_mirror = 0 K
+bath_temp_sphere = 0 K
+input_power = 1 mW
+sphere_site = node
+
+[model]
+detuning_mode = effective
+detuning = -10.047643
+"""
+
+
+def sweep_input(config, watts_min, watts_max, points):
+    """(model, physical base, drives) of config text and a log grid in W,
+    built as the CLI builds a squeezing sweep."""
     from trimech.config import model_section, parse_sections, physical_params
     from trimech.params import nondimensionalize
-    sections = parse_sections(FAULT_SWEEP_CONFIG)
+    sections = parse_sections(config)
     phys = physical_params(sections)
     m = nondimensionalize(phys, *model_section(sections))
-    drives = drive_from_watts(phys, np.logspace(math.log10(2.045487e-05),
-                                                math.log10(6.121144e-04), 191))
+    drives = drive_from_watts(phys, np.logspace(math.log10(watts_min),
+                                                math.log10(watts_max), points))
     return m, phys, drives
+
+
+def fault_sweep_input():
+    return sweep_input(FAULT_SWEEP_CONFIG, 2.045487e-05, 6.121144e-04, 191)
 
 
 class TestSweepBracket:
@@ -182,6 +218,27 @@ class TestSweepBracket:
         power = power_sweep(fig3_model(), fig3, base=REF)
         assert power.stop_reason == "unstable"
         assert power.stop_drive == power.threshold_bracket[1]
+
+    @pytest.mark.skipif(np.__version__ != NUMPY,
+                        reason=f"drives recorded with numpy {NUMPY}, not "
+                               f"{np.__version__}; LAPACK may round differently")
+    def test_threshold_verdict_is_spectral(self):
+        """instability_threshold bisects on the spectrum alone, so the drive
+        it returns can be one whose covariance misses the contract: stable
+        to is_stable and to the linear stack, a fault to solve_points."""
+        from trimech.linear import FAULT, OK
+        from trimech.sweeps import is_stable, solve_points
+        m, phys, drives = sweep_input(SPECTRAL_THRESHOLD_CONFIG,
+                                      2.843676e-05, 8.908028e-04, 208)
+        result = squeezing_sweep(m, drives, base=phys)
+        assert result.threshold_bracket == (9691232545.324425, 9853841943.777025)
+        crit = instability_threshold(m, *result.threshold_bracket)
+        assert crit == 9705100761.852898
+        assert is_stable(replace(m, drive=crit))
+        batch = solve_points(m, m.detuning, crit)
+        assert batch.linear.status[0] == OK
+        assert batch.status[0] == FAULT
+        assert batch.reasons[0] == "Lyapunov residual 2.61e-10 exceeds contract 1e-10"
 
 
 class TestNoStableRow:
