@@ -28,7 +28,11 @@ iterative refinement).  One rule sends a row elsewhere: a row whose
 residual is not within the contract tries the direct vectorized solve of
 `validate.lyapunov_direct`, refined while over the contract, and keeps
 the better result; a row still over it is a fault, so every covariance
-returned meets it.  No row depends on the rest of its stack.
+returned meets it.  No row depends on the rest of its stack, so one
+stack may hold rows of different parameter sets: fed a record of per-row
+(N,) parameter arrays instead of a ModelParams, the drift is built row
+by row and the diffusion is (N, 6, 6), one D per row, with the contract
+bound taken per row.
 
 Each row carries a status: OK, UNSTABLE, DEGENERATE (no valid fixed
 point) or FAULT (no certified result).  A failing row is isolated in one
@@ -43,6 +47,7 @@ map; `sweeps.solve_points` runs the whole chain on a stack, from fixed
 points through `linear_models` to the covariances of `_lyapunov_rows`.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -87,10 +92,15 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class LinearStack:
-    """N drift matrices of one ModelParams, one eigendecomposition per row."""
+    """N drift matrices, one eigendecomposition per row.
+
+    The rows share one ModelParams, and then one (6, 6) diffusion, or
+    come from a record of per-row parameter arrays, with an (N, 6, 6)
+    diffusion holding each row's own D.
+    """
 
     drift: np.ndarray         # (N, 6, 6)
-    diffusion: np.ndarray     # (6, 6), shared by every row
+    diffusion: np.ndarray     # (6, 6) shared by every row, or (N, 6, 6) per row
     eigenvalues: np.ndarray   # (N, 6) complex; NaN on rows not decomposed
     eigenvectors: np.ndarray  # (N, 6, 6) complex; NaN on rows not decomposed
     status: np.ndarray        # (N,) OK (stable), UNSTABLE, DEGENERATE or FAULT
@@ -101,7 +111,9 @@ class LinearStack:
         NumericalError when the row was not decomposed."""
         _raise_for(self.status[i], self.reasons.get(i), self.eigenvalues[i],
                    unstable_ok=True)
-        return LinearModel(drift=self.drift[i], diffusion=self.diffusion,
+        D = self.diffusion
+        return LinearModel(drift=self.drift[i],
+                           diffusion=D[i] if np.ndim(D) == 3 else D,
                            eigenvalues=self.eigenvalues[i],
                            stable=bool(self.status[i] == OK),
                            eigenvectors=self.eigenvectors[i])
@@ -125,8 +137,9 @@ class SteadyCovariance:
 def _drift_stack(m: ModelParams, delta_eff, photon_number, x1_bar, x2_bar):
     """(N, 6, 6) drift matrices from (N,) mean-field arrays.
 
-    The mean field is real (pb = 0) by the input-phase convention, so the
-    entries proportional to pb vanish and xb = sqrt(2 |a_bar|^2).
+    The parameters of `m` are scalars or per-row (N,) arrays.  The mean
+    field is real (pb = 0) by the input-phase convention, so the entries
+    proportional to pb vanish and xb = sqrt(2 |a_bar|^2).
     """
     dt = delta_eff
     xb = np.sqrt(2.0 * photon_number)
@@ -141,7 +154,7 @@ def _drift_stack(m: ModelParams, delta_eff, photon_number, x1_bar, x2_bar):
     A[:, 1, 2] = A[:, 3, 0] = g_lin
     A[:, 1, 4] = A[:, 5, 0] = g_sph
     A[:, 2, 3] = m.omega1
-    A[:, 3, 2] = -m.omega1 - m.g2 * m.chi ** 2 * nq
+    A[:, 3, 2] = -m.omega1 - m.g2 * (m.chi * m.chi) * nq  # a product, as in steady
     A[:, 3, 3] = -2.0 * m.gamma1
     A[:, 3, 4] = A[:, 5, 2] = m.g2 * m.chi * nq
     A[:, 4, 5] = m.omega2
@@ -162,15 +175,18 @@ def drift_matrix(m: ModelParams, s: ClassicalSteadyState) -> np.ndarray:
 
 
 def diffusion_matrix(m: ModelParams) -> np.ndarray:
-    """Symmetrized noise-input covariance D (kappa_c = 1 units)."""
-    return np.diag([
-        1.0,
-        1.0,
-        0.0,
-        2.0 * m.gamma1 * (2.0 * m.n1 + 1.0),
-        0.0,
-        2.0 * m.gamma2 * (2.0 * m.n2 + 1.0),
-    ])
+    """Symmetrized noise-input covariance D (kappa_c = 1 units).
+
+    (6, 6) from scalar parameters, (..., 6, 6) from parameter arrays of
+    one shape.
+    """
+    mirror = 2.0 * m.gamma1 * (2.0 * m.n1 + 1.0)
+    sphere = 2.0 * m.gamma2 * (2.0 * m.n2 + 1.0)
+    D = np.zeros(np.shape(mirror) + (6, 6))
+    D[..., 0, 0] = D[..., 1, 1] = 1.0
+    D[..., 3, 3] = mirror
+    D[..., 5, 5] = sphere
+    return D
 
 
 def _on_rows(stage, rows, stacks, outputs):
@@ -250,7 +266,9 @@ def _decompose(A, D, degenerate=None) -> LinearStack:
 
 def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
     """Drift stack and diffusion of stacked fixed points of `m`, with one
-    eigendecomposition per row; degenerate-trap rows are carried over."""
+    eigendecomposition per row; degenerate-trap rows are carried over.
+    `m` is a ModelParams (one shared D) or a record of per-row parameter
+    arrays (one D per row)."""
     A = _drift_stack(m, fp.delta_eff, fp.photon_number, fp.x1_bar, fp.x2_bar)
     degenerate = {int(i): fp.reason(i) for i in fp.degenerate.nonzero()[0]}
     return _decompose(A, diffusion_matrix(m), degenerate)
@@ -351,36 +369,43 @@ def _lyapunov_rows(stack: LinearStack):
     Returns (V, status, reasons): V is (N, 6, 6) and NaN except on OK
     rows, and rows that break the residual contract turn from OK into
     FAULT.  Every OK row gets the eigenbasis solve.  A row whose residual
-    is not within RESIDUAL_REL * max|D| (a singular S leaves it NaN, which
-    counts as a miss) also tries the direct solve, refined while over the
-    contract, and keeps the better of the two; a row still over it turns
-    FAULT, so every covariance returned meets it.
+    is not within RESIDUAL_REL * max|D| of its own D (a singular S leaves
+    it NaN, which counts as a miss) also tries the direct solve, refined
+    while over the contract, and keeps the better of the two; a row still
+    over it turns FAULT, so every covariance returned meets it.  A shared
+    (6, 6) D is passed to the solve as it is, a per-row one row by row.
     """
     A, D, lam = stack.drift, stack.diffusion, stack.eigenvalues
-    bound = RESIDUAL_REL * max(np.abs(D).max(), _TINY)
+    per_row = D.ndim == 3
+    bound = RESIDUAL_REL * np.maximum(np.abs(D).max(axis=(-2, -1)), _TINY)
     neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
     ok = stack.status == OK
-    V, residual, _ = _on_rows(lambda *row: _eigenbasis_solve(*row, D), ok,
-                              (A, stack.eigenvectors, neg_sums2),
+    stacks = (A, stack.eigenvectors, neg_sums2)
+    if per_row:
+        stage, stacks = _eigenbasis_solve, stacks + (D,)
+    else:
+        stage = functools.partial(_eigenbasis_solve, D=D)
+    V, residual, _ = _on_rows(stage, ok, stacks,
                               ((A.shape[1:], float), ((), float)))
     faults = {}
     for i in (ok & ~(residual <= bound)).nonzero()[0]:
-        achieved = np.abs(_residual(A[i], V[i], D)).max()
+        Di, bi = (D[i], bound[i]) if per_row else (D, bound)
+        achieved = np.abs(_residual(A[i], V[i], Di)).max()
         try:
-            V_alt = lyapunov_direct(A[i], D)
+            V_alt = lyapunov_direct(A[i], Di)
             for step in range(REFINE_STEPS + 1):
-                rhs = _residual(A[i], V_alt, D)
+                rhs = _residual(A[i], V_alt, Di)
                 alt = np.abs(rhs).max()
                 if not alt >= achieved:
                     V[i], achieved = V_alt, alt
-                if achieved <= bound or step == REFINE_STEPS:
+                if achieved <= bi or step == REFINE_STEPS:
                     break
                 V_alt = V_alt + lyapunov_direct(A[i], rhs)
         except NumericalError:
             pass
-        if not achieved <= bound:
+        if not achieved <= bi:
             faults[int(i)] = (f"Lyapunov residual {achieved:.3g} exceeds contract "
-                              f"{bound:.3g}")
+                              f"{bi:.3g}")
     status = stack.status.copy()
     for i in faults:
         status[i] = FAULT

@@ -105,11 +105,17 @@ class FixedPoints:
 
 
 def _trap_frequencies(m: ModelParams, photon_number):
-    """Drive-shifted (Omega1, Omega2), elementwise over an array."""
+    """Drive-shifted (Omega1, Omega2), elementwise over an array.
+
+    Squares of parameters are products: a scalar's `** 2` is libm's pow,
+    which can differ in the last bit from the square an array of
+    per-row parameters takes.
+    """
     na = photon_number
+    chi2 = m.chi * m.chi
     Omega2 = m.omega2 + 2.0 * m.g2 * na
-    Omega1 = (m.omega1 + 2.0 * m.g2 * m.chi ** 2 * na
-              - 4.0 * m.g2 ** 2 * m.chi ** 2 * na ** 2 / Omega2)
+    Omega1 = (m.omega1 + 2.0 * m.g2 * chi2 * na
+              - 4.0 * (m.g2 * m.g2) * chi2 * na ** 2 / Omega2)
     return Omega1, Omega2
 
 
@@ -117,7 +123,8 @@ def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
     """Closed-form fixed points of stacked (effective detuning, drive) rows.
 
     `detunings` and `drives` broadcast to one shape (N,); every other
-    parameter comes from `m`.  Degenerate-trap rows are flagged, not raised.
+    parameter comes from `m`, a ModelParams or a record of per-row (N,)
+    parameter arrays.  Degenerate-trap rows are flagged, not raised.
     """
     delta = np.array(detunings, dtype=float, ndmin=1)
     drive = np.array(drives, dtype=float, ndmin=1)

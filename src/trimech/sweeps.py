@@ -25,12 +25,18 @@ those of a march that probes one at a time.  Each refinement start is a
 generator of requests, each for rows the memo lacks, and the starts run
 in lockstep rounds: a round's requests from every live start go to the
 objective in one call, so each distinct row is solved once and each
-call brings new rows.  As a stacked row equals the row solved alone,
-none of this changes a value, an optimum or an evaluation count.
+call brings new rows.  The whole search is a generator too, so the
+cooling landscape runs the searches of all its cells in lockstep, each
+with its own memo: a round's rows from every live cell go to one
+stacked solve, each row with its own cell's parameters, in calls of at
+most one coarse grid of rows.  As a stacked row equals the row solved
+alone, whatever the other rows and their parameters, none of this
+changes a value, an optimum or an evaluation count.
 """
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,9 +68,37 @@ DETUNING_BOUNDS = (-45.0, -2.0)
 DRIVE_BOUNDS = (1e6, 1e12)
 
 
+class _RowParams(NamedTuple):
+    """The model parameters the stacked kernel reads, one (N,) array per
+    field, so that one stack can hold rows of different ModelParams
+    (which holds validated scalars only)."""
+
+    omega1: np.ndarray
+    omega2: np.ndarray
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    chi: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+
+    @classmethod
+    def stack(cls, models):
+        """One row per ModelParams of `models`."""
+        return cls(*np.array([[getattr(m, f) for f in cls._fields]
+                              for m in models]).T)
+
+    def take(self, rows):
+        """The record of the rows `rows` of this one."""
+        rows = np.asarray(rows)
+        return _RowParams(*(field[rows] for field in self))
+
+
 @dataclass(frozen=True)
 class PointBatch:
-    """Stacked solve of N (effective detuning, drive) rows of one ModelParams."""
+    """Stacked solve of N (effective detuning, drive) rows of one ModelParams
+    or of a `_RowParams` record."""
 
     states: FixedPoints
     linear: LinearStack
@@ -84,8 +118,10 @@ def solve_points(m: ModelParams, detunings, drives) -> PointBatch:
 
     `detunings` (effective) and `drives` broadcast to one shape (N,); the
     other parameters come from `m`, whose detuning, detuning mode and
-    drive are not read.  Each row gets one eigendecomposition, and a
-    row's result does not depend on the other rows.
+    drive are not read: a ModelParams, or a `_RowParams` record of
+    per-row parameters, which gives each row its own diffusion.  Each row
+    gets one eigendecomposition, and a row's result does not depend on
+    the other rows or on the parameters of theirs.
     """
     fp = fixed_points(m, detunings, drives)
     stack = linear_models(m, fp)
@@ -274,18 +310,23 @@ def _march(x, fx, carry, step, lo, hi, probe, floor_of):
     """One coordinate of the pattern search, as a generator: march each
     direction while `probe(x, carry)` improves on `fx` within [lo, hi],
     halve the step when neither does, stop at `floor_of(x)` (re-read at
-    each halving).  `probe` is a generator returning (value, carry); the
-    march passes its requests through (`yield from`).  Returns the best
-    (value, x, carry)."""
+    each halving).  `probe` returns (value, carry), or a generator that
+    returns it, whose requests the march passes through (`yield from`).
+    Returns the best (value, x, carry)."""
     floor = floor_of(x)
     while step > floor:
         moved = False
         for sgn in (1.0, -1.0):
             while True:
-                nxt = min(max(x + sgn * step, lo), hi)
+                nxt = x + sgn * step
+                if nxt < lo:
+                    nxt = lo
+                elif nxt > hi:
+                    nxt = hi
                 if nxt == x:
                     break
-                v, c = yield from probe(nxt, carry)
+                probed = probe(nxt, carry)
+                v, c = probed if type(probed) is tuple else (yield from probed)
                 if not v < fx:
                     break
                 fx, x, carry, moved = v, nxt, c, True
@@ -316,10 +357,11 @@ def _replay_march(solved, det, x, fx, step, lo, hi, floor_of):
         def probe(p, carry):
             nonlocal probes
             probes += 1
-            if (det, p) not in solved:
+            v = solved.get((det, p))
+            if v is None:
                 unknown.append(p)
-            return solved.get((det, p), math.inf), carry
-            yield  # a generator that requests nothing: the replay reads the memo
+                v = math.inf
+            return v, carry
 
         fx_best, x_best, _ = yield from _march(x, fx, None, step, lo, hi, probe,
                                                floor_of)
@@ -329,10 +371,11 @@ def _replay_march(solved, det, x, fx, step, lo, hi, floor_of):
 
 
 def _lockstep(steppers, solve):
-    """Run generators that yield (detuning, log-drives) requests side by side.
+    """Run generators that yield (key, xs) requests side by side.
 
-    Each round gathers the requests of every live stepper into one
-    `solve(points) -> values` call over (detuning, log drive) points and
+    A generator itself.  Each round gathers the requests of every live
+    stepper into one `solve(points)` over their (key, x) points, a
+    generator run with `yield from` that returns the points' values, and
     sends each stepper its slice.  Returns the steppers' return values,
     in order.
     """
@@ -350,12 +393,29 @@ def _lockstep(steppers, solve):
         advance(i, None)
     while asks:
         live = list(asks.items())
-        values = solve([(det, lg) for _, (det, lgs) in live for lg in lgs])
+        values = yield from solve([(key, x) for _, (key, xs) in live for x in xs])
         at = 0
-        for i, (_, lgs) in live:
-            advance(i, values[at:at + len(lgs)])
-            at += len(lgs)
+        for i, (_, xs) in live:
+            advance(i, values[at:at + len(xs)])
+            at += len(xs)
     return results
+
+
+def _relay(points):
+    """A `_lockstep` solve that yields each round's points as one request."""
+    return (yield points)
+
+
+def _serve(stepper, solve):
+    """Run the generator `stepper` to its return value, answering each
+    request it yields with `solve(request)`."""
+    values = None
+    while True:
+        try:
+            request = stepper.send(values)
+        except StopIteration as stop:
+            return stop.value
+        values = solve(request)
 
 
 @dataclass(frozen=True)
@@ -378,27 +438,12 @@ def _search_box(detuning_bounds, drive_bounds):
     return d_lo, d_hi, p_lo, p_hi
 
 
-def optimize_scalar(objective, detuning_bounds, drive_bounds,
-                    coarse=(25, 25)) -> OptimizeResult:
-    """Deterministic minimizer over (detuning, drive).
+def _search(detuning_bounds, drive_bounds, coarse, cell=None):
+    """The search of `optimize_scalar` as a generator.
 
-    `objective(detunings, drives)` takes two equal-length 1-D arrays and
-    returns an array of values, +inf where undefined (unstable or
-    degenerate).  Stage one evaluates a coarse grid, linear in detuning
-    and logarithmic in drive, in one call; stage two runs coordinate
-    pattern search (march while improving, then halve the step) from the
-    best REFINE_STARTS coarse cells down to a relative step floor.  Each
-    refinement is a generator that yields its drive-line scans and its
-    speculative drive-line march probes (`_replay_march`, which takes the
-    same path as probing one at a time); the starts run in lockstep, each
-    round's requests in one objective call, and the best start is taken
-    in start order once all have finished.  Values are kept in one memo
-    per (detuning, log10 drive) row, and a request names only rows the
-    memo lacks, so the objective sees each distinct row once.
-    `evaluations` counts the probes the search consumed and `solved_rows`
-    the distinct rows the objective was given, speculative ones included.
-    `on_boundary` says whether the optimum lies within its coordinate's
-    step floor of a bound of the search box; the optimum is not moved.
+    It yields (cell, rows) requests, `rows` being the (detuning, log10
+    drive) rows its memo lacks, each once, expects their values sent
+    back, and returns the OptimizeResult.  `cell` only tags the requests.
     """
     d_lo, d_hi, p_lo, p_hi = _search_box(detuning_bounds, drive_bounds)
     lg_lo, lg_hi = math.log10(p_lo), math.log10(p_hi)
@@ -408,18 +453,17 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
 
     solved = {}
 
-    def f(points):
-        """Objective values at (detuning, log10 drive) points; only rows
-        not solved before reach the objective, deduplicated, in one call."""
+    def ask(points):
+        """Values at (detuning, log10 drive) points; only rows not solved
+        before are requested, deduplicated, in one request."""
         new = [p for p in dict.fromkeys(points) if p not in solved]
         if new:
-            values = objective(np.array([det for det, _ in new]),
-                               np.array([10.0 ** lg for _, lg in new]))
+            values = yield cell, new
             solved.update(zip(new, np.asarray(values, dtype=float).tolist()))
         return [solved[p] for p in points]
 
     grid = list(zip(np.repeat(dets, n_drv), np.tile(logs, n_det)))
-    cells = [(val, dv, lg) for val, (dv, lg) in zip(f(grid), grid)
+    cells = [(val, dv, lg) for val, (dv, lg) in zip((yield from ask(grid)), grid)
              if math.isfinite(val)]
     evals = len(grid)
     if not cells:
@@ -468,8 +512,8 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
                                   drive_minimum, det_floor))
 
     best_val, best_x = math.inf, None
-    for fb, det, lg in _lockstep([refine(det0, lg0)
-                                  for _, det0, lg0 in cells[:REFINE_STARTS]], f):
+    starts = [refine(det0, lg0) for _, det0, lg0 in cells[:REFINE_STARTS]]
+    for fb, det, lg in (yield from _lockstep(starts, ask)):
         if fb < best_val:
             best_val, best_x = fb, (det, lg)
 
@@ -481,9 +525,44 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
                           solved_rows=len(solved))
 
 
+def _drives(points):
+    """(detunings, drives) arrays of (detuning, log10 drive) points."""
+    return (np.array([det for det, _ in points]),
+            np.array([10.0 ** lg for _, lg in points]))
+
+
+def optimize_scalar(objective, detuning_bounds, drive_bounds,
+                    coarse=(25, 25)) -> OptimizeResult:
+    """Deterministic minimizer over (detuning, drive).
+
+    `objective(detunings, drives)` takes two equal-length 1-D arrays and
+    returns an array of values, +inf where undefined (unstable or
+    degenerate).  Stage one evaluates a coarse grid, linear in detuning
+    and logarithmic in drive, in one call; stage two runs coordinate
+    pattern search (march while improving, then halve the step) from the
+    best REFINE_STARTS coarse cells down to a relative step floor.  Each
+    refinement is a generator that yields its drive-line scans and its
+    speculative drive-line march probes (`_replay_march`, which takes the
+    same path as probing one at a time); the starts run in lockstep, each
+    round's requests in one objective call, and the best start is taken
+    in start order once all have finished.  Values are kept in one memo
+    per (detuning, log10 drive) row, and a request names only rows the
+    memo lacks, so the objective sees each distinct row once.
+    `evaluations` counts the probes the search consumed and `solved_rows`
+    the distinct rows the objective was given, speculative ones included.
+    `on_boundary` says whether the optimum lies within its coordinate's
+    step floor of a bound of the search box; the optimum is not moved.
+    The search itself is a generator (`_search`) that this function feeds
+    from `objective`; `occupation_landscape` feeds many at once.
+    """
+    return _serve(_search(detuning_bounds, drive_bounds, coarse),
+                  lambda request: objective(*_drives(request[1])))
+
+
 def sphere_occupation_objective(m: ModelParams):
     """Objective over stacked (effective detuning, drive) rows returning
-    the sphere occupation, +inf where no stable covariance exists."""
+    the sphere occupation, +inf where no stable covariance exists.  `m`
+    is a ModelParams or, for rows of different cells, a `_RowParams`."""
 
     def objective(detunings, drives):
         batch = solve_points(m, detunings, drives)
@@ -546,20 +625,45 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     stable point are recorded, not fatal.  omega2 must lie strictly
     between the cavity linewidth (1 in model units) and omega1.  Each
     point records the optimizer's evaluation and solved-row counts and
-    whether its optimum sits on a search bound.  Cells run in order.
+    whether its optimum sits on a search bound.
+
+    The cells run in lockstep.  Each cell runs the search of
+    `optimize_scalar` with its own memo, and each round's requests from
+    every live cell go to `solve_points` together, with each row's
+    parameters gathered from its cell's ModelParams (`_RowParams`), in
+    calls of at most one coarse grid of rows.  A stacked row equals the
+    row solved alone, so each cell's result is that of its own search.
     """
     omega1_grid, omega2_grid = check_landscape_inputs(
         omega1_grid, omega2_grid, detuning_bounds, drive_bounds)
     kappa = base.cavity_decay
+    grid = [(o1, o2) for o1 in omega1_grid for o2 in omega2_grid]
+    models = {k: nondimensionalize(replace(base, mirror_freq=o1 * kappa,
+                                           sphere_freq=o2 * kappa), detuning=-1.0)
+              for k, (o1, o2) in enumerate(grid) if o2 < o1}
+    cell_params = _RowParams.stack(models.values())
+    cap = coarse[0] * coarse[1]
 
-    def solve_cell(o1, o2):
-        if o2 >= o1:
+    def solve(round_points):
+        """Sphere occupations at the (cell, (detuning, log10 drive)) points
+        of one round, in calls of at most `cap` rows."""
+        values = []
+        for at in range(0, len(round_points), cap):
+            chunk = round_points[at:at + cap]
+            rows = cell_params.take([cell for cell, _ in chunk])
+            values.append(sphere_occupation_objective(rows)(
+                *_drives([p for _, p in chunk])))
+        return np.concatenate(values)
+
+    searches = [_search(detuning_bounds, drive_bounds, coarse, cell)
+                for cell in range(len(models))]
+    results = dict(zip(models, _serve(_lockstep(searches, _relay), solve)))
+
+    def cell_point(k, o1, o2):
+        if k not in models:
             return LandscapePoint(o1, o2, math.inf, math.nan, math.nan,
                                   math.nan, False, "omega2 >= omega1 excluded")
-        phys = replace(base, mirror_freq=o1 * kappa, sphere_freq=o2 * kappa)
-        m = nondimensionalize(phys, detuning=-1.0)
-        opt = optimize_scalar(sphere_occupation_objective(m),
-                              detuning_bounds, drive_bounds, coarse=coarse)
+        m, opt = models[k], results[k]
         if not math.isfinite(opt.value):
             return LandscapePoint(o1, o2, math.inf, m.n2, math.nan, math.nan,
                                   False, "no stable point in bounds",
@@ -570,7 +674,7 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
                               evaluations=opt.evaluations,
                               solved_rows=opt.solved_rows)
 
-    points = [solve_cell(o1, o2) for o1 in omega1_grid for o2 in omega2_grid]
+    points = [cell_point(k, o1, o2) for k, (o1, o2) in enumerate(grid)]
 
     ridge = {}
     for i, o1 in enumerate(omega1_grid):

@@ -10,10 +10,11 @@ import pytest
 import trimech.linear as linear
 from trimech.errors import DegenerateTrapError, NumericalError, UnstableSystemError
 from trimech.linear import DEGENERATE, FAULT, OK, UNSTABLE
-from trimech.params import reference_params
-from trimech.presets import fig3_model
+from trimech.params import nondimensionalize, reference_params
+from trimech.presets import fig2_protocol, fig3_model
 from trimech.steady import fixed_point
-from trimech.sweeps import drive_from_watts, is_stable, solve_point, solve_points
+from trimech.sweeps import (_RowParams, drive_from_watts, is_stable, solve_point,
+                            solve_points)
 
 STATUS_OF = {UnstableSystemError: UNSTABLE, DegenerateTrapError: DEGENERATE,
              NumericalError: FAULT}
@@ -39,6 +40,40 @@ def single(m, detuning, drive):
         return OK, solve_point(replace(m, detuning=float(detuning), drive=float(drive)))
     except (UnstableSystemError, DegenerateTrapError, NumericalError) as exc:
         return STATUS_OF[type(exc)], str(exc)
+
+
+def check_defective_row(monkeypatch, base, inv_raises):
+    """Insert a Jordan-block drift (see `test_defective_row`) into the middle
+    of the all-OK batch `base`, with the D of `base`'s first row when its
+    diffusion is per row, and check that it meets the contract or faults
+    while every other row keeps its values."""
+    A, D = base.linear.drift, base.linear.diffusion
+    J = A[0].copy()
+    J[:, 4:] = J[4:, :] = 0.0
+    J[4:6, 4:6] = [[-0.5, 1.0], [0.0, -0.5]]
+    k = len(A) // 2
+    DJ = D if D.ndim == 2 else D[0]
+    stack = linear._decompose(np.insert(A, k, J, axis=0),
+                              D if D.ndim == 2 else np.insert(D, k, DJ, axis=0))
+    assert np.linalg.cond(stack.eigenvectors[k]) > 1e15
+    if inv_raises:
+        real_inv = np.linalg.inv
+
+        def inv(a):
+            if np.any(np.linalg.cond(a) > 1e15):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_inv(a)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+    V, status, reasons = linear._lyapunov_rows(stack)
+    if status[k] == OK:
+        bound = linear.RESIDUAL_REL * np.abs(DJ).max()
+        assert np.abs(J @ V[k] + V[k] @ J.T + DJ).max() <= bound
+    else:
+        assert status[k] == FAULT
+        assert "Lyapunov residual" in reasons[k]
+    others = np.delete(np.arange(len(A) + 1), k)
+    assert np.array_equal(status[others], base.status)
+    assert np.array_equal(V[others], base.V)
 
 
 class TestRowsMatchSolvePoint:
@@ -141,32 +176,8 @@ class TestRowIndependence:
         blows up (as it does here) and when it raises (forced, as LAPACK
         does on an exactly zero pivot); the other rows keep their values."""
         m = self.MODEL
-        base = solve_points(m, m.detuning, self.drives())
-        A, D = base.linear.drift, base.linear.diffusion
-        J = A[0].copy()
-        J[:, 4:] = J[4:, :] = 0.0
-        J[4:6, 4:6] = [[-0.5, 1.0], [0.0, -0.5]]
-        k = len(A) // 2
-        stack = linear._decompose(np.insert(A, k, J, axis=0), D)
-        assert np.linalg.cond(stack.eigenvectors[k]) > 1e15
-        if inv_raises:
-            real_inv = np.linalg.inv
-
-            def inv(a):
-                if np.any(np.linalg.cond(a) > 1e15):
-                    raise np.linalg.LinAlgError("Singular matrix")
-                return real_inv(a)
-            monkeypatch.setattr(np.linalg, "inv", inv)
-        V, status, reasons = linear._lyapunov_rows(stack)
-        if status[k] == OK:
-            bound = linear.RESIDUAL_REL * np.abs(D).max()
-            assert np.abs(J @ V[k] + V[k] @ J.T + D).max() <= bound
-        else:
-            assert status[k] == FAULT
-            assert "Lyapunov residual" in reasons[k]
-        others = np.delete(np.arange(len(A) + 1), k)
-        assert np.array_equal(status[others], base.status)
-        assert np.array_equal(V[others], base.V)
+        check_defective_row(monkeypatch, solve_points(m, m.detuning, self.drives()),
+                            inv_raises)
 
     def test_rows_over_the_contract(self, monkeypatch):
         """Tightening the contract below the worst row's residual sends
@@ -297,3 +308,88 @@ class TestOneEigendecompositionPerPoint:
             stable, lam = linear.stability(lm.drift)
             assert stable == lm.stable
             assert np.array_equal(lam, lm.eigenvalues)
+
+
+def fig2_cell(omega2, omega1=10.0):
+    """ModelParams of one fig2 landscape cell, as `occupation_landscape`
+    derives it."""
+    base = fig2_protocol()["base"]
+    kappa = base.cavity_decay
+    return nondimensionalize(replace(base, mirror_freq=omega1 * kappa,
+                                     sphere_freq=omega2 * kappa), detuning=-1.0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMixedCellRows:
+    """One stack holds rows of different cells through per-row parameters;
+    each row is the row solved alone with its own cell's ModelParams."""
+
+    # a chi whose square by glibc's pow differs from the product in the
+    # last bit, so that a scalar `** 2` in the kernel would show
+    ODD_CHI = 0.017912785229308496
+    CELLS = (fig2_cell(2.0), fig2_cell(3.4), fig2_cell(6.5),
+             replace(fig2_cell(8.0), gamma2=3e-7, chi=ODD_CHI))
+    # (effective detuning, drive): stable, stable, blue-detuned, inverted trap
+    POINTS = ((-27.2, 1e9), (-40.0, 1e11), (27.2, 1e10), (-27.2, 1e16))
+
+    def mixed(self, points):
+        """Rows interleaved from every cell: (cells, detunings, drives)."""
+        cells, dets, drives = [], [], []
+        for det, drive in points:
+            for c in range(len(self.CELLS)):
+                cells.append(c)
+                dets.append(det)
+                drives.append(drive)
+        return cells, np.array(dets), np.array(drives)
+
+    def test_each_row_bit_identical_to_its_cell_alone(self):
+        cells, dets, drives = self.mixed(self.POINTS)
+        batch = solve_points(_RowParams.stack([self.CELLS[c] for c in cells]),
+                             dets, drives)
+        assert batch.linear.diffusion.shape == (len(cells), 6, 6)
+        seen = set()
+        for i, c in enumerate(cells):
+            m = self.CELLS[c]
+            alone = solve_points(m, dets[i], drives[i])
+            for name in ("delta_eff", "drive", "photon_number", "x1_bar",
+                         "x2_bar", "Omega1", "Omega2", "degenerate"):
+                assert same_bits(getattr(batch.states, name)[i],
+                                 getattr(alone.states, name)[0]), name
+            assert same_bits(batch.linear.drift[i], alone.linear.drift[0])
+            assert same_bits(batch.linear.diffusion[i], alone.linear.diffusion)
+            assert same_bits(batch.linear.diffusion[i], linear.diffusion_matrix(m))
+            assert same_bits(batch.linear.eigenvalues[i], alone.linear.eigenvalues[0])
+            assert same_bits(batch.linear.eigenvectors[i], alone.linear.eigenvectors[0])
+            assert same_bits(batch.V[i], alone.V[0])
+            assert batch.status[i] == alone.status[0]
+            assert batch.reasons.get(i) == alone.reasons.get(0)
+            seen.add(int(batch.status[i]))
+        assert {OK, UNSTABLE, DEGENERATE} <= seen
+        # the rows of one cell are that cell's stack
+        for c, m in enumerate(self.CELLS):
+            rows = [i for i, ci in enumerate(cells) if ci == c]
+            own = solve_points(m, dets[rows], drives[rows])
+            assert same_bits(batch.V[rows], own.V)
+            assert same_bits(batch.status[rows], own.status)
+
+    def test_cells_differ(self):
+        """The cells give the stack different couplings and baths; the fig2
+        cells share the sphere damping, so the fourth cell changes it."""
+        rows = _RowParams.stack(self.CELLS)
+        for name in ("omega2", "g2", "chi", "n2"):
+            assert len(set(getattr(rows, name).tolist())) == len(self.CELLS), name
+        assert len(set(rows.gamma2.tolist())) == 2
+
+    @pytest.mark.parametrize("inv_raises", [False, True])
+    def test_defective_row(self, monkeypatch, inv_raises):
+        """The defective-row case of `TestRowIndependence` inside a stack of
+        stable rows from every cell, with one D per row."""
+        cells, dets, drives = self.mixed(self.POINTS[:2])
+        base = solve_points(_RowParams.stack([self.CELLS[c] for c in cells]),
+                            dets, drives)
+        assert np.all(base.status == OK)
+        check_defective_row(monkeypatch, base, inv_raises)

@@ -1,5 +1,6 @@
 """Power sweeps, mode tracking, thresholds, optimizer and landscape."""
 
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -491,35 +492,36 @@ class TestOccupationLandscape:
 
     def test_search_pinned_and_stacked(self, monkeypatch):
         """The eight benchmark cells keep their probe counts and bit-exact
-        optima, while the objective sees each distinct row once, in few
-        stacked calls, and every request of the search (the coarse grid
-        and each lockstep round) brings it at least one new row."""
+        optima.  Each cell's search asks for each distinct row once, and
+        every request it makes (the coarse grid and each lockstep round)
+        brings new rows; the cells run in lockstep, so the kernel sees
+        few calls, none of them over one coarse grid of rows."""
         import trimech.sweeps as sweeps
         proto = fig2_protocol()
-        real = sweeps.sphere_occupation_objective
-        real_lockstep = sweeps._lockstep
-        calls = []     # per cell: the (detuning, drive) rows of each objective call
-        requests = []  # per cell: calls of the search's memoized objective
+        real_search = sweeps._search
+        real_solve_points = sweeps.solve_points
+        requests = []  # per cell: the (detuning, log10 drive) rows of each request
+        kernel = []    # rows of each solve_points call
 
-        def counting(m):
-            objective = real(m)
-            calls.append([])
-            requests.append(1)  # the coarse grid
+        def search(*args, **kwargs):
+            stepper = real_search(*args, **kwargs)
+            log = []
+            requests.append(log)
+            values = None
+            while True:
+                try:
+                    request = stepper.send(values)
+                except StopIteration as stop:
+                    return stop.value
+                log.append(request[1])
+                values = yield request
 
-            def counted(detunings, drives):
-                calls[-1].append(list(zip(np.ravel(detunings).tolist(),
-                                          np.ravel(drives).tolist())))
-                return objective(detunings, drives)
-            return counted
+        def solve_points(m, detunings, drives):
+            kernel.append(len(np.ravel(detunings)))
+            return real_solve_points(m, detunings, drives)
 
-        def lockstep(steppers, solve):
-            def counted(points):
-                requests[-1] += 1
-                return solve(points)
-            return real_lockstep(steppers, counted)
-
-        monkeypatch.setattr(sweeps, "sphere_occupation_objective", counting)
-        monkeypatch.setattr(sweeps, "_lockstep", lockstep)
+        monkeypatch.setattr(sweeps, "_search", search)
+        monkeypatch.setattr(sweeps, "solve_points", solve_points)
         result = occupation_landscape(
             reference_params(), [10.0],
             [1.95, 3.15, 3.6, 4.95, 6.0, 6.45, 7.95, 8.55],
@@ -547,12 +549,53 @@ class TestOccupationLandscape:
         assert [(p.evaluations, p.solved_rows, float(p.n2_min).hex(),
                  float(p.detuning).hex(), float(p.drive).hex())
                 for p in result.points] == expected
-        for p, cell in zip(result.points, calls):
-            rows = [row for call in cell for row in call]
+        for p, cell in zip(result.points, requests):
+            rows = [row for request in cell for row in request]
             assert p.solved_rows == len(rows) == len(set(rows))
+            assert all(cell)
             assert len(cell) < p.evaluations / 20
-        assert requests == [len(cell) for cell in calls]
-        assert sum(requests) == 852
+        assert sum(len(cell) for cell in requests) == 852
+        assert sum(kernel) == sum(p.solved_rows for p in result.points) == 26788
+        assert len(kernel) <= 140
+        assert max(kernel) == 25 * 25
+
+
+def _point_bits(p):
+    """A LandscapePoint's fields, floats as hex so that NaN compares."""
+    return tuple(float(v).hex() if isinstance(v, (float, np.floating)) else v
+                 for v in dataclasses.astuple(p))
+
+
+class TestLandscapeCellsIndependent:
+    """A cell's result does not depend on the cells it runs in lockstep with."""
+
+    def test_two_cells_equal_two_one_cell_landscapes(self):
+        base = fig2_protocol()["base"]
+        both = occupation_landscape(base, [10.0], [2.0, 3.4], coarse=(9, 9))
+        alone = [occupation_landscape(base, [10.0], [o2], coarse=(9, 9)).points[0]
+                 for o2 in (2.0, 3.4)]
+        assert all(p.ok for p in alone)
+        assert [_point_bits(p) for p in both.points] == [_point_bits(p) for p in alone]
+
+    def test_excluded_and_unstable_cells_mixed_in(self):
+        """At drives of 3e10-3e11, the omega1 = 3 cells have no stable point
+        in the box, and (3, 3.4) is excluded; the omega1 = 10 cells
+        optimize as they do alone."""
+        base = fig2_protocol()["base"]
+        bounds = {"detuning_bounds": (-45.0, -2.0), "drive_bounds": (3e10, 3e11),
+                  "coarse": (9, 9)}
+        mixed = occupation_landscape(base, [3.0, 10.0], [2.0, 3.4], **bounds)
+        assert [p.message for p in mixed.points] == [
+            "no stable point in bounds", "omega2 >= omega1 excluded", "", ""]
+        assert [p.ok for p in mixed.points] == [False, False, True, True]
+        alone = {(o1, o2): occupation_landscape(base, [o1], [o2], **bounds).points[0]
+                 for o1, o2 in ((3.0, 2.0), (10.0, 2.0), (10.0, 3.4))}
+        for p in mixed.points:
+            if p.message == "omega2 >= omega1 excluded":
+                assert (p.evaluations, p.solved_rows) == (0, 0)
+                continue
+            assert _point_bits(p) == _point_bits(alone[p.omega1, p.omega2])
+        assert mixed.ridge == {10.0: min((2.0, 3.4), key=lambda o2: alone[10.0, o2].n2_min)}
 
 
 class TestRecomputability:
