@@ -12,6 +12,7 @@ state where one is required, degenerate trap), 4 numerical fault.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -109,11 +110,15 @@ def _write(path, text):
     return path
 
 
-def _csv_table(header_echo, columns, rows):
+def _csv_table(header_echo, columns, data):
+    """CSV text of the equal-length columns `data`, one per name in
+    `columns`: numbers formatted as `fmt` does, a column at a time, and
+    string columns as they are."""
+    cells = [col if len(col) and isinstance(col[0], str)
+             else [format(x, ".16e") for x in np.asarray(col, dtype=float).tolist()]
+             for col in data]
     lines = [header_echo.rstrip("\n"), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(x) if not isinstance(x, str) else x
-                              for x in row))
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -246,8 +251,8 @@ def cmd_sweep(args):
         columns = ["power_w", "drive", "freq_cavity", "freq_mirror",
                    "freq_sphere", "damp_cavity", "damp_mirror", "damp_sphere",
                    "n1", "n2"]
-        rows = zip(result.power_w, result.drive, *result.freqs.T,
-                   *result.dampings.T, result.n1, result.n2)
+        data = [result.power_w, result.drive, *result.freqs.T,
+                *result.dampings.T, result.n1, result.n2]
         summary = {
             "kind": "power",
             "threshold_bracket_drive": result.threshold_bracket,
@@ -257,8 +262,8 @@ def cmd_sweep(args):
         result = squeezing_sweep(m, grid, base=base)
         columns = ["power_w", "drive", "var_x1", "var_p1", "var_x2", "var_p2",
                    "S1", "S2"]
-        rows = zip(result.power_w, result.drive, result.var_x1, result.var_p1,
-                   result.var_x2, result.var_p2, result.S1, result.S2)
+        data = [result.power_w, result.drive, result.var_x1, result.var_p1,
+                result.var_x2, result.var_p2, result.S1, result.S2]
         summary = {
             "kind": "squeezing",
             "threshold_bracket_drive": result.threshold_bracket,
@@ -268,11 +273,11 @@ def cmd_sweep(args):
         result = occupation_landscape(base, *grid)
         columns = ["omega1", "omega2", "n2_min", "n2_thermal", "detuning",
                    "drive", "ok"]
-        rows = [
+        data = list(zip(*[
             (p.omega1, p.omega2, p.n2_min, p.n2_thermal, p.detuning, p.drive,
              "1" if p.ok else "0")
             for p in result.points
-        ]
+        ]))
         summary = {
             "kind": "landscape",
             "ridge": result.ridge,
@@ -292,7 +297,7 @@ def cmd_sweep(args):
 
     if args.format in ("csv", "both"):
         wrote.append(_write(os.path.join(args.output_dir, "sweep.csv"),
-                            _csv_table(echo, columns, rows)))
+                            _csv_table(echo, columns, data)))
     if args.format in ("json", "both"):
         payload = {"version": __version__, "preset": args.preset,
                    "summary": summary}
@@ -385,7 +390,10 @@ def _count(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as
+    it was, so every `main` call reads its own arguments only."""
     parser = argparse.ArgumentParser(
         prog="trimech",
         description="Three-mode cavity optomechanics simulator")

@@ -292,9 +292,53 @@ def linear_model(m: ModelParams, s: ClassicalSteadyState) -> LinearModel:
     return _decompose(drift_matrix(m, s)[None], diffusion_matrix(m)).model(0)
 
 
+def _sorted_modes(eigenvalues):
+    """Normal modes of each row of an (n, k) stack of drift spectra, sorted
+    by frequency, all rows at once.
+
+    Returns (freq, damp, counts): (n, k) frequencies and dampings, of
+    which the first counts[i] are row i's modes.  Complex-conjugate
+    eigenvalue pairs give frequency |Im| and damping -Re.  Purely real
+    eigenvalues (|Im| up to IMAG_FLOOR times the row's max(|eig|, 1);
+    overdamped spectra) cannot be paired; each is a zero-frequency entry
+    of its own, which is how a caller tells them apart.  A row's real
+    entries come first, in ascending eigenvalue order, then its pairs by
+    frequency; pairs of equal frequency keep their spectrum order.
+    """
+    lam = np.asarray(eigenvalues)
+    floor = IMAG_FLOOR * np.maximum(np.abs(lam).max(axis=-1, keepdims=True), 1.0)
+    real = np.abs(lam.imag) <= floor
+    paired = lam.imag > floor
+    group = np.where(real, 0, np.where(paired, 1, 2))  # 2: the conjugate, dropped
+    order = np.lexsort((np.where(real, lam.real, lam.imag), group), axis=-1)
+    freq = np.take_along_axis(np.where(paired, lam.imag, 0.0), order, axis=-1)
+    damp = np.take_along_axis(-lam.real, order, axis=-1)
+    return freq, damp, (group < 2).sum(axis=-1)
+
+
+def _assignment(reference_freqs, freqs):
+    """Indices into `freqs` of the branches following `reference_freqs`:
+    of all len(reference_freqs)-permutations, in itertools order, the
+    first of least total |f - f_ref|, summed in reference order.
+    ValueError when no total is finite."""
+    k = len(reference_freqs)
+    if len(freqs) < k:
+        raise ValueError("fewer candidate modes than reference branches")
+    jumps = [[abs(f - r) for f in freqs] for r in reference_freqs]
+    best, best_cost = None, math.inf
+    for perm in itertools.permutations(range(len(freqs)), k):
+        cost = sum(map(list.__getitem__, jumps, perm))
+        if cost < best_cost:
+            best, best_cost = perm, cost
+    if best is None:
+        raise ValueError("no assignment of finite frequency jump to reference "
+                         f"{list(reference_freqs)}")
+    return best
+
+
 def normal_modes(eigenvalues):
-    """Normal modes of a drift spectrum as (frequency, damping) pairs,
-    sorted by frequency.
+    """Normal modes of one drift spectrum as (frequency, damping) pairs,
+    sorted by frequency: the one-row case of `track_modes`' ordering.
 
     Complex-conjugate eigenvalue pairs give frequency |Im| and damping
     -Re.  Purely real eigenvalues (|Im| up to IMAG_FLOOR times the
@@ -302,31 +346,42 @@ def normal_modes(eigenvalues):
     returned individually as a zero-frequency entry, which is how a
     caller tells them apart.
     """
-    floor = IMAG_FLOOR * max(np.abs(eigenvalues).max(), 1.0)
-    complex_part = eigenvalues[eigenvalues.imag > floor]
-    real_part = eigenvalues[np.abs(eigenvalues.imag) <= floor]
-    modes = [(abs(ev.imag), -ev.real) for ev in complex_part]
-    modes.extend((0.0, -ev.real) for ev in np.sort(real_part.real))
-    modes.sort(key=lambda fd: fd[0])
-    return modes
+    freq, damp, counts = _sorted_modes(np.asarray(eigenvalues)[None])
+    c = counts[0]
+    return list(zip(freq[0, :c].tolist(), damp[0, :c].tolist()))
 
 
 def match_modes(reference_freqs, modes):
     """Reorder `modes` to follow `reference_freqs` with minimal frequency jumps.
 
-    Used for continuity-based tracking across a parameter sweep: the
-    assignment of len(reference_freqs) entries out of `modes` minimizing
-    the total |f - f_ref| is returned, in reference order.
+    One step of `track_modes`' continuity chain: of all
+    len(reference_freqs)-permutations of the modes, in itertools order,
+    the first of least total |f - f_ref| (summed in reference order) is
+    returned, in reference order.  ValueError when no assignment has a
+    finite total.
     """
-    k = len(reference_freqs)
-    if len(modes) < k:
-        raise ValueError("fewer candidate modes than reference branches")
-    best, best_cost = None, math.inf
-    for perm in itertools.permutations(range(len(modes)), k):
-        cost = sum(abs(modes[j][0] - reference_freqs[i]) for i, j in enumerate(perm))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return [modes[j] for j in best]
+    return [modes[j] for j in _assignment(reference_freqs, [f for f, _ in modes])]
+
+
+def track_modes(reference_freqs, eigenvalues):
+    """Modes of each row of an (n, k) stack of spectra, tracked by continuity.
+
+    The stack is sorted into normal modes once (`normal_modes`' order);
+    then the first row is matched to `reference_freqs` and each later row
+    to the frequencies matched on the row before it, by `match_modes`'
+    rule.  Returns (n, len(reference_freqs), 2): (frequency, damping)
+    per branch.
+    """
+    freq, damp, counts = _sorted_modes(eigenvalues)
+    reference = list(reference_freqs)
+    picks = []
+    for row, c in zip(freq.tolist(), counts.tolist()):
+        pick = _assignment(reference, row[:c])
+        reference = [row[j] for j in pick]
+        picks.append(pick)
+    picks = np.array(picks, dtype=np.intp).reshape(len(freq), len(reference))
+    return np.stack([np.take_along_axis(freq, picks, axis=-1),
+                     np.take_along_axis(damp, picks, axis=-1)], axis=-1)
 
 
 def _eigenbasis_solve(A, S, neg_sums2, D):

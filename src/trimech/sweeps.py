@@ -10,7 +10,11 @@ reads its scalars off the stacked covariances and spectra of its drive
 grid, truncated at the first point without a certified stable covariance,
 and records the bracketing drives, from its last row to the first
 unstable drive, so downstream consumers see only valid rows; it also
-records why and at which drive its rows stopped.
+records why and at which drive its rows stopped.  A power sweep tracks
+its modes in one pass over the stacked spectra: they are sorted into
+normal modes once, then a continuity chain matches each row to the row
+before it by least total frequency jump, the first permutation in
+itertools order winning a tie.
 
 The (detuning, power) optimizer is deterministic: a coarse grid (linear
 in detuning, logarithmic in drive) followed by coordinate pattern
@@ -43,8 +47,8 @@ import numpy as np
 from .errors import DegenerateTrapError, PhysicsError
 from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
                      _lyapunov_rows, _raise_for, covariance_summary,
-                     linear_model, linear_models, match_modes, normal_modes,
-                     occupation, squeezing)
+                     linear_model, linear_models, occupation, squeezing,
+                     track_modes)
 from .params import (ModelParams, PhysicalParams, nondimensionalize,
                      watts_from_drive)
 from .params import drive_from_watts  # noqa: F401  (callers import it from here too)
@@ -229,21 +233,20 @@ def _stable_prefix(m: ModelParams, drives, base: PhysicalParams):
 def power_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> PowerSweepResult:
     """Normal-mode frequencies and occupations along a drive grid.
 
-    Modes are tracked by continuity: the first row's modes are matched
-    to (|detuning|, omega1, omega2) to label the cavity, mirror and
-    sphere branches, and each subsequent row is matched to the previous
-    one by minimal total frequency jump.  The hybridization entry flags
-    the row where the mirror and sphere branches come closest.
+    Modes are tracked by continuity (`linear.track_modes`): the kept
+    rows' stacked spectra are sorted into normal modes once, then the
+    first row's modes are matched to (|detuning|, omega1, omega2) to
+    label the cavity, mirror and sphere branches, and each subsequent
+    row is matched to the previous one by minimal total frequency jump,
+    the first permutation in itertools order winning a tie.  The
+    hybridization entry flags the row where the mirror and sphere
+    branches come closest.
     """
     batch, kept, power_w, stop = _stable_prefix(m, drives, base)
     end = kept.size
-    reference = [abs(m.detuning), m.omega1, m.omega2]
-    tracked = []
-    for lam in batch.linear.eigenvalues[:end]:
-        modes = match_modes(reference, normal_modes(lam))
-        reference = [f for f, _ in modes]
-        tracked.append(modes)
-    tracked = np.array(tracked)  # (n, 3, 2): (frequency, damping) per branch
+    # (n, 3, 2): (frequency, damping) per branch
+    tracked = track_modes([abs(m.detuning), m.omega1, m.omega2],
+                          batch.linear.eigenvalues[:end])
     freqs = tracked[..., 0]
     sep = np.abs(freqs[:, 1] - freqs[:, 2])
     i_min = int(np.argmin(sep))

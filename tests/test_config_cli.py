@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from trimech.cli import main
-from trimech.config import (ConfigError, format_matrix, format_record,
+from trimech.cli import _csv_table, build_parser, main
+from trimech.config import (ConfigError, fmt, format_matrix, format_record,
                             geometry_section, model_section, parse_sections,
                             physical_params, sweep_section)
 from trimech.geometry import PROFILE_SAMPLES, PumpGeometry
@@ -466,3 +466,73 @@ class TestCliOptions:
     def test_trimech_threads_is_not_read(self, tmp_path, monkeypatch, argv):
         monkeypatch.setenv("TRIMECH_THREADS", "two")
         assert main(argv + ["-o", str(tmp_path)]) == 0
+
+
+class TestCsvTable:
+    """`_csv_table` formats a column at a time; each cell reads as `fmt`
+    gives it."""
+
+    ECHO = "# trimech test\n# key = value\n"
+
+    @staticmethod
+    def per_cell(header_echo, columns, rows):
+        lines = [header_echo.rstrip("\n"), ",".join(columns)]
+        for row in rows:
+            lines.append(",".join(x if isinstance(x, str) else fmt(x) for x in row))
+        return "\n".join(lines) + "\n"
+
+    def test_equals_per_cell_fmt(self):
+        values = [0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300,
+                  5e-324, 1.0 / 3.0, -2.5e300]
+        data = [np.array(values), list(values), [np.float64(v) for v in values],
+                np.array([values, values]).T[:, 1], ["1", "0"] * 5]
+        columns = ["numpy", "python", "scalars", "strided", "ok"]
+        assert (_csv_table(self.ECHO, columns, data)
+                == self.per_cell(self.ECHO, columns, zip(*data)))
+
+    def test_zero_rows_keep_echo_and_header(self):
+        assert (_csv_table(self.ECHO, ["drive", "ok"], [np.array([]), []])
+                == "# trimech test\n# key = value\ndrive,ok\n")
+
+
+class TestCachedParser:
+    """`main` builds its parser once per process, and no call's arguments
+    reach a later call: each call writes the bytes it writes when made
+    first."""
+
+    @staticmethod
+    def run(tmp_path, tag, calls):
+        written = []
+        for k, argv in enumerate(calls):
+            out = tmp_path / f"{tag}{k}"
+            assert main(argv + ["-o", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        return written
+
+    def both_orders(self, tmp_path, first, second):
+        forward = self.run(tmp_path, "forward", [first, second])
+        backward = self.run(tmp_path, "backward", [second, first])
+        assert forward == backward[::-1]
+        return forward
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_sweep_format_does_not_stick(self, tmp_path):
+        csv_only, both = self.both_orders(
+            tmp_path, ["sweep", "--preset", "fig3", "--format", "csv"],
+            ["sweep", "--preset", "fig3"])
+        assert list(csv_only) == ["sweep.csv"]
+        assert list(both) == ["summary.json", "sweep.csv"]
+
+    def test_linear_preset_does_not_stick(self, tmp_path):
+        cfg = write_config(tmp_path, NOMINAL)
+        preset, config = self.both_orders(
+            tmp_path, ["linear", "--preset", "fig3"], ["linear", "-i", cfg])
+        assert preset != config
+
+    def test_validate_instances_return_to_default(self, tmp_path):
+        three, default = self.both_orders(
+            tmp_path, ["validate", "--validate-instances", "3"], ["validate"])
+        assert b"# instances = 5\n" in three["validation.txt"]
+        assert b"# instances = 52\n" in default["validation.txt"]

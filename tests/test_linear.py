@@ -1,6 +1,7 @@
 """Drift/diffusion construction, stability, modes, Lyapunov solver,
 occupations, squeezing and Gaussian physicality."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -10,12 +11,15 @@ import pytest
 
 import trimech.linear as linear
 from trimech.errors import NumericalError, UnstableSystemError
-from trimech.linear import (EPS_STABLE, diffusion_matrix, drift_matrix,
-                            linear_model, match_modes, normal_modes,
-                            occupation, physicality_floor, solve_lyapunov,
-                            squeezing, stability, symplectic_form)
+from trimech.linear import (EPS_STABLE, IMAG_FLOOR, diffusion_matrix,
+                            drift_matrix, linear_model, match_modes,
+                            normal_modes, occupation, physicality_floor,
+                            solve_lyapunov, squeezing, stability,
+                            symplectic_form, track_modes)
 from trimech.params import ModelParams
+from trimech.presets import fig3_model, preset_drives
 from trimech.steady import fixed_point
+from trimech.sweeps import power_sweep, solve_points
 from trimech.validate import lyapunov_direct
 
 from test_golden import NUMPY
@@ -170,16 +174,20 @@ class TestNormalModes:
             freqs = [f for f, _ in normal_modes(lm.eigenvalues)]
             assert freqs == sorted(freqs)
 
-    def test_overdamped_spectrum_warns_zero_frequency(self):
+    @staticmethod
+    def overdamped_drift():
         # gamma >> omega: the 2x2 mechanical block has two real eigenvalues
         A = np.zeros((6, 6))
         A[0, :2] = [-1.0, -2.0]
         A[1, :2] = [2.0, -1.0]
         A[2:4, 2:4] = [[0.0, 0.1], [-0.1, -5.0]]
         A[4:6, 4:6] = [[0.0, 1.0], [-1.0, -0.1]]
+        return A
+
+    def test_overdamped_spectrum_warns_zero_frequency(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the zero frequencies are the data
-            modes = normal_modes(stability(A)[1])
+            modes = normal_modes(stability(self.overdamped_drift())[1])
         assert len(modes) == 4
         assert sum(1 for f, _ in modes if f == 0.0) == 2
 
@@ -188,6 +196,85 @@ class TestNormalModes:
         shuffled = [(27.6, 1.0), (3.2, 0.1), (9.5, 0.2)]
         matched = match_modes(reference, shuffled)
         assert [f for f, _ in matched] == [3.2, 9.5, 27.6]
+
+    def test_match_modes_without_finite_assignment_names_reference(self):
+        modes = [(1.0, 0.1), (2.0, 0.1), (3.0, 0.1)]
+        with pytest.raises(ValueError, match=r"reference \[nan, 1, 2\]"):
+            match_modes([math.nan, 1, 2], modes)
+        with pytest.raises(ValueError, match="reference"):
+            track_modes([math.nan, 1.0, 2.0], np.array([[-1 + 1j, -1 - 1j,
+                                                          -1 + 2j, -1 - 2j,
+                                                          -1 + 3j, -1 - 3j]]))
+
+
+def reference_normal_modes(eigenvalues):
+    """The per-row mode ordering as a loop over one spectrum."""
+    floor = IMAG_FLOOR * max(np.abs(eigenvalues).max(), 1.0)
+    complex_part = eigenvalues[eigenvalues.imag > floor]
+    real_part = eigenvalues[np.abs(eigenvalues.imag) <= floor]
+    modes = [(abs(ev.imag), -ev.real) for ev in complex_part]
+    modes.extend((0.0, -ev.real) for ev in np.sort(real_part.real))
+    modes.sort(key=lambda fd: fd[0])
+    return modes
+
+
+def reference_match_modes(reference_freqs, modes):
+    """The per-row assignment as a loop over every permutation."""
+    best, best_cost = None, math.inf
+    for perm in itertools.permutations(range(len(modes)), len(reference_freqs)):
+        cost = sum(abs(modes[j][0] - reference_freqs[i]) for i, j in enumerate(perm))
+        if cost < best_cost:
+            best, best_cost = perm, cost
+    return [modes[j] for j in best]
+
+
+def reference_chain(reference_freqs, spectra):
+    """Continuity tracking one row at a time: match each row's modes to
+    the frequencies matched on the row before it."""
+    tracked = []
+    for lam in spectra:
+        modes = reference_match_modes(reference_freqs, reference_normal_modes(lam))
+        reference_freqs = [f for f, _ in modes]
+        tracked.append(modes)
+    return np.array(tracked, dtype=float)
+
+
+class TestTrackModes:
+    """The stacked tracker equals the row-by-row chain byte for byte."""
+
+    @staticmethod
+    def assert_tracks_like_chain(reference, spectra):
+        tracked = track_modes(reference, spectra)
+        assert tracked.tobytes() == reference_chain(reference, spectra).tobytes()
+        for lam in spectra:
+            assert normal_modes(lam) == reference_normal_modes(lam)
+        return tracked
+
+    def test_fig3_preset(self):
+        m = fig3_model()
+        result = power_sweep(m, preset_drives("fig3"))
+        batch = solve_points(m, m.detuning, result.drive)
+        tracked = self.assert_tracks_like_chain(
+            [abs(m.detuning), m.omega1, m.omega2], batch.linear.eigenvalues)
+        assert tracked[..., 0].tobytes() == result.freqs.tobytes()
+        assert tracked[..., 1].tobytes() == result.dampings.tobytes()
+
+    def test_four_and_six_mode_rows(self):
+        overdamped = stability(TestNormalModes.overdamped_drift())[1]
+        rng = np.random.default_rng(7)
+        Q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        all_real = stability(Q @ np.diag([-0.5, -1.0, -2.0, -3.0, -5.0, -8.0]) @ Q.T)[1]
+        spectra = np.array([overdamped, all_real, overdamped])
+        assert [len(normal_modes(lam)) for lam in spectra] == [4, 6, 4]
+        self.assert_tracks_like_chain([0.05, 1.0, 2.0], spectra)
+
+    def test_cost_tie_goes_to_first_permutation(self):
+        # branches 0 and 1 sit at 2.0, midway between modes at 1.0 and 3.0:
+        # (0, 1, 2) and (1, 0, 2) both cost 2.0, and (0, 1, 2) comes first
+        lam = np.array([[-0.1 + 1j, -0.1 - 1j, -0.2 + 3j, -0.2 - 3j,
+                         -0.3 + 10j, -0.3 - 10j]])
+        tracked = self.assert_tracks_like_chain([2.0, 2.0, 10.0], lam)
+        assert tracked[0].tolist() == [[1.0, 0.1], [3.0, 0.2], [10.0, 0.3]]
 
 
 class TestLyapunov:
