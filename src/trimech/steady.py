@@ -25,7 +25,10 @@ With an effective-detuning parameterization the fixed point is in closed
 form.  With a bare detuning the scalar self-consistency condition
 dt_eff = dt + g1 x1(dt_eff) - g2 (chi x1 - x2)^2(dt_eff) is solved by a
 dense scan plus bisection of every bracket in lockstep; several roots
-may coexist (optical bistability) and all are returned.
+may coexist (optical bistability) and all are returned.  The bisection
+engine, `_bisect_rows`, also serves `sweeps.instability_threshold`: each
+stacked evaluation takes several halvings of every bracket at once, and
+every midpoint is the one a loop of one halving per evaluation forms.
 """
 
 import math
@@ -42,6 +45,10 @@ _SQRT2 = math.sqrt(2.0)
 #: condition, and the width each root is bisected down to
 SCAN_POINTS = 2001
 BISECT_TOL = 1e-12
+
+#: halvings of every root bracket per stacked residual evaluation; the
+#: roots do not depend on it
+ROOT_BISECT_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,79 @@ def _consistency_residuals(m: ModelParams, delta_bare, delta_effs):
     return np.where(fp.degenerate, np.nan, res)
 
 
+def _bisect_rows(f, lo, hi, flo, tol, depth, geometric=False):
+    """Bisect N brackets [lo, hi] of a stacked function `f` in lockstep.
+
+    `f` maps a 1-D array of points to their values, each point's value
+    independent of the others; `flo` holds each bracket's value at `lo`.
+    A halving goes left when flo * f(mid) <= 0 and right otherwise
+    (`lo`, `flo` = mid, f(mid)); a NaN f(mid) freezes the bracket.  The
+    midpoint is 0.5 * (lo + hi), or sqrt(lo * hi) when `geometric`, and
+    a bracket is bisected while hi - lo > tol (hi / lo > 1 + tol).
+
+    Each call of `f` takes `depth` halvings of every live bracket: it
+    evaluates the whole depth-`depth` bisection tree of the bracket
+    (2**depth - 1 points, bracket-major), each node the midpoint of its
+    two neighbours among the bracket's ends and the nodes above it.
+    Every bracket then walks down its tree by the rules above, testing
+    its width after every halving, and the nodes off its path are not
+    read.  So each midpoint is the one a loop of one halving per call
+    would form, bit for bit, and no result depends on `depth`.
+
+    Returns (lo, hi, frozen): the final brackets, and which of them
+    froze; a frozen bracket's NaN midpoint is the midpoint of its
+    returned ends.
+    """
+    lo, hi, flo = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, flo))
+    if geometric:
+        def mid(a, b):
+            return np.sqrt(a * b)
+
+        def wide(a, b):
+            return b / a > 1.0 + tol
+    else:
+        def mid(a, b):
+            return 0.5 * (a + b)
+
+        def wide(a, b):
+            return b - a > tol
+    frozen = np.zeros(lo.shape, dtype=bool)
+    live = np.flatnonzero(wide(lo, hi)).tolist()
+    top = 2 ** depth
+    while live:
+        # columns 0 and `top` hold the ends; level k fills the odd
+        # multiples of top / 2**k from their neighbours at that stride
+        tree = np.empty((len(live), top + 1))
+        tree[:, 0], tree[:, top] = lo[live], hi[live]
+        step = top // 2
+        while step:
+            tree[:, step::2 * step] = mid(tree[:, :-1:2 * step], tree[:, 2 * step::2 * step])
+            step //= 2
+        values = np.reshape(f(tree[:, 1:top].ravel()), (len(live), top - 1)).tolist()
+        still = []
+        # the walk is the one-halving loop in Python floats, whose
+        # arithmetic and comparisons are numpy's bit for bit
+        for i, nodes, fs in zip(live, tree.tolist(), values):
+            a, b, fa = 0, top, float(flo[i])
+            for _ in range(depth):
+                j = (a + b) // 2
+                fm = fs[j - 1]
+                if math.isnan(fm):
+                    frozen[i] = True
+                    break
+                if fa * fm <= 0.0:
+                    b = j
+                else:
+                    a, fa = j, fm
+                if not wide(nodes[a], nodes[b]):
+                    break
+            else:
+                still.append(i)
+            lo[i], hi[i], flo[i] = nodes[a], nodes[b], fa
+        live = still
+    return lo, hi, frozen
+
+
 def self_consistent_fixed_points(m: ModelParams, window=None):
     """All fixed points for a bare-detuning parameterization.
 
@@ -169,11 +249,12 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
     +/- (|detuning| + 50)) in one stacked evaluation.  A scan cell is
     skipped when either end is NaN (degenerate trap); otherwise its left
     end is a root when its residual is exactly zero, and a sign change
-    is bracketed.  All brackets are bisected in lockstep to BISECT_TOL,
-    one stacked evaluation per halving; a bracket whose midpoint is NaN
-    stops there.  The last scan point is a root when its residual is
-    exactly zero.  Returns the expanded states sorted by photon number;
-    more than one entry signals optical bistability.
+    is bracketed.  All brackets are bisected in lockstep to BISECT_TOL
+    by `_bisect_rows`, ROOT_BISECT_DEPTH halvings per stacked
+    evaluation; a bracket whose midpoint is NaN stops there.  The last
+    scan point is a root when its residual is exactly zero.  Returns the
+    expanded states sorted by photon number; more than one entry signals
+    optical bistability.
     """
     if m.detuning_mode != "bare":
         raise ValueError("self_consistent_fixed_points requires detuning_mode='bare'")
@@ -191,19 +272,11 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
     with np.errstate(over="ignore", invalid="ignore"):
         cross = valid & ~zero & (r0 * r1 < 0.0)
     cells = np.flatnonzero(zero | cross)
-    lo, hi, flo = grid[cells], grid[cells + 1], r0[cells]
-    live = cross[cells] & (hi - lo > BISECT_TOL)
-    while live.any():
-        mid = 0.5 * (lo + hi)
-        fm = _consistency_residuals(m, delta, mid)
-        moved = live & ~np.isnan(fm)  # a NaN midpoint freezes its bracket
-        with np.errstate(over="ignore", invalid="ignore"):
-            left = moved & (flo * fm <= 0.0)
-        right = moved & ~left
-        hi = np.where(left, mid, hi)
-        lo = np.where(right, mid, lo)
-        flo = np.where(right, fm, flo)
-        live = moved & (hi - lo > BISECT_TOL)
+    lo, hi = grid[cells], grid[cells + 1]
+    bracket = cross[cells]
+    lo[bracket], hi[bracket], _ = _bisect_rows(
+        lambda x: _consistency_residuals(m, delta, x), lo[bracket], hi[bracket],
+        r0[cells][bracket], BISECT_TOL, ROOT_BISECT_DEPTH)
     roots = np.where(zero[cells], lo, 0.5 * (lo + hi))
     if res[-1] == 0.0:
         roots = np.append(roots, grid[-1])

@@ -14,7 +14,9 @@ records why and at which drive its rows stopped.  A power sweep tracks
 its modes in one pass over the stacked spectra: they are sorted into
 normal modes once, then a continuity chain matches each row to the row
 before it by least total frequency jump, the first permutation in
-itertools order winning a tie.
+itertools order winning a tie.  `instability_threshold` bisects a
+bracket on the spectral verdict of `is_stable` with the stacked engine
+of `steady`, several halvings per stacked call.
 
 The (detuning, power) optimizer is deterministic: a coarse grid (linear
 in detuning, logarithmic in drive) followed by coordinate pattern
@@ -44,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTrapError, PhysicsError
+from .errors import DegenerateTrapError, NumericalError, PhysicsError
 from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
                      _lyapunov_rows, _raise_for, covariance_summary,
                      linear_model, linear_models, occupation, squeezing,
@@ -52,10 +54,13 @@ from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
 from .params import (ModelParams, PhysicalParams, nondimensionalize,
                      watts_from_drive)
 from .params import drive_from_watts  # noqa: F401  (callers import it from here too)
-from .steady import FixedPoints, fixed_point, fixed_points
+from .steady import FixedPoints, _bisect_rows, fixed_point, fixed_points
 
-#: relative width of the bracket `instability_threshold` bisects down to
+#: relative width of the bracket `instability_threshold` bisects down to,
+#: and its halvings per stacked stability call (the threshold does not
+#: depend on the latter)
 THRESHOLD_REL_TOL = 1e-4
+THRESHOLD_BISECT_DEPTH = 3
 
 #: coarse cells the optimizer refines, and its detuning step floor
 #: relative to max(|detuning|, 1)
@@ -155,6 +160,8 @@ def is_stable(m: ModelParams) -> bool:
     never reads as unstable; a stable row is stable here even if its
     covariance would miss the Lyapunov contract, which this verdict does
     not solve for, so a sweep can stop at it with `stop_reason = "fault"`.
+    `instability_threshold` bisects on this verdict for stacked drives,
+    with no one-row call; this is its N = 1 case.
     """
     try:
         s = fixed_point(m)
@@ -286,27 +293,48 @@ def squeezing_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> Sque
 def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
     """Critical drive where stability is lost, by geometric bisection.
 
-    Requires a stable lower bound and an unstable upper bound; the
-    returned value is the last stable drive of a bracket of relative
-    width THRESHOLD_REL_TOL.  Stable means the spectral verdict of
-    `is_stable`, so the drive returned can be one whose covariance misses
-    the Lyapunov contract and that `solve_points` reports as FAULT.
+    Requires a stable lower bound and an unstable upper bound, both
+    checked in one stacked call; the returned value is the last stable
+    drive of a bracket of relative width THRESHOLD_REL_TOL.  The bracket
+    is bisected by `steady._bisect_rows`, THRESHOLD_BISECT_DEPTH
+    halvings per stacked call, each drive judged by the verdict of
+    `is_stable`: fixed points and the linear stack's spectra only, never
+    a Lyapunov solve.  So the drive returned can be one whose covariance
+    misses the contract and that `solve_points` reports as FAULT.  A
+    drive whose spectrum cannot be certified raises NumericalError when
+    the bisection reaches it, never reads as unstable; a fault at a
+    drive the bisection does not reach is not read.
     """
     if not (0 < drive_lo < drive_hi):
         raise ValueError("need 0 < drive_lo < drive_hi")
-    lo = float(drive_lo)
-    hi = float(drive_hi)
-    if not is_stable(replace(m, drive=lo)):
+    if m.detuning_mode != "effective":
+        raise ValueError("instability_threshold requires detuning_mode='effective'")
+    faults = {}
+
+    def stable(drives):
+        """+1 stable, -1 unstable or degenerate, NaN where the solver failed."""
+        stack = linear_models(m, fixed_points(m, m.detuning, drives))
+        for i, reason in stack.reasons.items():
+            if stack.status[i] == FAULT:
+                faults[float(drives[i])] = reason
+        return np.where(stack.status == OK, 1.0,
+                        np.where(stack.status == FAULT, np.nan, -1.0))
+
+    lo, hi = float(drive_lo), float(drive_hi)
+    ends = stable(np.array([lo, hi]))
+    if math.isnan(ends[0]):
+        raise NumericalError(faults[lo])
+    if ends[0] < 0:
         raise ValueError(f"lower bound {lo:.6g} is not stable")
-    if is_stable(replace(m, drive=hi)):
+    if math.isnan(ends[1]):
+        raise NumericalError(faults[hi])
+    if ends[1] > 0:
         raise ValueError(f"upper bound {hi:.6g} is not unstable")
-    while hi / lo > 1.0 + THRESHOLD_REL_TOL:
-        mid = math.sqrt(lo * hi)
-        if is_stable(replace(m, drive=mid)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    lo, hi, frozen = _bisect_rows(stable, lo, hi, 1.0, THRESHOLD_REL_TOL,
+                                  THRESHOLD_BISECT_DEPTH, geometric=True)
+    if frozen[0]:
+        raise NumericalError(faults[math.sqrt(lo[0] * hi[0])])
+    return float(lo[0])
 
 
 def _march(x, fx, carry, step, lo, hi, probe, floor_of):

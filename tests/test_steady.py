@@ -187,12 +187,13 @@ class TestSelfConsistent:
             self_consistent_fixed_points(basic_model())
 
 
-def scalar_reference(m, window=None):
+def scalar_reference(m, window=None, halvings=None):
     """The root search as one scan cell and one root at a time: scan the
     residuals, skip a cell with a NaN end, take an exactly-zero left end
     as a root, bisect each sign change alone until its width is at most
     BISECT_TOL or its midpoint is NaN, and take an exactly-zero last scan
-    point as a root.  The reference the lockstep search must match."""
+    point as a root.  The reference the lockstep search must match.
+    Appends each bracket's midpoint evaluations to `halvings`, if given."""
     delta = m.detuning
     if window is None:
         half = abs(delta) + 50.0
@@ -209,9 +210,11 @@ def scalar_reference(m, window=None):
             continue
         if r0 * r1 < 0.0:
             lo, hi, flo = grid[i], grid[i + 1], r0
+            steps = 0
             while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
                 fm = steady._consistency_residuals(m, delta, mid)[0]
+                steps += 1
                 if math.isnan(fm):
                     break
                 if flo * fm <= 0.0:
@@ -219,6 +222,8 @@ def scalar_reference(m, window=None):
                 else:
                     lo, flo = mid, fm
             roots.append(0.5 * (lo + hi))
+            if halvings is not None:
+                halvings.append(steps)
     if res[-1] == 0.0:
         roots.append(grid[-1])
     if not roots:
@@ -246,24 +251,60 @@ KERR = ModelParams(omega1=1.0, omega2=3.4, gamma1=1e-3, gamma2=1e-6,
 UNCOUPLED = basic_model(g1=0.0, g2=0.0, detuning_mode="bare", detuning=-3.0)
 
 
-class TestLockstepSearch:
-    """The lockstep search returns the scalar reference's states, bit for bit."""
+def count_residual_calls(monkeypatch):
+    """Count the calls of `steady._consistency_residuals` in `calls[0]`."""
+    calls = [0]
+    residuals = steady._consistency_residuals
 
-    def test_seeded_bare_draws(self):
+    def counted(*args):
+        calls[0] += 1
+        return residuals(*args)
+    monkeypatch.setattr(steady, "_consistency_residuals", counted)
+    return calls
+
+
+def at_every_depth(monkeypatch):
+    """Set the root search's halvings per stacked evaluation to 1, ..., 8
+    in turn, yielding each."""
+    for depth in range(1, 9):
+        monkeypatch.setattr(steady, "ROOT_BISECT_DEPTH", depth)
+        yield depth
+
+
+class TestLockstepSearch:
+    """The lockstep search returns the scalar reference's states, bit for
+    bit, whatever number of halvings each stacked evaluation takes."""
+
+    #: most residual calls of one search on the seeded draws, per depth;
+    #: one halving per call (depth 1) made 38
+    MOST_CALLS = {1: 38, 2: 20, 3: 14, 4: 11, 5: 9, 6: 8, 7: 7, 8: 6}
+
+    def test_seeded_bare_draws(self, monkeypatch):
+        """Also pins the residual calls per search: the scan, then one
+        call per `depth` halvings of the longest bracket."""
+        assert self.MOST_CALLS[steady.ROOT_BISECT_DEPTH] <= 8
+        calls = count_residual_calls(monkeypatch)
         rng = np.random.default_rng(SEED)
-        counts = set()
+        counts, most = set(), dict.fromkeys(self.MOST_CALLS, 0)
         for _ in range(40):
             m = replace(draw_model(rng), detuning_mode="bare")
-            got = outcome(self_consistent_fixed_points, m)
-            assert got == outcome(scalar_reference, m)
-            counts.add(got.count("ClassicalSteadyState("))
+            halvings = []
+            want = outcome(lambda m, w: scalar_reference(m, w, halvings), m)
+            counts.add(want.count("ClassicalSteadyState("))
+            for depth in at_every_depth(monkeypatch):
+                calls[0] = 0
+                assert outcome(self_consistent_fixed_points, m) == want
+                assert calls[0] == 1 + -(-max(halvings, default=0) // depth)
+                most[depth] = max(most[depth], calls[0])
         assert {1, 3} <= counts
+        assert most == self.MOST_CALLS
 
     @pytest.mark.parametrize("m", [KERR, UNCOUPLED], ids=["kerr", "uncoupled"])
-    def test_named_cases(self, m):
-        got = outcome(self_consistent_fixed_points, m)
-        assert got == outcome(scalar_reference, m)
-        assert got.count("ClassicalSteadyState(") == (3 if m is KERR else 1)
+    def test_named_cases(self, monkeypatch, m):
+        want = outcome(scalar_reference, m)
+        assert want.count("ClassicalSteadyState(") == (3 if m is KERR else 1)
+        for _ in at_every_depth(monkeypatch):
+            assert outcome(self_consistent_fixed_points, m) == want
 
     @pytest.mark.parametrize("centre, half, window", [
         (-3.0, 1e-6, None), (-2.999, 1e-4, (-4.0, -2.0))],
@@ -280,13 +321,14 @@ class TestLockstepSearch:
             res = residuals(m, delta_bare, delta_effs)
             return np.where(np.abs(np.asarray(delta_effs) - centre) < half, np.nan, res)
         monkeypatch.setattr(steady, "_consistency_residuals", banded)
-        got = outcome(self_consistent_fixed_points, UNCOUPLED, window)
-        assert got == outcome(scalar_reference, UNCOUPLED, window)
-        if window is None:
-            (state,) = self_consistent_fixed_points(UNCOUPLED)
-            assert 1e-7 < abs(state.delta_eff + 3.0) < 1e-6
-        else:
-            assert got.startswith("NumericalError: no self-consistent fixed point")
+        want = outcome(scalar_reference, UNCOUPLED, window)
+        for _ in at_every_depth(monkeypatch):
+            assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
+            if window is None:
+                (state,) = self_consistent_fixed_points(UNCOUPLED)
+                assert 1e-7 < abs(state.delta_eff + 3.0) < 1e-6
+        if window is not None:
+            assert want.startswith("NumericalError: no self-consistent fixed point")
 
     #: scan steps of 2**-10 whose grid is exact, with -3 midway between
     #: two scan points
@@ -294,7 +336,7 @@ class TestLockstepSearch:
 
     @pytest.mark.parametrize("window", [(-4.0, -2.0), (-4.0, -3.0), DYADIC],
                              ids=["inner", "last", "midpoint"])
-    def test_exact_zero_residual(self, window):
+    def test_exact_zero_residual(self, monkeypatch, window):
         """The uncoupled residual is exactly zero at -3: an inner scan
         point, the last scan point, and the first bisection midpoint."""
         grid = np.linspace(*window, SCAN_POINTS)
@@ -302,10 +344,11 @@ class TestLockstepSearch:
         on_grid = window is not self.DYADIC
         assert np.count_nonzero(res == 0.0) == on_grid
         assert on_grid or -3.0 in 0.5 * (grid[:-1] + grid[1:])
-        got = outcome(self_consistent_fixed_points, UNCOUPLED, window)
-        assert got == outcome(scalar_reference, UNCOUPLED, window)
-        (state,) = self_consistent_fixed_points(UNCOUPLED, window)
-        assert abs(state.delta_eff + 3.0) <= (0.0 if on_grid else BISECT_TOL)
+        want = outcome(scalar_reference, UNCOUPLED, window)
+        for _ in at_every_depth(monkeypatch):
+            assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
+            (state,) = self_consistent_fixed_points(UNCOUPLED, window)
+            assert abs(state.delta_eff + 3.0) <= (0.0 if on_grid else BISECT_TOL)
 
 
 class TestContinuity:

@@ -270,6 +270,12 @@ class TestBareDetuningRefused:
         with pytest.raises(ValueError, match="detuning_mode='effective'"):
             solve_point(replace(fig3_model(), detuning_mode="bare"))
 
+    def test_instability_threshold(self):
+        m = replace(fig4_model(), detuning_mode="bare")
+        with pytest.raises(ValueError, match="detuning_mode='effective'"):
+            instability_threshold(m, drive_from_watts(REF, 1e-5),
+                                  drive_from_watts(REF, 5e-3))
+
 
 class TestInstabilityThreshold:
     def test_requires_bracket(self):
@@ -634,3 +640,174 @@ class TestSelfConsistentFault:
                         n1=0.0, n2=0.0, detuning=-3.0, detuning_mode="bare")
         with pytest.raises(NumericalError, match="no self-consistent"):
             self_consistent_fixed_points(m, window=(40.0, 50.0))
+
+
+def reference_threshold(m, drive_lo, drive_hi, path=None):
+    """`instability_threshold` as one one-row `is_stable` call per drive:
+    both ends, then each geometric midpoint until the bracket's relative
+    width is at most THRESHOLD_REL_TOL.  The reference the stacked
+    bisection must match bit for bit.  Appends each midpoint to `path`,
+    if given."""
+    from trimech.sweeps import THRESHOLD_REL_TOL, is_stable
+    if not (0 < drive_lo < drive_hi):
+        raise ValueError("need 0 < drive_lo < drive_hi")
+    lo = float(drive_lo)
+    hi = float(drive_hi)
+    if not is_stable(replace(m, drive=lo)):
+        raise ValueError(f"lower bound {lo:.6g} is not stable")
+    if is_stable(replace(m, drive=hi)):
+        raise ValueError(f"upper bound {hi:.6g} is not unstable")
+    while hi / lo > 1.0 + THRESHOLD_REL_TOL:
+        mid = math.sqrt(lo * hi)
+        if path is not None:
+            path.append(mid)
+        if is_stable(replace(m, drive=mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def threshold_depths(monkeypatch):
+    """Set `instability_threshold`'s halvings per stacked call to 1, ...,
+    8 in turn, yielding each."""
+    import trimech.sweeps as sweeps
+    for depth in range(1, 9):
+        monkeypatch.setattr(sweeps, "THRESHOLD_BISECT_DEPTH", depth)
+        yield depth
+
+
+def seeded_squeezing_brackets(count, seed=2):
+    """(model, threshold bracket) of `count` fig4-like squeezing sweeps:
+    the fig4 preset at a drawn sphere frequency (9 to 11 kappa_c) and
+    effective detuning (-11 to -9), on 40 log-spaced powers from 10 uW
+    to 5 mW."""
+    rng = np.random.default_rng(seed)
+    drives = drive_from_watts(REF, np.logspace(-5, math.log10(5e-3), 40))
+    out = []
+    for _ in range(count):
+        m = replace(fig4_model(), omega2=rng.uniform(9.0, 11.0),
+                    detuning=rng.uniform(-11.0, -9.0))
+        out.append((m, squeezing_sweep(m, drives).threshold_bracket))
+    return out
+
+
+def fail_eig_at(monkeypatch, m, drives):
+    """Make the eigen-solver raise on the drift matrix of each drive."""
+    from trimech.linear import linear_models
+    from trimech.steady import fixed_points
+    bad = linear_models(m, fixed_points(m, m.detuning, drives)).drift
+    eig = np.linalg.eig
+
+    def failing(A):
+        if (A[:, None] == bad).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("forced failure")
+        return eig(A)
+    monkeypatch.setattr(np.linalg, "eig", failing)
+
+
+def outcome(call, *args):
+    """What `call` returns, as float.hex, or the error it raises, as text."""
+    from trimech.errors import NumericalError
+    try:
+        return call(*args).hex()
+    except (ValueError, NumericalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestStackedThreshold:
+    """The stacked bisection returns `reference_threshold`'s drive or
+    error, bit for bit, whatever number of halvings each stacked call
+    takes."""
+
+    @pytest.fixture
+    def stacked_drives(self, monkeypatch):
+        """The drives of each stacked `fixed_points` call of the threshold."""
+        import trimech.sweeps as sweeps
+        calls = []
+        real = sweeps.fixed_points
+
+        def recorded(m, detunings, drives):
+            calls.append(np.atleast_1d(drives).tolist())
+            return real(m, detunings, drives)
+        monkeypatch.setattr(sweeps, "fixed_points", recorded)
+        return calls
+
+    @pytest.mark.skipif(np.__version__ != NUMPY,
+                        reason=f"drives recorded with numpy {NUMPY}, not "
+                               f"{np.__version__}; LAPACK may round differently")
+    def test_pinned_brackets(self, monkeypatch):
+        """The drive pinned in `test_threshold_verdict_is_spectral`, and
+        the bracket of the sweep with a real Lyapunov fault."""
+        m, _, drives = sweep_input(SPECTRAL_THRESHOLD_CONFIG,
+                                   2.843676e-05, 8.908028e-04, 208)
+        bracket = squeezing_sweep(m, drives).threshold_bracket
+        assert reference_threshold(m, *bracket).hex() == (9705100761.852898).hex()
+        m_fault, _, drives = fault_sweep_input()
+        fault_bracket = squeezing_sweep(m_fault, drives).threshold_bracket
+        want = reference_threshold(m_fault, *fault_bracket).hex()
+        for _ in threshold_depths(monkeypatch):
+            assert instability_threshold(m, *bracket).hex() == (9705100761.852898).hex()
+            assert instability_threshold(m_fault, *fault_bracket).hex() == want
+
+    def test_seeded_brackets(self, monkeypatch):
+        """All 100 at THRESHOLD_BISECT_DEPTH, the first 10 at every depth."""
+        cases = seeded_squeezing_brackets(100)
+        assert all(bracket is not None for _, bracket in cases)
+        want = [reference_threshold(m, *bracket).hex() for m, bracket in cases]
+        assert [instability_threshold(m, *bracket).hex()
+                for m, bracket in cases] == want
+        for _ in threshold_depths(monkeypatch):
+            assert [instability_threshold(m, *bracket).hex()
+                    for m, bracket in cases[:10]] == want[:10]
+
+    def test_stacked_calls_only(self, monkeypatch, stacked_drives):
+        """No one-row `is_stable` call: both ends in one stacked call, then
+        one per THRESHOLD_BISECT_DEPTH halvings."""
+        import trimech.sweeps as sweeps
+        m, bracket = seeded_squeezing_brackets(1)[0]
+        path = []
+        want = reference_threshold(m, *bracket, path)
+        stacked_drives.clear()
+        monkeypatch.setattr(sweeps, "is_stable", None)
+        assert instability_threshold(m, *bracket) == want
+        assert stacked_drives[0] == list(bracket)
+        depth = sweeps.THRESHOLD_BISECT_DEPTH
+        assert len(stacked_drives) == 1 + -(-len(path) // depth)
+        assert all(len(d) == 2 ** depth - 1 for d in stacked_drives[1:])
+
+    def test_fault_off_the_path_is_not_read(self, monkeypatch, stacked_drives):
+        """Every drive a stacked call evaluates but the bisection does not
+        reach fails in the eigen-solver, and the threshold is unchanged."""
+        m, bracket = seeded_squeezing_brackets(1)[0]
+        path = []
+        want = reference_threshold(m, *bracket, path)
+        for depth in threshold_depths(monkeypatch):
+            stacked_drives.clear()
+            assert instability_threshold(m, *bracket) == want
+            off = sorted({d for call in stacked_drives for d in call}
+                         - set(path) - set(bracket))
+            assert bool(off) == (depth > 1)
+            if off:
+                with monkeypatch.context() as patch:
+                    fail_eig_at(patch, m, off)
+                    assert instability_threshold(m, *bracket).hex() == want.hex()
+
+    @pytest.mark.parametrize("where", ["lower", "upper", "midpoint", "order"])
+    def test_fault_on_the_path_raises(self, monkeypatch, where):
+        """A fault the bisection reaches raises NumericalError, never reads
+        as unstable, with the reference's message.  "order": a lower
+        bound that is not stable is named before a faulted upper one."""
+        m, (lo, hi) = seeded_squeezing_brackets(1)[0]
+        path = []
+        reference_threshold(m, lo, hi, path)
+        if where == "order":
+            lo, hi = hi, 2.0 * hi
+        drive = {"lower": lo, "upper": hi, "order": hi,
+                 "midpoint": path[len(path) // 2]}[where]
+        fail_eig_at(monkeypatch, m, [drive])
+        want = outcome(reference_threshold, m, lo, hi)
+        assert want.startswith("ValueError: lower bound" if where == "order"
+                               else "NumericalError: eigenvalue solver failed")
+        for _ in threshold_depths(monkeypatch):
+            assert outcome(instability_threshold, m, lo, hi) == want
