@@ -112,10 +112,10 @@ def _write(path, text):
 
 def _csv_table(header_echo, columns, data):
     """CSV text of the equal-length columns `data`, one per name in
-    `columns`: numbers formatted as `fmt` does, a column at a time, and
-    string columns as they are."""
+    `columns`: numbers formatted by `fmt`, a column at a time, and string
+    columns as they are."""
     cells = [col if len(col) and isinstance(col[0], str)
-             else [format(x, ".16e") for x in np.asarray(col, dtype=float).tolist()]
+             else list(map(fmt, np.asarray(col, dtype=float).tolist()))
              for col in data]
     lines = [header_echo.rstrip("\n"), ",".join(columns)]
     lines.extend(map(",".join, zip(*cells)))

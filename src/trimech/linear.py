@@ -28,11 +28,11 @@ iterative refinement).  One rule sends a row elsewhere: a row whose
 residual is not within the contract tries the direct vectorized solve of
 `validate.lyapunov_direct`, refined while over the contract, and keeps
 the better result; a row still over it is a fault, so every covariance
-returned meets it.  No row depends on the rest of its stack, so one
-stack may hold rows of different parameter sets: fed a record of per-row
-(N,) parameter arrays instead of a ModelParams, the drift is built row
-by row and the diffusion is (N, 6, 6), one D per row, with the contract
-bound taken per row.
+returned meets it.  Every stack carries a per-row (N, 6, 6) diffusion,
+and each row's contract is relative to its own D.  No row depends on the
+rest of its stack, so one stack may hold rows of different parameter
+sets: fed a record of per-row (N,) parameter arrays instead of a
+ModelParams, the drift and the diffusion are built row by row.
 
 Each row carries a status: OK, UNSTABLE, DEGENERATE (no valid fixed
 point) or FAULT (no certified result).  A failing row is isolated in one
@@ -47,7 +47,6 @@ map; `sweeps.solve_points` runs the whole chain on a stack, from fixed
 points through `linear_models` to the covariances of `_lyapunov_rows`.
 """
 
-import functools
 import itertools
 import math
 import warnings
@@ -92,15 +91,11 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class LinearStack:
-    """N drift matrices, one eigendecomposition per row.
-
-    The rows share one ModelParams, and then one (6, 6) diffusion, or
-    come from a record of per-row parameter arrays, with an (N, 6, 6)
-    diffusion holding each row's own D.
-    """
+    """N drift matrices with each row's own diffusion, one
+    eigendecomposition per row."""
 
     drift: np.ndarray         # (N, 6, 6)
-    diffusion: np.ndarray     # (6, 6) shared by every row, or (N, 6, 6) per row
+    diffusion: np.ndarray     # (N, 6, 6), one D per row
     eigenvalues: np.ndarray   # (N, 6) complex; NaN on rows not decomposed
     eigenvectors: np.ndarray  # (N, 6, 6) complex; NaN on rows not decomposed
     status: np.ndarray        # (N,) OK (stable), UNSTABLE, DEGENERATE or FAULT
@@ -111,9 +106,7 @@ class LinearStack:
         NumericalError when the row was not decomposed."""
         _raise_for(self.status[i], self.reasons.get(i), self.eigenvalues[i],
                    unstable_ok=True)
-        D = self.diffusion
-        return LinearModel(drift=self.drift[i],
-                           diffusion=D[i] if np.ndim(D) == 3 else D,
+        return LinearModel(drift=self.drift[i], diffusion=self.diffusion[i],
                            eigenvalues=self.eigenvalues[i],
                            stable=bool(self.status[i] == OK),
                            eigenvectors=self.eigenvectors[i])
@@ -238,7 +231,8 @@ def _raise_for(status, reason, eigenvalues, unstable_ok=False):
 
 
 def _decompose(A, D, degenerate=None) -> LinearStack:
-    """Stack `A` with one eigendecomposition per row.
+    """Stack `A` and its (N, 6, 6) diffusion `D` with one
+    eigendecomposition per row.
 
     Rows listed in `degenerate` ({row: message}) are not decomposed; their
     eigenvalues and eigenvectors are NaN.  A row whose solve fails is a
@@ -265,13 +259,13 @@ def _decompose(A, D, degenerate=None) -> LinearStack:
 
 
 def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
-    """Drift stack and diffusion of stacked fixed points of `m`, with one
-    eigendecomposition per row; degenerate-trap rows are carried over.
-    `m` is a ModelParams (one shared D) or a record of per-row parameter
-    arrays (one D per row)."""
+    """Drift and per-row diffusion stacks of stacked fixed points of `m`,
+    a ModelParams or a record of per-row parameter arrays, with one
+    eigendecomposition per row; degenerate-trap rows are carried over."""
     A = _drift_stack(m, fp.delta_eff, fp.photon_number, fp.x1_bar, fp.x2_bar)
     degenerate = {int(i): fp.reason(i) for i in fp.degenerate.nonzero()[0]}
-    return _decompose(A, diffusion_matrix(m), degenerate)
+    D = np.broadcast_to(diffusion_matrix(m), A.shape).copy()  # contiguous: faster solves
+    return _decompose(A, D, degenerate)
 
 
 def stability(A):
@@ -283,13 +277,14 @@ def stability(A):
     `stability`, `linear_model` and `solve_lyapunov` agree with
     `linear_models` to the last bit.
     """
-    model = _decompose(np.asarray(A, dtype=float)[None], None).model(0)
+    A = np.asarray(A, dtype=float)[None]
+    model = _decompose(A, np.zeros_like(A)).model(0)  # the verdict reads no D
     return model.stable, model.eigenvalues
 
 
 def linear_model(m: ModelParams, s: ClassicalSteadyState) -> LinearModel:
     """Bundle drift, diffusion, the eigendecomposition and the verdict."""
-    return _decompose(drift_matrix(m, s)[None], diffusion_matrix(m)).model(0)
+    return _decompose(drift_matrix(m, s)[None], diffusion_matrix(m)[None]).model(0)
 
 
 def _sorted_modes(eigenvalues):
@@ -427,25 +422,19 @@ def _lyapunov_rows(stack: LinearStack):
     is not within RESIDUAL_REL * max|D| of its own D (a singular S leaves
     it NaN, which counts as a miss) also tries the direct solve, refined
     while over the contract, and keeps the better of the two; a row still
-    over it turns FAULT, so every covariance returned meets it.  A shared
-    (6, 6) D is passed to the solve as it is, a per-row one row by row.
+    over it turns FAULT, so every covariance returned meets it.  Each
+    row is solved with its own D of the stack's per-row diffusion.
     """
     A, D, lam = stack.drift, stack.diffusion, stack.eigenvalues
-    per_row = D.ndim == 3
-    bound = RESIDUAL_REL * np.maximum(np.abs(D).max(axis=(-2, -1)), _TINY)
+    bound = RESIDUAL_REL * np.maximum(np.abs(D).max(axis=(1, 2)), _TINY)
     neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
     ok = stack.status == OK
-    stacks = (A, stack.eigenvectors, neg_sums2)
-    if per_row:
-        stage, stacks = _eigenbasis_solve, stacks + (D,)
-    else:
-        stage = functools.partial(_eigenbasis_solve, D=D)
-    V, residual, _ = _on_rows(stage, ok, stacks,
+    V, residual, _ = _on_rows(_eigenbasis_solve, ok,
+                              (A, stack.eigenvectors, neg_sums2, D),
                               ((A.shape[1:], float), ((), float)))
     faults = {}
     for i in (ok & ~(residual <= bound)).nonzero()[0]:
-        Di, bi = (D[i], bound[i]) if per_row else (D, bound)
-        achieved = np.abs(_residual(A[i], V[i], Di)).max()
+        Di, bi, achieved = D[i], bound[i], residual[i]
         try:
             V_alt = lyapunov_direct(A[i], Di)
             for step in range(REFINE_STEPS + 1):
@@ -480,7 +469,8 @@ def solve_lyapunov(A, D) -> np.ndarray:
     vectorized solve is tried as well and the result with the smaller
     residual is kept.
     """
-    stack = _decompose(np.asarray(A, dtype=float)[None], np.asarray(D, dtype=float))
+    stack = _decompose(np.asarray(A, dtype=float)[None],
+                       np.asarray(D, dtype=float)[None])
     V, status, reasons = _lyapunov_rows(stack)
     _raise_for(status[0], reasons.get(0), stack.eigenvalues[0])
     return V[0]

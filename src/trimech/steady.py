@@ -135,8 +135,10 @@ def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
     """
     delta = np.array(detunings, dtype=float, ndmin=1)
     drive = np.array(drives, dtype=float, ndmin=1)
-    if delta.shape != drive.shape:
-        delta, drive = np.broadcast_arrays(delta, drive)
+    # copied, not broadcast views: a strided view slows the arithmetic below
+    rows = np.empty((2,) + np.broadcast_shapes(delta.shape, drive.shape))
+    rows[0], rows[1] = delta, drive
+    delta, drive = rows
     with np.errstate(divide="ignore", invalid="ignore"):
         na = 2.0 * drive / (delta ** 2 + 1.0)
         Omega1, Omega2 = _trap_frequencies(m, na)

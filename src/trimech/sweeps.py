@@ -128,9 +128,9 @@ def solve_points(m: ModelParams, detunings, drives) -> PointBatch:
     `detunings` (effective) and `drives` broadcast to one shape (N,); the
     other parameters come from `m`, whose detuning, detuning mode and
     drive are not read: a ModelParams, or a `_RowParams` record of
-    per-row parameters, which gives each row its own diffusion.  Each row
-    gets one eigendecomposition, and a row's result does not depend on
-    the other rows or on the parameters of theirs.
+    per-row parameters.  Every row carries its own diffusion (the stack's
+    is (N, 6, 6)) and gets one eigendecomposition, and a row's result does
+    not depend on the other rows or on the parameters of theirs.
     """
     fp = fixed_points(m, detunings, drives)
     stack = linear_models(m, fp)

@@ -44,17 +44,16 @@ def single(m, detuning, drive):
 
 def check_defective_row(monkeypatch, base, inv_raises):
     """Insert a Jordan-block drift (see `test_defective_row`) into the middle
-    of the all-OK batch `base`, with the D of `base`'s first row when its
-    diffusion is per row, and check that it meets the contract or faults
-    while every other row keeps its values."""
+    of the all-OK batch `base`, with the D of `base`'s first row, and check
+    that it meets the contract or faults while every other row keeps its
+    values."""
     A, D = base.linear.drift, base.linear.diffusion
     J = A[0].copy()
     J[:, 4:] = J[4:, :] = 0.0
     J[4:6, 4:6] = [[-0.5, 1.0], [0.0, -0.5]]
     k = len(A) // 2
-    DJ = D if D.ndim == 2 else D[0]
-    stack = linear._decompose(np.insert(A, k, J, axis=0),
-                              D if D.ndim == 2 else np.insert(D, k, DJ, axis=0))
+    DJ = D[0]
+    stack = linear._decompose(np.insert(A, k, J, axis=0), np.insert(D, k, DJ, axis=0))
     assert np.linalg.cond(stack.eigenvectors[k]) > 1e15
     if inv_raises:
         real_inv = np.linalg.inv
@@ -101,6 +100,18 @@ class TestRowsMatchSolvePoint:
                             batch.row(i)
                         assert str(info.value) == expected
         assert {OK, UNSTABLE, DEGENERATE} <= seen
+
+    def test_model_stack_carries_a_diffusion_per_row(self):
+        m = fig3_model()
+        drives = np.geomspace(1e6, 1e9, 7)
+        batch = solve_points(m, m.detuning, drives)
+        D = linear.diffusion_matrix(m)
+        assert D.shape == (6, 6)
+        assert batch.linear.diffusion.shape == (len(drives), 6, 6)
+        for i in range(len(drives)):
+            assert same_bits(batch.linear.diffusion[i], D)
+            assert batch.linear.model(i).diffusion.shape == (6, 6)
+        assert linear.linear_model(m, fixed_point(m)).diffusion.shape == (6, 6)
 
     def test_scalar_entry_points_are_the_one_row_case(self, model_draws_100):
         for m, s, lm in model_draws_100[:20]:
@@ -253,7 +264,7 @@ class TestOneStatusMap:
             with pytest.raises(DegenerateTrapError):
                 fixed_point(m)
             return
-        A, D = batch.linear.drift[0], batch.linear.diffusion
+        A, D = batch.linear.drift[0], batch.linear.diffusion[0]
         assert self.outcome(linear.solve_lyapunov, A, D)[:1] == (error,)
         if status == FAULT:
             for call, args in ((linear.linear_model, (m, fixed_point(m))),
@@ -360,7 +371,7 @@ class TestMixedCellRows:
                 assert same_bits(getattr(batch.states, name)[i],
                                  getattr(alone.states, name)[0]), name
             assert same_bits(batch.linear.drift[i], alone.linear.drift[0])
-            assert same_bits(batch.linear.diffusion[i], alone.linear.diffusion)
+            assert same_bits(batch.linear.diffusion[i], alone.linear.diffusion[0])
             assert same_bits(batch.linear.diffusion[i], linear.diffusion_matrix(m))
             assert same_bits(batch.linear.eigenvalues[i], alone.linear.eigenvalues[0])
             assert same_bits(batch.linear.eigenvectors[i], alone.linear.eigenvectors[0])

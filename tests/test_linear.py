@@ -442,10 +442,10 @@ class TestScipyOracle:
                                  dets, drives)
         ok = np.flatnonzero(batch.status == OK)
         assert ok.size >= 100
-        D = batch.linear.diffusion
         for i in ok:
             V = batch.V[i]
-            V_ref = solve_continuous_lyapunov(batch.linear.drift[i], -D)
+            V_ref = solve_continuous_lyapunov(batch.linear.drift[i],
+                                              -batch.linear.diffusion[i])
             assert np.abs(V - V_ref).max() <= 1e-6 * np.abs(V).max()
 
 

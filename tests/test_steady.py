@@ -121,6 +121,24 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="effective"):
             fixed_point(basic_model(detuning_mode="bare"))
 
+    @pytest.mark.parametrize("detuning", [-27.2, -0.0, math.inf, -math.inf, math.nan])
+    def test_scalar_and_array_inputs_give_the_same_bytes(self, detuning):
+        m = basic_model()
+        dets = np.array([-27.2, -0.0, 0.0, math.inf, -math.inf, math.nan, detuning])
+        drives = np.geomspace(1e6, 1e12, len(dets))
+
+        def same(a, b):
+            for name in ("delta_eff", "drive", "photon_number", "x1_bar", "x2_bar",
+                         "Omega1", "Omega2", "degenerate"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name
+
+        same(fixed_points(m, dets, m.drive),
+             fixed_points(m, dets, np.full(len(dets), m.drive)))
+        same(fixed_points(m, detuning, drives),
+             fixed_points(m, np.full(len(drives), detuning), drives))
+
 
 class TestEffectiveDetuning:
     def test_no_displacement(self):
