@@ -19,25 +19,26 @@ bracket on the spectral verdict of `is_stable` with the stacked engine
 of `steady`, several halvings per stacked call.
 
 The (detuning, power) optimizer is deterministic: a coarse grid (linear
-in detuning, logarithmic in drive) followed by coordinate pattern
-search with successive halving from the best few coarse cells.  The
-cooling ridge is narrow in power, which is why refinement (one loop for
-both coordinates) marches each improving direction as far as it pays.
-The search keeps one memo of values per (detuning, drive) row.  The
-drive-line march is replayed against it and solves, in one stack, every
-probe it would make if none of the unknown ones improved; it repeats
-until a replay meets no unknown probe, so the search and its optimum are
-those of a march that probes one at a time.  Each refinement start is a
-generator of requests, each for rows the memo lacks, and the starts run
-in lockstep rounds: a round's requests from every live start go to the
-objective in one call, so each distinct row is solved once and each
-call brings new rows.  The whole search is a generator too, so the
-cooling landscape runs the searches of all its cells in lockstep, each
-with its own memo: a round's rows from every live cell go to one
-stacked solve, each row with its own cell's parameters, in calls of at
-most one coarse grid of rows.  As a stacked row equals the row solved
-alone, whatever the other rows and their parameters, none of this
-changes a value, an optimum or an evaluation count.
+in detuning, logarithmic in drive), then nested bracketed Brent line
+searches from the best few coarse cells.  The cooling ridge is a needle
+in drive that drifts smoothly with detuning, so each detuning gets an
+exact drive-line minimization (a scan whose argmin's neighbours bracket
+the needle, then Brent in log10 drive to DRIVE_TOL decades), and the
+detuning coordinate gets the same bracketed Brent search over those line
+minima, each line's scan centred on the best needle so far.  A line
+search that does not converge raises NumericalError.  The search keeps
+one memo of values per (detuning, drive) row, and every probe asks it
+first.  Each refinement start is a generator of requests, each for rows
+the memo lacks, and the starts run in lockstep rounds: a round's
+requests from every live start go to the objective in one call, so each
+distinct row is solved once and each call brings new rows.  The whole
+search is a generator too, so the cooling landscape runs the searches of
+all its cells in lockstep, each with its own memo: a round's rows from
+every live cell go to one stacked solve, each row with its own cell's
+parameters, in calls of at most one coarse grid of rows.  As a stacked
+row equals the row solved alone, whatever the other rows and their
+parameters, none of this changes a value, an optimum or an evaluation
+count.
 """
 
 import math
@@ -62,15 +63,26 @@ from .steady import FixedPoints, _bisect_rows, fixed_point, fixed_points
 THRESHOLD_REL_TOL = 1e-4
 THRESHOLD_BISECT_DEPTH = 3
 
-#: coarse cells the optimizer refines, and its detuning step floor
-#: relative to max(|detuning|, 1)
+#: coarse cells the optimizer refines; its detuning line search stops at
+#: STEP_FLOOR * max(|detuning|, 1) / 2
 REFINE_STARTS = 3
 STEP_FLOOR = 1e-3
 
 #: each drive-line minimization scans DRIVE_SCAN points across
-#: +-DRIVE_SPAN decades around its seed drive
+#: +-DRIVE_SPAN decades around its seed drive, then its line search stops
+#: at DRIVE_TOL decades
 DRIVE_SPAN = 0.3
 DRIVE_SCAN = 25
+DRIVE_TOL = 1e-5
+
+#: Brent steps a line search may take before it raises NumericalError
+LINE_SEARCH_ITERATIONS = 100
+#: a golden-section step's share of the larger part of the bracket
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+#: relative agreement of a fig2 cell's n2_min between coarse grids of
+#: (25, 25) and (37, 37), the tolerance the search is converged to
+SEARCH_REL_TOL = 1e-5
 
 #: the fig2 search box: effective detuning and model-unit drive
 DETUNING_BOUNDS = (-45.0, -2.0)
@@ -337,68 +349,126 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
     return float(lo[0])
 
 
-def _march(x, fx, carry, step, lo, hi, probe, floor_of):
-    """One coordinate of the pattern search, as a generator: march each
-    direction while `probe(x, carry)` improves on `fx` within [lo, hi],
-    halve the step when neither does, stop at `floor_of(x)` (re-read at
-    each halving).  `probe` returns (value, carry), or a generator that
-    returns it, whose requests the march passes through (`yield from`).
-    Returns the best (value, x, carry)."""
-    floor = floor_of(x)
-    while step > floor:
-        moved = False
-        for sgn in (1.0, -1.0):
-            while True:
-                nxt = x + sgn * step
-                if nxt < lo:
-                    nxt = lo
-                elif nxt > hi:
-                    nxt = hi
-                if nxt == x:
-                    break
-                probed = probe(nxt, carry)
-                v, c = probed if type(probed) is tuple else (yield from probed)
-                if not v < fx:
-                    break
-                fx, x, carry, moved = v, nxt, c, True
-        if not moved:
-            step *= 0.5
-            floor = floor_of(x)
-    return fx, x, carry
+def _line_search(x, fx, carry, step, lo, hi, tol_of, probe, a=None, b=None):
+    """A bracketed Brent minimization of one coordinate, as a generator.
 
-
-def _replay_march(solved, det, x, fx, step, lo, hi, floor_of):
-    """`_march` along the line at detuning `det`, with its probes solved
-    in stacks.
-
-    A generator.  Each pass replays the march from the start against
-    `solved`, the search's memo of values keyed by (detuning, x).  A
-    probe missing from it counts as no improvement and is recorded, so
-    one pass records every probe the march would make if none of the
-    unknown ones improved; the generator then yields the request
-    (det, xs) for them, deduplicated, and expects `solved` to hold their
-    values when it resumes.  The pass that meets no unknown probe is the
-    march that probes one at a time.  Returns (value, x, probes),
-    `probes` being that march's probe count.
+    `probe(u, carry)` is a generator that yields the requests of the
+    value at `u` and returns (value, carry); it is run with `yield from`
+    and handed the carry of the best point so far.  Stage one brackets
+    the minimum: in each direction whose bracket end (`a` below `x`, `b`
+    above it) is not given, march from `x` by `step`, clamped to [lo,
+    hi], while the probe improves on `fx`.  The first point that does
+    not improve, or the bound the march stopped on, ends the bracket on
+    that side, and the point a march left ends it on the other.  Stage
+    two is Brent's minimization (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973) of the bracket down to the absolute
+    tolerance `tol_of(x)`, re-read each step: a parabolic step through
+    the last three points when their values are finite and the step is
+    acceptable, a golden-section step otherwise.  An optimum on a bound
+    stays on it.  Returns the best (value, x, carry); NumericalError if
+    Brent has not converged after LINE_SEARCH_ITERATIONS steps.
     """
-    while True:
-        unknown = []
-        probes = 0
+    ends = {-1: a, 1: b}
+    for sgn in (1, -1):
+        while ends[sgn] is None:
+            nxt = min(max(x + sgn * step, lo), hi)
+            if nxt == x:
+                ends[sgn] = x
+                break
+            value, c = yield from probe(nxt, carry)
+            if not value < fx:
+                ends[sgn] = nxt
+                break
+            ends[-sgn] = x
+            fx, x, carry = value, nxt, c
 
-        def probe(p, carry):
-            nonlocal probes
-            probes += 1
-            v = solved.get((det, p))
-            if v is None:
-                unknown.append(p)
-                v = math.inf
-            return v, carry
+    a, b = ends[-1], ends[1]
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    for _ in range(LINE_SEARCH_ITERATIONS):
+        mid = 0.5 * (a + b)
+        tol = tol_of(x)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return fx, x, carry
+        golden = True
+        if abs(e) > tol and math.isfinite(fx + fw + fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+                golden = False
+        if golden:
+            e = (a if x >= mid else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu, cu = yield from probe(u, carry)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, carry = u, fu, cu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    raise NumericalError(f"line search did not converge to {tol_of(x):.3g} in "
+                         f"{LINE_SEARCH_ITERATIONS} steps near {x:.17g}")
 
-        fx_best, x_best, _ = yield from _march(x, fx, None, step, lo, hi, probe,
-                                               floor_of)
-        if not unknown:
-            return fx_best, x_best, probes
-        yield det, list(dict.fromkeys(unknown))
+
+def _drive_line(solved, det, seed, lo, hi):
+    """The objective's minimum along the line of detuning `det`, in log10
+    drive within [lo, hi], as a generator.
+
+    `solved` is the search's memo of values keyed by (detuning, log10
+    drive).  The line is scanned at DRIVE_SCAN points across
+    +-DRIVE_SPAN decades around `seed`, clipped to [lo, hi], in one
+    request.  The scan's neighbours of its argmin bracket the minimum;
+    at a scan end the bracket is widened outward by scan steps, and
+    `_line_search` takes it down to DRIVE_TOL decades.  Each request is
+    (det, xs), naming only rows the memo lacks; the generator expects
+    `solved` to hold their values when it resumes.  Returns (value, x,
+    probes), `probes` counting the values read, scan included; the value
+    is +inf, at `seed`, when the whole scan is.
+    """
+    grid = np.linspace(max(lo, seed - DRIVE_SPAN), min(hi, seed + DRIVE_SPAN),
+                       DRIVE_SCAN).tolist()
+    new = [x for x in grid if (det, x) not in solved]
+    if new:
+        yield det, new
+    values = [solved[det, x] for x in grid]
+    i = int(np.argmin(values))
+    if not math.isfinite(values[i]):
+        return math.inf, seed, DRIVE_SCAN
+    probes = DRIVE_SCAN
+
+    def probe(x, _):
+        nonlocal probes
+        probes += 1
+        if (det, x) not in solved:
+            yield det, [x]
+        return solved[det, x], None
+
+    value, x, _ = yield from _line_search(
+        grid[i], values[i], None, grid[1] - grid[0], lo, hi,
+        lambda _: DRIVE_TOL, probe,
+        a=grid[i - 1] if i > 0 else None,
+        b=grid[i + 1] if i < DRIVE_SCAN - 1 else None)
+    return value, x, probes
 
 
 def _lockstep(steppers, solve):
@@ -456,7 +526,7 @@ class OptimizeResult:
     drive: float
     on_boundary: bool
     evaluations: int  # objective values the search consumed
-    solved_rows: int  # distinct rows solved, speculative drive-line probes included
+    solved_rows: int  # distinct rows the objective was given
 
 
 def _search_box(detuning_bounds, drive_bounds):
@@ -507,40 +577,25 @@ def _search(detuning_bounds, drive_bounds, coarse, cell=None):
     # Stage two is nested coordinate descent.  The objective's valley is a
     # needle in drive (the hybridization window is well under a percent
     # wide) that drifts smoothly with detuning, so the drive coordinate
-    # gets an exact line minimization (local scan plus marching halving)
-    # and the detuning coordinate an outer march over those per-detuning
-    # minima, warm-started at the neighbouring needle position.  Both are
+    # gets an exact line minimization (`_drive_line`) and the detuning
+    # coordinate a bracketed Brent search over those per-detuning minima,
+    # each line's scan centred on the best needle so far.  Both are
     # generators yielding (detuning, log10 drives) requests.
 
-    lg_floor = 1e-4
+    def det_tol(det):
+        return 0.5 * STEP_FLOOR * max(abs(det), 1.0)
 
-    def det_floor(det):
-        return STEP_FLOOR * max(abs(det), 1.0)
-
-    def drive_minimum(det, seed_lg):
+    def line(det, seed_lg):
         nonlocal evals
-        lo = max(lg_lo, seed_lg - DRIVE_SPAN)
-        hi = min(lg_hi, seed_lg + DRIVE_SPAN)
-        grid = np.linspace(lo, hi, DRIVE_SCAN)
-        new = [lg for lg in grid if (det, lg) not in solved]
-        if new:
-            yield det, new
-        vals = [solved[det, lg] for lg in grid]
-        evals += DRIVE_SCAN
-        i = int(np.argmin(vals))
-        fb, lg = vals[i], grid[i]
-        if not math.isfinite(fb):
-            return math.inf, seed_lg
-        fb, lg, probes = yield from _replay_march(
-            solved, det, lg, fb, grid[1] - grid[0], lg_lo, lg_hi,
-            lambda _: lg_floor)
+        value, lg, probes = yield from _drive_line(solved, det, seed_lg,
+                                                   lg_lo, lg_hi)
         evals += probes
-        return fb, lg
+        return value, lg
 
     def refine(det0, lg0):
-        fb, lg = yield from drive_minimum(det0, lg0)
-        return (yield from _march(det0, fb, lg, det_step, d_lo, d_hi,
-                                  drive_minimum, det_floor))
+        fb, lg = yield from line(det0, lg0)
+        return (yield from _line_search(det0, fb, lg, det_step, d_lo, d_hi,
+                                        det_tol, line))
 
     best_val, best_x = math.inf, None
     starts = [refine(det0, lg0) for _, det0, lg0 in cells[:REFINE_STARTS]]
@@ -549,8 +604,8 @@ def _search(detuning_bounds, drive_bounds, coarse, cell=None):
             best_val, best_x = fb, (det, lg)
 
     det, lg = best_x
-    on_boundary = (min(det - d_lo, d_hi - det) <= det_floor(det)
-                   or min(lg - lg_lo, lg_hi - lg) <= lg_floor)
+    on_boundary = (min(det - d_lo, d_hi - det) <= det_tol(det)
+                   or min(lg - lg_lo, lg_hi - lg) <= DRIVE_TOL)
     return OptimizeResult(value=best_val, detuning=det, drive=10.0 ** lg,
                           on_boundary=on_boundary, evaluations=evals,
                           solved_rows=len(solved))
@@ -569,22 +624,30 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     `objective(detunings, drives)` takes two equal-length 1-D arrays and
     returns an array of values, +inf where undefined (unstable or
     degenerate).  Stage one evaluates a coarse grid, linear in detuning
-    and logarithmic in drive, in one call; stage two runs coordinate
-    pattern search (march while improving, then halve the step) from the
-    best REFINE_STARTS coarse cells down to a relative step floor.  Each
-    refinement is a generator that yields its drive-line scans and its
-    speculative drive-line march probes (`_replay_march`, which takes the
-    same path as probing one at a time); the starts run in lockstep, each
-    round's requests in one objective call, and the best start is taken
-    in start order once all have finished.  Values are kept in one memo
-    per (detuning, log10 drive) row, and a request names only rows the
-    memo lacks, so the objective sees each distinct row once.
-    `evaluations` counts the probes the search consumed and `solved_rows`
-    the distinct rows the objective was given, speculative ones included.
+    and logarithmic in drive, in one call.  Stage two refines the best
+    REFINE_STARTS coarse cells by nested line searches (`_line_search`),
+    each bracketed by a march at a fixed step while the value improves,
+    then minimized by Brent's method, with parabolic steps where the last
+    three values are finite and golden-section steps otherwise.  The
+    inner line is the drive at fixed detuning (`_drive_line`): a
+    DRIVE_SCAN-point scan brackets its needle, marching on by scan steps
+    only from an argmin at a scan end, and Brent takes it to DRIVE_TOL
+    decades.  The outer line is the detuning over those line minima,
+    bracketed by a march at the coarse detuning step and taken to
+    STEP_FLOOR * max(|detuning|, 1) / 2.  A line search
+    still open after LINE_SEARCH_ITERATIONS Brent steps raises
+    NumericalError; no unconverged point is returned.  The starts run in
+    lockstep, each round's requests in one objective call, and the best
+    start is taken in start order once all have finished.  Values are
+    kept in one memo per (detuning, log10 drive) row, and a request names
+    only rows the memo lacks, so the objective sees each distinct row
+    once.  `evaluations` counts the values the search consumed and
+    `solved_rows` the distinct rows the objective was given.
     `on_boundary` says whether the optimum lies within its coordinate's
-    step floor of a bound of the search box; the optimum is not moved.
-    The search itself is a generator (`_search`) that this function feeds
-    from `objective`; `occupation_landscape` feeds many at once.
+    line-search tolerance of a bound of the search box; the optimum is
+    not moved.  The search itself is a generator (`_search`) that this
+    function feeds from `objective`; `occupation_landscape` feeds many at
+    once.
     """
     return _serve(_search(detuning_bounds, drive_bounds, coarse),
                   lambda request: objective(*_drives(request[1])))
@@ -614,7 +677,7 @@ class LandscapePoint:
     message: str = ""
     on_boundary: bool = False  # the optimum sits on a search bound
     evaluations: int = 0       # objective evaluations spent on the cell
-    solved_rows: int = 0       # distinct rows solved for them, speculative included
+    solved_rows: int = 0       # distinct rows solved for them
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,11 @@ DIGESTS = {
     },
     "sweep-fig2": {
         "landscape.dat":
-            "56b52da05a7cba12a3de546c6ae9fffe0a19b3b92c440ac4bfe455c58ed5ce76",
+            "97f328f384b79301d1bcefa38ae401087b582babdbd5bad7eee928585f2c3d0e",
         "summary.json":
-            "0befbbea5b99f169b545e4c49dea1972ca496b170d236ced9cc542ef02b455fa",
+            "fe802e2f88e96da298aab367dcc6da270e91ecafe85440a625eb8116f794e52c",
         "sweep.csv":
-            "c242a03a52114584285a00c767ccb64fce3cf6157d0f5b7224e0250a2058dacf",
+            "bafff4941673dcf45d20d169a927f462178ec0e271f1641fd07a796668decde1",
     },
     "sweep-fig3": {
         "summary.json":

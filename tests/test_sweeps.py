@@ -8,10 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trimech.errors import PhysicsError
+from trimech.errors import NumericalError, PhysicsError
 from trimech.params import reference_params
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
-from trimech.sweeps import (_march, _replay_march, drive_from_watts,
+from trimech.sweeps import (DRIVE_SCAN, DRIVE_SPAN, DRIVE_TOL,
+                            SEARCH_REL_TOL, _drive_line, _line_search,
+                            drive_from_watts,
                             instability_threshold, occupation_landscape,
                             optimize_scalar, power_sweep,
                             sphere_occupation_objective, squeezing_sweep,
@@ -351,84 +353,106 @@ class TestOptimizeScalar:
         assert res.value <= quoted
 
 
-def _run(march, solve=None):
-    """Drive a march generator to its return value, answering each request
+def _run(stepper, solve=None):
+    """Drive a generator to its return value, answering each request
     with `solve(request)`."""
     try:
-        request = next(march)
+        request = next(stepper)
         while True:
-            request = march.send(solve(request))
+            request = stepper.send(solve(request))
     except StopIteration as stop:
         return stop.value
 
 
-def _probe_by_probe(g, x, step, lo, hi, floor):
-    """`_march` probing `g` one point at a time: (value, x, probes)."""
-    probes = []
+class TestLineSearch:
+    """The drive-line search brackets and converges to DRIVE_TOL, stays on
+    a bound that holds the optimum, and asks only for rows its memo
+    lacks."""
 
-    def probe(p, carry):
-        probes.append(p)
-        return g(np.array([p]))[0], carry
-        yield  # a probe that requests nothing
-
-    value, x_best, _ = _run(_march(x, g(np.array([x]))[0], None, step, lo, hi,
-                                   probe, lambda _: floor))
-    return value, x_best, len(probes)
-
-
-class TestReplayMarch:
-    """The stacked replay takes the march that probes one point at a time,
-    and asks only for rows its memo lacks."""
-
+    # case: (objective, seed, lo, hi, minimizer)
     CASES = {
-        "quadratic": (lambda x: (x - 0.37) ** 2, 0.0, 0.25, -2.0, 2.0),
-        "needle": (lambda x: -1.0 / (1.0 + ((x - 0.3137) / 1e-3) ** 2),
-                   0.0, 0.25, -2.0, 2.0),
+        "quadratic": (lambda x: (x - 0.37) ** 2, 0.2, -2.0, 2.0, 0.37),
+        "needle": (lambda x: -1.0 / (1.0 + ((x - 0.1137) / 1e-3) ** 2),
+                   0.0, -2.0, 2.0, 0.1137),
         "inf plateau": (lambda x: np.where(x > 0.5, math.inf, (x - 0.61) ** 2),
-                        0.0, 0.2, -2.0, 2.0),
-        "optimum on lo": (lambda x: x * 1.0, 0.3, 0.25, -1.0, 1.0),
-        "optimum on hi": (lambda x: -x, 0.3, 0.25, -1.0, 1.0),
-        "first probe improves": (lambda x: (x - 1.7) ** 2, 0.0, 0.25, -2.0, 2.0),
+                        0.3, -2.0, 2.0, 0.5),
+        "optimum on lo": (lambda x: x * 1.0, -0.9, -1.0, 1.0, -1.0),
+        "optimum on hi": (lambda x: -x, 0.3, -1.0, 1.0, 1.0),
+        "optimum outside the scan window": (lambda x: (x - 1.7) ** 2, 0.0,
+                                            -2.0, 2.0, 1.7),
     }
-    DET = -7.0  # the detuning of the replayed line
+    DET = -7.0  # the detuning of the searched line
 
-    def replay(self, case, memo):
-        """Run the replay of `case` against `memo`, a {(detuning, x): value}
-        dict it fills: (value, x, probes) and the size of each request."""
-        g, x0, step, lo, hi = self.CASES[case]
+    def search(self, case, memo):
+        """Run the drive line of `case` against `memo`, a {(detuning, x):
+        value} dict it fills: (value, x, probes) and each request's size."""
+        g, seed, lo, hi, _ = self.CASES[case]
         sizes = []
 
         def solve(request):
             det, xs = request
             assert det == self.DET
-            assert not any((det, x) in memo for x in xs)  # only rows it lacks
+            assert xs and not any((det, x) in memo for x in xs)  # only rows it lacks
             sizes.append(len(xs))
             memo.update(zip(((det, x) for x in xs), g(np.array(xs, dtype=float))))
 
-        fx0 = g(np.array([x0]))[0]
-        result = _run(_replay_march(memo, self.DET, x0, fx0, step, lo, hi,
-                                    lambda _: 1e-4), solve)
-        return result, sizes
+        return _run(_drive_line(memo, self.DET, seed, lo, hi), solve), sizes
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_probe_by_probe_march(self, case):
-        g, x0, step, lo, hi = self.CASES[case]
-        (value, x, probes), sizes = self.replay(case, {})
-        assert (value, x, probes) == _probe_by_probe(g, x0, step, lo, hi, 1e-4)
-        assert len(sizes) < probes
-        if case == "first probe improves":
-            assert sum(sizes) > probes  # speculative rows were thrown away
+    def test_converges(self, case):
+        g, seed, lo, hi, x_min = self.CASES[case]
+        memo = {}
+        (value, x, probes), sizes = self.search(case, memo)
+        assert value == memo[self.DET, x] == g(np.array([x]))[0]
+        assert abs(x - x_min) <= 2 * DRIVE_TOL
+        assert sum(sizes) == len(memo) <= probes
+        if case.startswith("optimum on"):
+            assert x == x_min  # the bound is kept, not approached
 
     def test_memo_rows_are_not_asked_again(self):
-        """Starting from a memo that holds a drive-scan-like grid of the
-        line, the replay takes the same march and asks for fewer rows."""
-        g, x0, step, lo, hi = self.CASES["needle"]
-        grid = np.linspace(x0 - 0.3, x0 + 0.3, 25)
-        memo = dict(zip(((self.DET, x) for x in grid), g(grid)))
-        fresh, fresh_sizes = self.replay("needle", {})
-        warm, sizes = self.replay("needle", memo)
-        assert warm == fresh == _probe_by_probe(g, x0, step, lo, hi, 1e-4)
-        assert 0 < sum(sizes) < sum(fresh_sizes)
+        """Starting from a memo that already holds the line's scan, the
+        search takes the same path and asks only for its probes."""
+        fresh, fresh_sizes = self.search("needle", {})
+        g, seed, *_ = self.CASES["needle"]
+        grid = np.linspace(seed - DRIVE_SPAN, seed + DRIVE_SPAN,
+                           DRIVE_SCAN).tolist()
+        memo = dict(zip(((self.DET, x) for x in grid), g(np.array(grid))))
+        warm, sizes = self.search("needle", memo)
+        assert warm == fresh
+        assert sizes == fresh_sizes[1:]
+        assert all(size == 1 for size in sizes)
+
+    def test_unbracketed_line_marches_both_ways(self):
+        """With no bracket end given, the line marches from its start in
+        whichever direction improves, as the detuning line does; each probe
+        is handed the carry of the best point so far."""
+        def f(x):
+            return (x + 17.0) ** 2
+
+        seen = [(f(-5.0), -5.0)]
+
+        def probe(x, carry):
+            assert carry == min(seen)[1]
+            seen.append((f(x), x))
+            return f(x), x  # the carry names its point
+            yield  # a probe that requests nothing
+
+        value, x, carry = _run(_line_search(-5.0, f(-5.0), -5.0, 1.8, -30.0,
+                                            -2.0, lambda det: 1e-4, probe))
+        assert x == carry == pytest.approx(-17.0, abs=2e-4)
+        assert value == f(x)
+        assert seen[1][1] == -3.2 and seen[2][1] == -6.8  # up first, then down
+
+    def test_unconverged_line_raises(self, monkeypatch):
+        """A line search that runs out of steps raises; it never hands back
+        the point it stopped at."""
+        import trimech.sweeps as sweeps
+        monkeypatch.setattr(sweeps, "LINE_SEARCH_ITERATIONS", 3)
+        with pytest.raises(NumericalError, match="did not converge"):
+            self.search("quadratic", {})
+        with pytest.raises(NumericalError, match="did not converge"):
+            optimize_scalar(lambda d, p: (d + 17.0) ** 2 + (np.log10(p) - 6.5) ** 2,
+                            (-30.0, -2.0), (1e4, 1e9))
 
 
 class TestOccupationLandscape:
@@ -482,19 +506,32 @@ class TestOccupationLandscape:
         assert point.on_boundary == opt.on_boundary
         assert point.n2_min == opt.value
 
-    def test_on_boundary_up_to_the_march_floor(self):
-        """fig2 preset cells whose optimum ends on the detuning bound up to
-        roundoff read on_boundary, and the optimum is not snapped to it;
-        omega2 = 3.4 ends 0.11 inside the bound and does not."""
+    def test_on_boundary_up_to_the_search_tolerance(self):
+        """fig2 preset cells whose optimum ends on the detuning bound read
+        on_boundary, within the detuning line search's own tolerance; the
+        bound point holds the best value, so the optimum is the bound
+        itself.  omega2 = 3.4 ends there too, where a wide box finds its
+        optimum at -45.43."""
         proto = fig2_protocol()
         result = occupation_landscape(proto["base"], proto["omega1"],
-                                      [3.4, 4.0, 5.0, 6.5, 8.0],
+                                      [3.0, 3.4, 4.0, 5.0, 6.5, 8.0],
                                       proto["detuning_bounds"],
                                       proto["drive_bounds"])
-        assert [p.on_boundary for p in result.points] == [False] + [True] * 4
-        assert [p.detuning for p in result.points][1:] == [
-            -44.99999999999997, -44.99999999999998, -45.0, -44.999999999999986]
-        assert result.points[0].detuning == pytest.approx(-44.888, abs=1e-3)
+        assert [p.on_boundary for p in result.points] == [False] + [True] * 5
+        assert [p.detuning for p in result.points][1:] == [-45.0] * 5
+        assert result.points[0].detuning == pytest.approx(-43.279, abs=1e-3)
+
+    def test_agrees_across_coarse_grids(self):
+        """The search is converged: on the nine fig2 cells, a (37, 37)
+        coarse grid gives the n2_min of the (25, 25) one to SEARCH_REL_TOL."""
+        proto = fig2_protocol()
+        n2 = {coarse: np.array([p.n2_min for p in occupation_landscape(
+                  proto["base"], proto["omega1"], proto["omega2"],
+                  proto["detuning_bounds"], proto["drive_bounds"],
+                  coarse=coarse).points])
+              for coarse in ((25, 25), (37, 37))}
+        assert np.all(np.isfinite(n2[25, 25]))
+        np.testing.assert_allclose(n2[37, 37], n2[25, 25], rtol=SEARCH_REL_TOL)
 
     def test_search_pinned_and_stacked(self, monkeypatch):
         """The eight benchmark cells keep their probe counts and bit-exact
@@ -535,22 +572,22 @@ class TestOccupationLandscape:
             drive_bounds=proto["drive_bounds"])
         # (evaluations, solved_rows, n2_min, detuning, drive)
         expected = [
-            (5317, 3892, "0x1.326870eec283dp+9", "-0x1.2220000000001p+5",
-             "0x1.9195b8079add2p+36"),
-            (5059, 4248, "0x1.1c84dbc1d7718p+9", "-0x1.5c5aaaaaaaaa8p+5",
-             "0x1.44bd8d85dffa7p+37"),
-            (4043, 3143, "0x1.1d85de78a1465p+9", "-0x1.678d555555556p+5",
-             "0x1.589a13f0793ecp+37"),
-            (4361, 3072, "0x1.5b00943317201p+9", "-0x1.67fffffffffffp+5",
-             "0x1.2a475c1b6ae74p+37"),
-            (3737, 3090, "0x1.ddc5917d9df5cp+9", "-0x1.67ffffffffffep+5",
-             "0x1.f6d8261f1d6e9p+36"),
-            (3984, 3535, "0x1.1ee212f73757fp+10", "-0x1.67ffffffffffdp+5",
-             "0x1.c9873cb877c89p+36"),
-            (3029, 2847, "0x1.551acbe8f2bfep+11", "-0x1.6800000000000p+5",
-             "0x1.1d325af2d770cp+36"),
-            (2755, 2961, "0x1.1d6d8631103c5p+12", "-0x1.6800000000000p+5",
-             "0x1.9eda200bf7eb0p+35"),
+            (2102, 1837, "0x1.32603a3b6978cp+9", "-0x1.22943da0b4f4dp+5",
+             "0x1.937f70a8aaa6ap+36"),
+            (1730, 1691, "0x1.1c4f0a000efb6p+9", "-0x1.6142d122e4adfp+5",
+             "0x1.52b756b2a4a85p+37"),
+            (1727, 1714, "0x1.1d515093b411fp+9", "-0x1.6800000000000p+5",
+             "0x1.59f029da15e67p+37"),
+            (1917, 1595, "0x1.5abf3417778ecp+9", "-0x1.6800000000000p+5",
+             "0x1.2a56bacf57d14p+37"),
+            (1545, 1532, "0x1.ddb6946fb70a8p+9", "-0x1.6800000000000p+5",
+             "0x1.f6e35138b6c81p+36"),
+            (1701, 1662, "0x1.1ed96babddc36p+10", "-0x1.6800000000000p+5",
+             "0x1.c991bbe2a9d11p+36"),
+            (1683, 1643, "0x1.55169f0084d80p+11", "-0x1.6800000000000p+5",
+             "0x1.1d2d55cfd1e34p+36"),
+            (1676, 1667, "0x1.1d64ac617b3cbp+12", "-0x1.6800000000000p+5",
+             "0x1.9ecc986f77027p+35"),
         ]
         assert [(p.evaluations, p.solved_rows, float(p.n2_min).hex(),
                  float(p.detuning).hex(), float(p.drive).hex())
@@ -559,10 +596,10 @@ class TestOccupationLandscape:
             rows = [row for request in cell for row in request]
             assert p.solved_rows == len(rows) == len(set(rows))
             assert all(cell)
-            assert len(cell) < p.evaluations / 20
-        assert sum(len(cell) for cell in requests) == 852
-        assert sum(kernel) == sum(p.solved_rows for p in result.points) == 26788
-        assert len(kernel) <= 140
+            assert len(cell) < p.evaluations / 10
+        assert sum(len(cell) for cell in requests) == 995
+        assert sum(kernel) == sum(p.solved_rows for p in result.points) == 13341
+        assert len(kernel) <= 144
         assert max(kernel) == 25 * 25
 
 
