@@ -264,7 +264,9 @@ def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
     eigendecomposition per row; degenerate-trap rows are carried over."""
     A = _drift_stack(m, fp.delta_eff, fp.photon_number, fp.x1_bar, fp.x2_bar)
     degenerate = {int(i): fp.reason(i) for i in fp.degenerate.nonzero()[0]}
-    D = np.broadcast_to(diffusion_matrix(m), A.shape).copy()  # contiguous: faster solves
+    # contiguous (faster solves): a ModelParams' one D is copied to every
+    # row, a per-row record's stack is used as it is
+    D = np.ascontiguousarray(np.broadcast_to(diffusion_matrix(m), A.shape))
     return _decompose(A, D, degenerate)
 
 

@@ -25,20 +25,25 @@ in drive that drifts smoothly with detuning, so each detuning gets an
 exact drive-line minimization (a scan whose argmin's neighbours bracket
 the needle, then Brent in log10 drive to DRIVE_TOL decades), and the
 detuning coordinate gets the same bracketed Brent search over those line
-minima, each line's scan centred on the best needle so far.  A line
-search that does not converge raises NumericalError.  The search keeps
-one memo of values per (detuning, drive) row, and every probe asks it
-first.  Each refinement start is a generator of requests, each for rows
-the memo lacks, and the starts run in lockstep rounds: a round's
-requests from every live start go to the objective in one call, so each
-distinct row is solved once and each call brings new rows.  The whole
-search is a generator too, so the cooling landscape runs the searches of
-all its cells in lockstep, each with its own memo: a round's rows from
-every live cell go to one stacked solve, each row with its own cell's
-parameters, in calls of at most one coarse grid of rows.  As a stacked
-row equals the row solved alone, whatever the other rows and their
-parameters, none of this changes a value, an optimum or an evaluation
-count.
+minima, each line's scan centred on the best needle so far.  A start's
+detuning march stops before a detuning within half a coarse step of a
+line that another start of its cell has finished with a strictly lower
+value, and the start returns its best point so far; the rule is read
+only before march probes.  A line search that does not converge raises
+NumericalError.  The search keeps one memo of values per (detuning,
+drive) row, and every probe asks it first.  Each refinement start is a
+generator of requests, each for rows the memo lacks, and the starts run
+in lockstep rounds: a round's requests from every live start go to the
+objective in one call, so each distinct row is solved once and each
+call brings new rows; the rounds also fix which lines another start has
+finished when the stop rule is read.  The whole search is a generator
+too, so the cooling landscape runs the searches of all its cells in
+lockstep, each with its own memo and its own record of lines: a round's
+rows from every live cell go to one stacked solve, each row with its
+own cell's parameters, in calls of at most one coarse grid of rows.  As
+a stacked row equals the row solved alone, whatever the other rows and
+their parameters, the cells' lockstep changes no value, optimum or
+evaluation count.
 """
 
 import math
@@ -349,7 +354,8 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
     return float(lo[0])
 
 
-def _line_search(x, fx, carry, step, lo, hi, tol_of, probe, a=None, b=None):
+def _line_search(x, fx, carry, step, lo, hi, tol_of, probe, a=None, b=None,
+                 stop=None):
     """A bracketed Brent minimization of one coordinate, as a generator.
 
     `probe(u, carry)` is a generator that yields the requests of the
@@ -359,7 +365,9 @@ def _line_search(x, fx, carry, step, lo, hi, tol_of, probe, a=None, b=None):
     above it) is not given, march from `x` by `step`, clamped to [lo,
     hi], while the probe improves on `fx`.  The first point that does
     not improve, or the bound the march stopped on, ends the bracket on
-    that side, and the point a march left ends it on the other.  Stage
+    that side, and the point a march left ends it on the other.  Before
+    each march probe at `u`, `stop(u, fx)`, when given, may end the search
+    there: it then returns the best point so far, unbracketed.  Stage
     two is Brent's minimization (Brent, *Algorithms for Minimization
     without Derivatives*, 1973) of the bracket down to the absolute
     tolerance `tol_of(x)`, re-read each step: a parabolic step through
@@ -375,6 +383,8 @@ def _line_search(x, fx, carry, step, lo, hi, tol_of, probe, a=None, b=None):
             if nxt == x:
                 ends[sgn] = x
                 break
+            if stop is not None and stop(nxt, fx):
+                return fx, x, carry
             value, c = yield from probe(nxt, carry)
             if not value < fx:
                 ends[sgn] = nxt
@@ -428,6 +438,15 @@ def _line_search(x, fx, carry, step, lo, hi, tol_of, probe, a=None, b=None):
                 v, fv = u, fu
     raise NumericalError(f"line search did not converge to {tol_of(x):.3g} in "
                          f"{LINE_SEARCH_ITERATIONS} steps near {x:.17g}")
+
+
+def _searched(lines, start, u, best, radius):
+    """Whether a start other than `start` has finished a line within
+    `radius` of `u` with a value strictly below `best`; `lines` holds
+    (start, detuning, value) records.  A tie does not count, so starts
+    with equal lines never stop each other."""
+    return any(k != start and abs(d - u) <= radius and value < best
+               for k, d, value in lines)
 
 
 def _drive_line(solved, det, seed, lo, hi):
@@ -585,20 +604,28 @@ def _search(detuning_bounds, drive_bounds, coarse, cell=None):
     def det_tol(det):
         return 0.5 * STEP_FLOOR * max(abs(det), 1.0)
 
-    def line(det, seed_lg):
+    # every finished detuning line of the cell: (start, detuning, value)
+    lines = []
+
+    def line(start, det, seed_lg):
         nonlocal evals
         value, lg, probes = yield from _drive_line(solved, det, seed_lg,
                                                    lg_lo, lg_hi)
         evals += probes
+        lines.append((start, det, value))
         return value, lg
 
-    def refine(det0, lg0):
-        fb, lg = yield from line(det0, lg0)
-        return (yield from _line_search(det0, fb, lg, det_step, d_lo, d_hi,
-                                        det_tol, line))
+    def refine(start, det0, lg0):
+        fb, lg = yield from line(start, det0, lg0)
+        return (yield from _line_search(
+            det0, fb, lg, det_step, d_lo, d_hi, det_tol,
+            lambda det, seed_lg: line(start, det, seed_lg),
+            stop=lambda det, best: _searched(lines, start, det, best,
+                                             0.5 * det_step)))
 
     best_val, best_x = math.inf, None
-    starts = [refine(det0, lg0) for _, det0, lg0 in cells[:REFINE_STARTS]]
+    starts = [refine(k, det0, lg0)
+              for k, (_, det0, lg0) in enumerate(cells[:REFINE_STARTS])]
     for fb, det, lg in (yield from _lockstep(starts, ask)):
         if fb < best_val:
             best_val, best_x = fb, (det, lg)
@@ -634,11 +661,16 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     only from an argmin at a scan end, and Brent takes it to DRIVE_TOL
     decades.  The outer line is the detuning over those line minima,
     bracketed by a march at the coarse detuning step and taken to
-    STEP_FLOOR * max(|detuning|, 1) / 2.  A line search
-    still open after LINE_SEARCH_ITERATIONS Brent steps raises
-    NumericalError; no unconverged point is returned.  The starts run in
-    lockstep, each round's requests in one objective call, and the best
-    start is taken in start order once all have finished.  Values are
+    STEP_FLOOR * max(|detuning|, 1) / 2.  A start's march stops before
+    a detuning within half a coarse step of a detuning line that another
+    start has finished with a strictly lower value, and that start
+    returns its best point so far; Brent's stage and the drive lines
+    never stop this way.  A stopped start's value lies above a line of
+    another start, so the optimum is never a stopped start's point.  A
+    line search still open after LINE_SEARCH_ITERATIONS Brent steps
+    raises NumericalError; no unconverged point is returned.  The starts
+    run in lockstep, each round's requests in one objective call, and
+    the best start is taken in start order once all have finished.  Values are
     kept in one memo per (detuning, log10 drive) row, and a request names
     only rows the memo lacks, so the objective sees each distinct row
     once.  `evaluations` counts the values the search consumed and

@@ -89,11 +89,11 @@ DIGESTS = {
     },
     "sweep-fig2": {
         "landscape.dat":
-            "97f328f384b79301d1bcefa38ae401087b582babdbd5bad7eee928585f2c3d0e",
+            "e9a8ac0ebbf05325e1d3717a1e118f56fd8ea04bff757af9535b9191b51bbbaf",
         "summary.json":
-            "fe802e2f88e96da298aab367dcc6da270e91ecafe85440a625eb8116f794e52c",
+            "a68a2c8dd7d21501ecd18db2b95618d5e21d6c19f31c6d4654e092b43745bbde",
         "sweep.csv":
-            "bafff4941673dcf45d20d169a927f462178ec0e271f1641fd07a796668decde1",
+            "e0d344912397ccd71dedee623db69f45d9aefe883b9706794b2d28ee879a9beb",
     },
     "sweep-fig3": {
         "summary.json":

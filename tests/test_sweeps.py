@@ -13,6 +13,7 @@ from trimech.params import reference_params
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
 from trimech.sweeps import (DRIVE_SCAN, DRIVE_SPAN, DRIVE_TOL,
                             SEARCH_REL_TOL, _drive_line, _line_search,
+                            _searched,
                             drive_from_watts,
                             instability_threshold, occupation_landscape,
                             optimize_scalar, power_sweep,
@@ -443,6 +444,60 @@ class TestLineSearch:
         assert value == f(x)
         assert seen[1][1] == -3.2 and seen[2][1] == -6.8  # up first, then down
 
+    def test_stop_ends_the_march_at_its_first_refusal(self):
+        """The march asks `stop` before each of its probes and, at the
+        first refusal, returns its best point so far without probing
+        there; Brent's stage never asks."""
+        def f(x):
+            return (x + 17.0) ** 2
+
+        def run(refuse, **bracket):
+            probed, asked = [], []
+
+            def probe(x, _):
+                probed.append(x)
+                return f(x), x
+                yield  # a probe that requests nothing
+
+            def stop(u, best):
+                asked.append((u, best))
+                return refuse(u)
+
+            result = _run(_line_search(-5.0, f(-5.0), -5.0, 1.8, -30.0, -2.0,
+                                       lambda det: 1e-4, probe, stop=stop,
+                                       **bracket))
+            return result, probed, asked
+
+        (value, x, carry), probed, asked = run(lambda u: u < -10.0)
+        assert probed == [-3.2, -6.8, -8.6]
+        assert [u for u, _ in asked] == probed + [-10.4]
+        assert [best for _, best in asked] == [f(-5.0), f(-5.0), f(-6.8), f(-8.6)]
+        assert (value, x, carry) == (f(-8.6), -8.6, -8.6)
+
+        # never refused: asked before each march probe only, up to the
+        # first point past the minimum, and then Brent probes unasked
+        (value, x, _), probed, asked = run(lambda u: False)
+        march = [u for u, _ in asked]
+        assert march[-1] == pytest.approx(-19.4)
+        assert probed[:len(march)] == march and len(probed) > len(march)
+        assert x == pytest.approx(-17.0, abs=2e-4)
+
+        # a given bracket has no march, so nothing is asked
+        (value, x, _), probed, asked = run(lambda u: True, a=-30.0, b=-2.0)
+        assert asked == [] and probed
+        assert x == pytest.approx(-17.0, abs=2e-4)
+
+    def test_searched_ground_is_strictly_better_ground_of_another_start(self):
+        """A march stops on ground that another start has searched with a
+        strictly lower value, within half a coarse step; its own lines and
+        tied lines never stop it."""
+        lines = [(0, -16.0, 0.5), (1, -20.0, 0.25)]
+        assert _searched(lines, 1, -16.5, 0.75, 0.5)  # the edge counts
+        assert not _searched(lines, 1, -16.6, 0.75, 0.5)  # too far
+        assert not _searched(lines, 1, -16.0, 0.5, 0.5)  # a tie
+        assert not _searched(lines, 0, -16.0, 0.75, 0.5)  # its own line
+        assert _searched(lines, 0, -20.0, 0.5, 0.5)
+
     def test_unconverged_line_raises(self, monkeypatch):
         """A line search that runs out of steps raises; it never hands back
         the point it stopped at."""
@@ -521,6 +576,55 @@ class TestOccupationLandscape:
         assert [p.detuning for p in result.points][1:] == [-45.0] * 5
         assert result.points[0].detuning == pytest.approx(-43.279, abs=1e-3)
 
+    def test_stopped_start_keeps_its_best_point(self, monkeypatch):
+        """On omega2 = 6.0 the starts march toward -45 over one corridor.
+        A start that stops on another's better ground returns the best
+        line it finished, and the cell's n2_min is the least over its
+        starts."""
+        import trimech.sweeps as sweeps
+        from trimech.sweeps import REFINE_STARTS
+        real = sweeps._line_search
+        starts = []  # per detuning line search: its lines, refusal, result
+
+        def line_search(x, fx, carry, step, lo, hi, tol_of, probe, a=None,
+                        b=None, stop=None):
+            if stop is None:  # a drive line
+                return real(x, fx, carry, step, lo, hi, tol_of, probe, a, b)
+            log = {"lines": [(fx, x)], "stopped": False}
+            starts.append(log)
+
+            def logged_probe(u, c):
+                value, c = yield from probe(u, c)
+                log["lines"].append((value, u))
+                return value, c
+
+            def logged_stop(u, best):
+                log["stopped"] = stop(u, best)
+                return log["stopped"]
+
+            def run():
+                log["result"] = yield from real(x, fx, carry, step, lo, hi,
+                                                tol_of, logged_probe, a, b,
+                                                stop=logged_stop)
+                return log["result"]
+            return run()
+
+        monkeypatch.setattr(sweeps, "_line_search", line_search)
+        proto = fig2_protocol()
+        (point,) = occupation_landscape(
+            reference_params(), [10.0], [6.0],
+            detuning_bounds=proto["detuning_bounds"],
+            drive_bounds=proto["drive_bounds"]).points
+        assert len(starts) == REFINE_STARTS
+        stopped = [log for log in starts if log["stopped"]]
+        assert stopped
+        for log in stopped:
+            value, x, _ = log["result"]
+            assert value == min(v for v, _ in log["lines"])
+            assert (value, x) in log["lines"]
+            assert value > point.n2_min
+        assert point.n2_min == min(log["result"][0] for log in starts)
+
     def test_agrees_across_coarse_grids(self):
         """The search is converged: on the nine fig2 cells, a (37, 37)
         coarse grid gives the n2_min of the (25, 25) one to SEARCH_REL_TOL."""
@@ -572,21 +676,21 @@ class TestOccupationLandscape:
             drive_bounds=proto["drive_bounds"])
         # (evaluations, solved_rows, n2_min, detuning, drive)
         expected = [
-            (2102, 1837, "0x1.32603a3b6978cp+9", "-0x1.22943da0b4f4dp+5",
+            (1350, 1341, "0x1.32603a3b6978cp+9", "-0x1.22943da0b4f4dp+5",
              "0x1.937f70a8aaa6ap+36"),
-            (1730, 1691, "0x1.1c4f0a000efb6p+9", "-0x1.6142d122e4adfp+5",
-             "0x1.52b756b2a4a85p+37"),
-            (1727, 1714, "0x1.1d515093b411fp+9", "-0x1.6800000000000p+5",
-             "0x1.59f029da15e67p+37"),
-            (1917, 1595, "0x1.5abf3417778ecp+9", "-0x1.6800000000000p+5",
+            (1196, 1187, "0x1.1c4f0a000efe4p+9", "-0x1.6142d122eafc1p+5",
+             "0x1.52b756b2b6d2fp+37"),
+            (1162, 1153, "0x1.1d5150d2de6bdp+9", "-0x1.6800000000000p+5",
+             "0x1.59f02f87aa139p+37"),
+            (1194, 1185, "0x1.5abf3417778ecp+9", "-0x1.6800000000000p+5",
              "0x1.2a56bacf57d14p+37"),
-            (1545, 1532, "0x1.ddb6946fb70a8p+9", "-0x1.6800000000000p+5",
+            (1100, 1091, "0x1.ddb6946fb70a8p+9", "-0x1.6800000000000p+5",
              "0x1.f6e35138b6c81p+36"),
-            (1701, 1662, "0x1.1ed96babddc36p+10", "-0x1.6800000000000p+5",
-             "0x1.c991bbe2a9d11p+36"),
-            (1683, 1643, "0x1.55169f0084d80p+11", "-0x1.6800000000000p+5",
-             "0x1.1d2d55cfd1e34p+36"),
-            (1676, 1667, "0x1.1d64ac617b3cbp+12", "-0x1.6800000000000p+5",
+            (1160, 1151, "0x1.1ed96babddc38p+10", "-0x1.6800000000000p+5",
+             "0x1.c991bbe2a8e05p+36"),
+            (1230, 1221, "0x1.55169f0085f81p+11", "-0x1.67fffffffffffp+5",
+             "0x1.1d2d55cfebfd2p+36"),
+            (1229, 1220, "0x1.1d64ac617b3cbp+12", "-0x1.6800000000000p+5",
              "0x1.9ecc986f77027p+35"),
         ]
         assert [(p.evaluations, p.solved_rows, float(p.n2_min).hex(),
@@ -597,9 +701,9 @@ class TestOccupationLandscape:
             assert p.solved_rows == len(rows) == len(set(rows))
             assert all(cell)
             assert len(cell) < p.evaluations / 10
-        assert sum(len(cell) for cell in requests) == 995
-        assert sum(kernel) == sum(p.solved_rows for p in result.points) == 13341
-        assert len(kernel) <= 144
+        assert sum(len(cell) for cell in requests) == 520
+        assert sum(kernel) == sum(p.solved_rows for p in result.points) == 9549
+        assert len(kernel) <= 92
         assert max(kernel) == 25 * 25
 
 
