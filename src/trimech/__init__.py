@@ -28,7 +28,7 @@ from .steady import (ClassicalSteadyState, cavity_amplitude,
 from .sweeps import (instability_threshold, occupation_landscape,
                      optimize_scalar, power_sweep, solve_point,
                      squeezing_sweep)
-from .validate import IntegrationSpec, integrate_moments, lyapunov_direct
+from .validate import integrate_moments, lyapunov_direct
 
 __all__ = [
     "__version__",
@@ -47,5 +47,5 @@ __all__ = [
     "stationarity_residuals",
     "instability_threshold", "occupation_landscape", "optimize_scalar",
     "power_sweep", "solve_point", "squeezing_sweep",
-    "IntegrationSpec", "integrate_moments", "lyapunov_direct",
+    "integrate_moments", "lyapunov_direct",
 ]

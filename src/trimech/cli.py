@@ -36,7 +36,7 @@ from .steady import fixed_point, self_consistent_fixed_points, stationarity_resi
 from .sweeps import (DETUNING_BOUNDS, DRIVE_BOUNDS, check_landscape_inputs,
                      occupation_landscape, power_sweep, solve_points,
                      squeezing_sweep)
-from .validate import ODE_TOL, PAIR_TOL, IntegrationSpec, cross_check
+from .validate import ODE_TOL, PAIR_TOL, cross_check
 
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
@@ -353,13 +353,13 @@ def cmd_validate(args):
         mi = replace(m, drive=drive_from_watts(ref, drive_w))
         lm = linear_model(mi, fixed_point(mi))
         dt = 0.5 / np.abs(lm.eigenvalues).max()
-        checks.append((name, lm.drift, lm.diffusion, IntegrationSpec(dt=dt)))
+        checks.append((name, lm.drift, lm.diffusion, dt))
 
     worst = {"algebraic_pair": 0.0, "ode_vs_direct": 0.0}
     lines = [_echo_header({"instances": str(len(checks))})]
     ok = True
-    for name, A, D, spec in checks:
-        chk = cross_check(A, D, spec=spec)
+    for name, A, D, dt in checks:
+        chk = cross_check(A, D, dt=dt)
         worst["algebraic_pair"] = max(worst["algebraic_pair"],
                                       chk["algebraic_pair"])
         worst["ode_vs_direct"] = max(worst["ode_vs_direct"],

@@ -32,15 +32,11 @@ nodes pinned to the right mirror, independent of L.
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-
-#: kL samples of the one-period lineshape scan in `finesse_estimate`
-FINESSE_SCAN_POINTS = 200_001
 
 #: default z samples of `field_profile_samples` and of a [geometry] config
 PROFILE_SAMPLES = 2001
@@ -141,21 +137,3 @@ def field_profile_samples(spec: CavitySpec, samples=PROFILE_SAMPLES):
     z = np.linspace(0.0, spec.length, samples)
     intensity = np.abs(intracavity_field(z, spec)) ** 2
     return np.column_stack([z, intensity])
-
-
-def finesse_estimate(spec: CavitySpec):
-    """Finesse from a numeric FWHM scan of |lineshape|^2 over one period.
-
-    The free spectral range in kL is pi; the analytic small-loss value
-    is pi*|r|/(1 - r^2).
-    """
-    r, t = spec.reflectivity, spec.transmissivity
-    kL = np.linspace(-0.5 * math.pi, 0.5 * math.pi, FINESSE_SCAN_POINTS)
-    denom = np.abs(1.0 - r * r * np.exp(2j * kL)) ** 2
-    power = t * t / denom
-    half = 0.5 * power.max()
-    above = power >= half
-    width = (above.sum() - 1) * (kL[1] - kL[0])
-    if width <= 0:
-        raise NumericalError("FWHM scan failed to resolve the resonance")
-    return math.pi / width

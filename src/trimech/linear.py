@@ -348,26 +348,16 @@ def normal_modes(eigenvalues):
     return list(zip(freq[0, :c].tolist(), damp[0, :c].tolist()))
 
 
-def match_modes(reference_freqs, modes):
-    """Reorder `modes` to follow `reference_freqs` with minimal frequency jumps.
-
-    One step of `track_modes`' continuity chain: of all
-    len(reference_freqs)-permutations of the modes, in itertools order,
-    the first of least total |f - f_ref| (summed in reference order) is
-    returned, in reference order.  ValueError when no assignment has a
-    finite total.
-    """
-    return [modes[j] for j in _assignment(reference_freqs, [f for f, _ in modes])]
-
-
 def track_modes(reference_freqs, eigenvalues):
     """Modes of each row of an (n, k) stack of spectra, tracked by continuity.
 
     The stack is sorted into normal modes once (`normal_modes`' order);
     then the first row is matched to `reference_freqs` and each later row
-    to the frequencies matched on the row before it, by `match_modes`'
-    rule.  Returns (n, len(reference_freqs), 2): (frequency, damping)
-    per branch.
+    to the frequencies matched on the row before it: of all
+    len(reference_freqs)-permutations of the row's modes, in itertools
+    order, the first of least total |f - f_ref| (summed in reference
+    order).  ValueError when no assignment has a finite total.  Returns
+    (n, len(reference_freqs), 2): (frequency, damping) per branch.
     """
     freq, damp, counts = _sorted_modes(eigenvalues)
     reference = list(reference_freqs)

@@ -59,7 +59,8 @@ from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
                      track_modes)
 from .params import (ModelParams, PhysicalParams, nondimensionalize,
                      watts_from_drive)
-from .params import drive_from_watts  # noqa: F401  (callers import it from here too)
+# re-exported for its one reader here, perfbench/test_perfbench.py
+from .params import drive_from_watts  # noqa: F401
 from .steady import FixedPoints, _bisect_rows, fixed_point, fixed_points
 
 #: relative width of the bracket `instability_threshold` bisects down to,

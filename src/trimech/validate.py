@@ -20,7 +20,6 @@ Per-step symmetrization of V is itself linear and is folded into the map.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,26 +32,6 @@ DIVERGENCE_NORM = 1e12
 #: moment-flow discrepancies
 PAIR_TOL = 1e-10
 ODE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """Controls for the moment-flow integrator; None fields use defaults.
-
-    Defaults resolve the fastest mode (dt = 1e-2 / max(|eig|, 1)) and
-    integrate fifty relaxation times of the slowest one
-    (T = 50 / |max Re eig|), which lands on the RK4 fixed point to
-    machine accuracy.
-    """
-
-    dt: float = None
-    horizon: float = None
-
-    def __post_init__(self):
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ValueError("horizon must be positive")
 
 
 def lyapunov_direct(A, D) -> np.ndarray:
@@ -97,26 +76,31 @@ def _rk4_affine_map(A, D, dt):
     return P @ M, P @ b
 
 
-def integrate_moments(A, D, V0=None, spec: IntegrationSpec = None) -> np.ndarray:
+def integrate_moments(A, D, V0=None, dt=None, horizon=None) -> np.ndarray:
     """Covariance V(T) from the moment flow dV/dt = A V + V A^T + D.
 
     Starts from V0 (zero matrix by default), runs classical RK4 with
-    per-step symmetrization, and returns V at the horizon.  Unbounded
-    growth raises UnstableSystemError, mirroring the algebraic stability
-    verdict.
+    per-step symmetrization, and returns V at the horizon T.  The step
+    `dt` defaults to 1e-2 / max(|eig|, 1), which resolves the fastest
+    mode, and `horizon` to fifty relaxation times of the slowest one
+    (50 / |max Re eig|), which lands on the RK4 fixed point to machine
+    accuracy; either, when given, must be positive (ValueError).
+    Unbounded growth raises UnstableSystemError, mirroring the algebraic
+    stability verdict.
     """
+    if dt is not None and not dt > 0:
+        raise ValueError("dt must be positive")
+    if horizon is not None and not horizon > 0:
+        raise ValueError("horizon must be positive")
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
     n = A.shape[0]
-    spec = spec or IntegrationSpec()
 
     lam = np.linalg.eigvals(A)
-    dt = spec.dt if spec.dt is not None else 1e-2 / max(np.abs(lam).max(), 1.0)
-    if spec.horizon is not None:
-        horizon = spec.horizon
-    else:
-        absc = abs(lam.real.max())
-        horizon = 50.0 / max(absc, 1e-15)
+    if dt is None:
+        dt = 1e-2 / max(np.abs(lam).max(), 1.0)
+    if horizon is None:
+        horizon = 50.0 / max(abs(lam.real.max()), 1e-15)
 
     steps = max(1, math.ceil(horizon / dt))
     # Exact step count caps at 2^63; beyond that the flow has either
@@ -145,20 +129,21 @@ def integrate_moments(A, D, V0=None, spec: IntegrationSpec = None) -> np.ndarray
     return 0.5 * (V + V.T)
 
 
-def cross_check(A, D, spec: IntegrationSpec = None):
+def cross_check(A, D, dt=None):
     """Three-way solver agreement at one (A, D) instance.
 
     Returns a dict with the relative max-norm discrepancies of the
     production eigenbasis solver and of the moment-flow limit from the
-    direct solve, and raises nothing: callers decide what to assert.  `spec` tunes the
-    moment-flow integration; a coarser step improves the conditioning of
-    its fixed point on stiff spectra without moving the limit.
+    direct solve, and raises nothing: callers decide what to assert.  `dt`
+    is the moment-flow step of `integrate_moments`; a coarser step
+    improves the conditioning of its fixed point on stiff spectra without
+    moving the limit.
     """
     from .linear import solve_lyapunov
 
     V_prod = solve_lyapunov(A, D)
     V_kron = lyapunov_direct(A, D)
-    V_ode = integrate_moments(A, D, spec=spec)
+    V_ode = integrate_moments(A, D, dt=dt)
     scale = max(np.abs(V_kron).max(), np.finfo(float).tiny)
     return {
         "algebraic_pair": float(np.abs(V_prod - V_kron).max() / scale),

@@ -11,14 +11,14 @@ import pytest
 
 from trimech.linear import (linear_model, occupation, physicality_floor,
                             solve_lyapunov)
-from trimech.params import (linear_coupling, nondimensionalize,
-                            quadratic_coupling, reference_params, zpf_ratio)
+from trimech.params import (drive_from_watts, linear_coupling,
+                            nondimensionalize, quadratic_coupling,
+                            reference_params, watts_from_drive, zpf_ratio)
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
 from trimech.steady import fixed_point
-from trimech.sweeps import (drive_from_watts, instability_threshold,
-                            occupation_landscape, power_sweep,
-                            squeezing_sweep, watts_from_drive)
-from trimech.validate import IntegrationSpec, integrate_moments, lyapunov_direct
+from trimech.sweeps import (instability_threshold, occupation_landscape,
+                            power_sweep, squeezing_sweep)
+from trimech.validate import integrate_moments, lyapunov_direct
 
 from conftest import generic_stable_instances, stable_model_draws
 
@@ -106,8 +106,7 @@ def test_criterion_3_solver_oracle_equivalence(generic_instances_1000):
         V_prod = solve_lyapunov(lm.drift, lm.diffusion)
         V_kron = lyapunov_direct(lm.drift, lm.diffusion)
         dt = 0.5 / np.abs(lm.eigenvalues).max()
-        V_ode = integrate_moments(lm.drift, lm.diffusion,
-                                  spec=IntegrationSpec(dt=dt))
+        V_ode = integrate_moments(lm.drift, lm.diffusion, dt=dt)
         scale = np.abs(V_kron).max()
         assert np.abs(V_prod - V_kron).max() < 1e-10 * scale
         assert np.abs(V_ode - V_kron).max() < 1e-8 * scale

@@ -1,7 +1,6 @@
 """The stacked solve kernel: row independence, N = 1 equivalence and the
 one-eigendecomposition-per-point contract."""
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +9,10 @@ import pytest
 import trimech.linear as linear
 from trimech.errors import DegenerateTrapError, NumericalError, UnstableSystemError
 from trimech.linear import DEGENERATE, FAULT, OK, UNSTABLE
-from trimech.params import nondimensionalize, reference_params
+from trimech.params import drive_from_watts, nondimensionalize, reference_params
 from trimech.presets import fig2_protocol, fig3_model
 from trimech.steady import fixed_point
-from trimech.sweeps import (_RowParams, drive_from_watts, is_stable, solve_point,
-                            solve_points)
+from trimech.sweeps import _RowParams, is_stable, solve_point, solve_points
 
 STATUS_OF = {UnstableSystemError: UNSTABLE, DegenerateTrapError: DEGENERATE,
              NumericalError: FAULT}
@@ -86,19 +84,17 @@ class TestRowsMatchSolvePoint:
             others = [draws[(k + j) % len(draws)][0] for j in (1, 2, 3)]
             dets = [m.detuning, -m.detuning, m.detuning] + [o.detuning for o in others]
             drives = [m.drive, m.drive, 1e16] + [o.drive for o in others]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                batch = solve_points(m, dets, drives)
-                for i, (det, drive) in enumerate(zip(dets, drives)):
-                    status, expected = single(m, det, drive)
-                    assert batch.status[i] == status
-                    seen.add(status)
-                    if status == OK:
-                        assert_rows_equal(batch, i, expected)
-                    else:
-                        with pytest.raises(Exception) as info:
-                            batch.row(i)
-                        assert str(info.value) == expected
+            batch = solve_points(m, dets, drives)
+            for i, (det, drive) in enumerate(zip(dets, drives)):
+                status, expected = single(m, det, drive)
+                assert batch.status[i] == status
+                seen.add(status)
+                if status == OK:
+                    assert_rows_equal(batch, i, expected)
+                else:
+                    with pytest.raises(Exception) as info:
+                        batch.row(i)
+                    assert str(info.value) == expected
         assert {OK, UNSTABLE, DEGENERATE} <= seen
 
     def test_model_stack_carries_a_diffusion_per_row(self):

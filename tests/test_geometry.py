@@ -7,7 +7,7 @@ import pytest
 
 from trimech.errors import NumericalError
 from trimech.geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
-                              field_profile_samples, finesse_estimate,
+                              field_profile_samples,
                               intracavity_field, intracavity_field_sum,
                               lineshape, profile)
 from trimech.linear import drift_matrix
@@ -126,10 +126,15 @@ class TestLineshape:
         assert abs(lineshape(base)) ** 2 == pytest.approx(
             abs(lineshape(shifted)) ** 2, rel=1e-9)
 
-    def test_finesse_against_analytic(self):
-        spec = spec_for(0.99)
-        analytic = math.pi * 0.99 / (1 - 0.99 ** 2)
-        assert abs(finesse_estimate(spec) - analytic) / analytic < 0.02
+    def test_half_maximum_offset(self):
+        # |1 - r^2 e^{2i delta}|^2 = (1 - r^2)^2 + 4 r^2 sin^2(delta), so the
+        # power halves at sin(delta) = (1 - r^2) / (2 r) from resonance in kL
+        for r in (0.5, 0.9, 0.99):
+            delta = math.asin((1 - r * r) / (2 * r))
+            peak = abs(lineshape(spec_for(r, length=1.0, k=math.pi))) ** 2
+            for offset in (-delta, delta):
+                half = abs(lineshape(spec_for(r, length=1.0, k=math.pi + offset))) ** 2
+                assert half / peak == pytest.approx(0.5, rel=1e-9), (r, offset)
 
     def test_divergence_signalled(self):
         # r -> 1 with kL exactly on resonance: denominator underflows

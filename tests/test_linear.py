@@ -12,8 +12,8 @@ import pytest
 import trimech.linear as linear
 from trimech.errors import NumericalError, UnstableSystemError
 from trimech.linear import (EPS_STABLE, IMAG_FLOOR, diffusion_matrix,
-                            drift_matrix, linear_model, match_modes,
-                            normal_modes, occupation, physicality_floor,
+                            drift_matrix, linear_model, normal_modes,
+                            occupation, physicality_floor,
                             solve_lyapunov, squeezing, stability,
                             symplectic_form, track_modes)
 from trimech.params import ModelParams
@@ -191,21 +191,6 @@ class TestNormalModes:
         assert len(modes) == 4
         assert sum(1 for f, _ in modes if f == 0.0) == 2
 
-    def test_match_modes_minimal_jump(self):
-        reference = [3.4, 10.0, 27.2]
-        shuffled = [(27.6, 1.0), (3.2, 0.1), (9.5, 0.2)]
-        matched = match_modes(reference, shuffled)
-        assert [f for f, _ in matched] == [3.2, 9.5, 27.6]
-
-    def test_match_modes_without_finite_assignment_names_reference(self):
-        modes = [(1.0, 0.1), (2.0, 0.1), (3.0, 0.1)]
-        with pytest.raises(ValueError, match=r"reference \[nan, 1, 2\]"):
-            match_modes([math.nan, 1, 2], modes)
-        with pytest.raises(ValueError, match="reference"):
-            track_modes([math.nan, 1.0, 2.0], np.array([[-1 + 1j, -1 - 1j,
-                                                          -1 + 2j, -1 - 2j,
-                                                          -1 + 3j, -1 - 3j]]))
-
 
 def reference_normal_modes(eigenvalues):
     """The per-row mode ordering as a loop over one spectrum."""
@@ -218,7 +203,7 @@ def reference_normal_modes(eigenvalues):
     return modes
 
 
-def reference_match_modes(reference_freqs, modes):
+def reference_assign_modes(reference_freqs, modes):
     """The per-row assignment as a loop over every permutation."""
     best, best_cost = None, math.inf
     for perm in itertools.permutations(range(len(modes)), len(reference_freqs)):
@@ -233,7 +218,7 @@ def reference_chain(reference_freqs, spectra):
     the frequencies matched on the row before it."""
     tracked = []
     for lam in spectra:
-        modes = reference_match_modes(reference_freqs, reference_normal_modes(lam))
+        modes = reference_assign_modes(reference_freqs, reference_normal_modes(lam))
         reference_freqs = [f for f, _ in modes]
         tracked.append(modes)
     return np.array(tracked, dtype=float)
@@ -275,6 +260,19 @@ class TestTrackModes:
                          -0.3 + 10j, -0.3 - 10j]])
         tracked = self.assert_tracks_like_chain([2.0, 2.0, 10.0], lam)
         assert tracked[0].tolist() == [[1.0, 0.1], [3.0, 0.2], [10.0, 0.3]]
+
+    def test_one_row_follows_reference_by_minimal_jump(self):
+        # the reference is not in frequency order, so sorting alone fails
+        spectrum = np.array([-1.0 + 27.6j, -1.0 - 27.6j, -0.1 + 3.2j,
+                             -0.1 - 3.2j, -0.2 + 9.5j, -0.2 - 9.5j])
+        tracked = self.assert_tracks_like_chain([10.0, 3.4, 27.2], spectrum[None])
+        assert tracked.tolist() == [[[9.5, 0.2], [3.2, 0.1], [27.6, 1.0]]]
+
+    def test_without_finite_assignment_names_reference(self):
+        with pytest.raises(ValueError, match=r"reference \[nan, 1\.0, 2\.0\]"):
+            track_modes([math.nan, 1.0, 2.0], np.array([[-1 + 1j, -1 - 1j,
+                                                          -1 + 2j, -1 - 2j,
+                                                          -1 + 3j, -1 - 3j]]))
 
 
 class TestLyapunov:
@@ -436,10 +434,8 @@ class TestScipyOracle:
         rng = np.random.default_rng(20121)
         dets = rng.uniform(-45.0, -2.0, 200)
         drives = 10.0 ** rng.uniform(6.0, 12.0, 200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            batch = solve_points(replace(m, detuning_mode="effective"),
-                                 dets, drives)
+        batch = solve_points(replace(m, detuning_mode="effective"),
+                             dets, drives)
         ok = np.flatnonzero(batch.status == OK)
         assert ok.size >= 100
         for i in ok:

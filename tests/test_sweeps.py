@@ -9,16 +9,13 @@ import numpy as np
 import pytest
 
 from trimech.errors import NumericalError, PhysicsError
-from trimech.params import reference_params
+from trimech.params import drive_from_watts, reference_params, watts_from_drive
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
 from trimech.sweeps import (DRIVE_SCAN, DRIVE_SPAN, DRIVE_TOL,
                             SEARCH_REL_TOL, _drive_line, _line_search,
-                            _searched,
-                            drive_from_watts,
-                            instability_threshold, occupation_landscape,
-                            optimize_scalar, power_sweep,
-                            sphere_occupation_objective, squeezing_sweep,
-                            watts_from_drive)
+                            _searched, instability_threshold,
+                            occupation_landscape, optimize_scalar, power_sweep,
+                            sphere_occupation_objective, squeezing_sweep)
 
 from test_golden import NUMPY
 
@@ -313,9 +310,7 @@ class TestOptimizeScalar:
         def objective(detuning, drive):
             return (detuning + 17.0) ** 2 + (np.log10(drive) - 6.5) ** 2
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = optimize_scalar(objective, (-30.0, -2.0), (1e4, 1e9))
+        res = optimize_scalar(objective, (-30.0, -2.0), (1e4, 1e9))
         assert res.detuning == pytest.approx(-17.0, abs=0.05)
         assert math.log10(res.drive) == pytest.approx(6.5, abs=0.01)
 
@@ -324,7 +319,7 @@ class TestOptimizeScalar:
                               (-30.0, -2.0), (1e4, 1e9))
         assert math.isinf(res.value)
 
-    def test_boundary_warning(self):
+    def test_boundary_optimum_is_flagged(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # on_boundary carries it
             res = optimize_scalar(lambda d, p: d, (-30.0, -2.0), (1e4, 1e9))
@@ -334,12 +329,10 @@ class TestOptimizeScalar:
     def test_deterministic(self):
         m = fig3_model()
         objective = sphere_occupation_objective(m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = optimize_scalar(objective, (-40.0, -5.0), (1e8, 1e11),
-                                coarse=(9, 9))
-            b = optimize_scalar(objective, (-40.0, -5.0), (1e8, 1e11),
-                                coarse=(9, 9))
+        a = optimize_scalar(objective, (-40.0, -5.0), (1e8, 1e11),
+                            coarse=(9, 9))
+        b = optimize_scalar(objective, (-40.0, -5.0), (1e8, 1e11),
+                            coarse=(9, 9))
         assert a == b
 
     def test_dominates_quoted_operating_point(self):
@@ -348,9 +341,7 @@ class TestOptimizeScalar:
         m = fig3_model()
         objective = sphere_occupation_objective(m)
         quoted = objective(-27.2, drive_from_watts(REF, 2.5813e-3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = optimize_scalar(objective, (-40.0, -5.0), (1e9, 1e11))
+        res = optimize_scalar(objective, (-40.0, -5.0), (1e9, 1e11))
         assert res.value <= quoted
 
 
@@ -553,10 +544,8 @@ class TestOccupationLandscape:
         from trimech.params import nondimensionalize
         m = nondimensionalize(replace(base, mirror_freq=10.0 * kappa,
                                       sphere_freq=3.4 * kappa), detuning=-1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            opt = optimize_scalar(sphere_occupation_objective(m), (-45.0, -2.0),
-                                  (1e6, 1e12), coarse=(9, 9))
+        opt = optimize_scalar(sphere_occupation_objective(m), (-45.0, -2.0),
+                              (1e6, 1e12), coarse=(9, 9))
         assert point.evaluations == opt.evaluations > 81
         assert point.on_boundary == opt.on_boundary
         assert point.n2_min == opt.value

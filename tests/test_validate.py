@@ -5,8 +5,7 @@ import pytest
 
 from trimech.errors import NumericalError, UnstableSystemError
 from trimech.linear import solve_lyapunov, stability
-from trimech.validate import (IntegrationSpec, integrate_moments,
-                              lyapunov_direct)
+from trimech.validate import integrate_moments, lyapunov_direct
 
 from conftest import generic_stable_instances, stable_model_draws
 
@@ -38,8 +37,7 @@ class TestIntegrateMoments:
         A = -np.eye(6)
         D = 2.0 * np.eye(6)
         for t_end in (0.5, 1.0, 3.0):
-            V = integrate_moments(A, D, spec=IntegrationSpec(
-                dt=1e-2, horizon=t_end))
+            V = integrate_moments(A, D, dt=1e-2, horizon=t_end)
             expected = (1.0 - np.exp(-2.0 * t_end)) * np.eye(6)
             assert np.abs(V - expected).max() < 1e-8
 
@@ -51,8 +49,7 @@ class TestIntegrateMoments:
             assert lm.eigenvalues.real.max() < -1e-5
             V_ref = lyapunov_direct(lm.drift, lm.diffusion)
             dt = 0.5 / np.abs(lm.eigenvalues).max()
-            V = integrate_moments(lm.drift, lm.diffusion,
-                                  spec=IntegrationSpec(dt=dt))
+            V = integrate_moments(lm.drift, lm.diffusion, dt=dt)
             assert np.abs(V - V_ref).max() <= 1e-8 * np.abs(V_ref).max()
 
     def test_any_start_same_limit(self):
@@ -61,8 +58,7 @@ class TestIntegrateMoments:
             dt = 0.5 / np.abs(lm.eigenvalues).max()
             V_ref = lyapunov_direct(lm.drift, lm.diffusion)
             for V0 in (np.zeros((6, 6)), np.eye(6), 5.0 * np.eye(6)):
-                V = integrate_moments(lm.drift, lm.diffusion, V0=V0,
-                                      spec=IntegrationSpec(dt=dt))
+                V = integrate_moments(lm.drift, lm.diffusion, V0=V0, dt=dt)
                 assert np.abs(V - V_ref).max() <= 1e-8 * np.abs(V_ref).max()
 
     def test_divergence_matches_stability_verdict(self):
@@ -83,10 +79,11 @@ class TestIntegrateMoments:
         assert np.array_equal(V, V.T)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            IntegrationSpec(dt=-1.0)
-        with pytest.raises(ValueError):
-            IntegrationSpec(horizon=0.0)
+        A, D = -np.eye(6), np.eye(6)
+        with pytest.raises(ValueError, match="dt"):
+            integrate_moments(A, D, dt=-1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            integrate_moments(A, D, horizon=0.0)
 
 
 class TestThreeWayAgreement:
@@ -113,8 +110,7 @@ class TestThreeWayAgreement:
             dt = 0.5 / np.abs(lm.eigenvalues).max()
             V_prod = solve_lyapunov(lm.drift, lm.diffusion)
             V_kron = lyapunov_direct(lm.drift, lm.diffusion)
-            V_ode = integrate_moments(lm.drift, lm.diffusion,
-                                      spec=IntegrationSpec(dt=dt))
+            V_ode = integrate_moments(lm.drift, lm.diffusion, dt=dt)
             scale = np.abs(V_kron).max()
             assert np.abs(V_prod - V_kron).max() <= 1e-10 * scale
             assert np.abs(V_ode - V_kron).max() <= 1e-8 * scale
