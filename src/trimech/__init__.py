@@ -16,7 +16,7 @@ from .errors import (ConfigError, DegenerateTrapError, NumericalError,
 from .geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
                        intracavity_field, lineshape)
 from .linear import (LinearModel, SteadyCovariance, diffusion_matrix,
-                     drift_matrix, linear_model, normal_modes, occupation,
+                     drift_matrix, linear_model, occupation,
                      physicality_floor, solve_lyapunov, squeezing, stability,
                      symplectic_form)
 from .params import (HBAR, C_LIGHT, K_BOLTZMANN, ModelParams, PhysicalParams,
@@ -37,7 +37,7 @@ __all__ = [
     "CavitySpec", "PumpGeometry", "chi_for_geometry", "intracavity_field",
     "lineshape",
     "LinearModel", "SteadyCovariance", "diffusion_matrix", "drift_matrix",
-    "linear_model", "normal_modes", "occupation", "physicality_floor",
+    "linear_model", "occupation", "physicality_floor",
     "solve_lyapunov", "squeezing", "stability", "symplectic_form",
     "HBAR", "C_LIGHT", "K_BOLTZMANN", "ModelParams", "PhysicalParams",
     "bose_occupation", "linear_coupling", "nondimensionalize",

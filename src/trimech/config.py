@@ -104,7 +104,7 @@ def _parse_number(raw, key, line):
 
 def _parse_count(raw, key, line, least):
     value = _parse_number(raw, key, line)
-    if value != int(value) or value < least:
+    if not math.isfinite(value) or value != int(value) or value < least:
         raise ConfigError(f"expected an integer >= {least}", key=key, line=line)
     return int(value)
 

@@ -333,25 +333,10 @@ def _assignment(reference_freqs, freqs):
     return best
 
 
-def normal_modes(eigenvalues):
-    """Normal modes of one drift spectrum as (frequency, damping) pairs,
-    sorted by frequency: the one-row case of `track_modes`' ordering.
-
-    Complex-conjugate eigenvalue pairs give frequency |Im| and damping
-    -Re.  Purely real eigenvalues (|Im| up to IMAG_FLOOR times the
-    spectrum's scale; overdamped spectra) cannot be paired; each is
-    returned individually as a zero-frequency entry, which is how a
-    caller tells them apart.
-    """
-    freq, damp, counts = _sorted_modes(np.asarray(eigenvalues)[None])
-    c = counts[0]
-    return list(zip(freq[0, :c].tolist(), damp[0, :c].tolist()))
-
-
 def track_modes(reference_freqs, eigenvalues):
     """Modes of each row of an (n, k) stack of spectra, tracked by continuity.
 
-    The stack is sorted into normal modes once (`normal_modes`' order);
+    The stack is sorted into normal modes once (`_sorted_modes`);
     then the first row is matched to `reference_freqs` and each later row
     to the frequencies matched on the row before it: of all
     len(reference_freqs)-permutations of the row's modes, in itertools

@@ -18,32 +18,16 @@ itertools order winning a tie.  `instability_threshold` bisects a
 bracket on the spectral verdict of `is_stable` with the stacked engine
 of `steady`, several halvings per stacked call.
 
-The (detuning, power) optimizer is deterministic: a coarse grid (linear
-in detuning, logarithmic in drive), then nested bracketed Brent line
-searches from the best few coarse cells.  The cooling ridge is a needle
-in drive that drifts smoothly with detuning, so each detuning gets an
-exact drive-line minimization (a scan whose argmin's neighbours bracket
-the needle, then Brent in log10 drive to DRIVE_TOL decades), and the
-detuning coordinate gets the same bracketed Brent search over those line
-minima, each line's scan centred on the best needle so far.  A start's
-detuning march stops before a detuning within half a coarse step of a
-line that another start of its cell has finished with a strictly lower
-value, and the start returns its best point so far; the rule is read
-only before march probes.  A line search that does not converge raises
-NumericalError.  The search keeps one memo of values per (detuning,
-drive) row, and every probe asks it first.  Each refinement start is a
-generator of requests, each for rows the memo lacks, and the starts run
-in lockstep rounds: a round's requests from every live start go to the
-objective in one call, so each distinct row is solved once and each
-call brings new rows; the rounds also fix which lines another start has
-finished when the stop rule is read.  The whole search is a generator
-too, so the cooling landscape runs the searches of all its cells in
-lockstep, each with its own memo and its own record of lines: a round's
-rows from every live cell go to one stacked solve, each row with its
-own cell's parameters, in calls of at most one coarse grid of rows.  As
-a stacked row equals the row solved alone, whatever the other rows and
-their parameters, the cells' lockstep changes no value, optimum or
-evaluation count.
+The (detuning, power) optimizer, `optimize_scalar`, whose docstring
+states the search, is deterministic: a coarse grid, then nested
+bracketed Brent line searches from the best few coarse cells.  The
+cooling landscape runs one lockstep over every start of every cell,
+answered through each cell's memo: a round's requests go to one stacked
+solve, each row with its own cell's parameters, in calls of at most one
+coarse grid of rows, so each distinct row is solved once.  As a stacked
+row equals the row solved alone, whatever the other rows and their
+parameters, sharing the rounds changes no value, optimum or evaluation
+count.
 """
 
 import math
@@ -444,10 +428,10 @@ def _line_search(x, fx, carry, step, lo, hi, tol_of, probe, a=None, b=None,
 def _searched(lines, start, u, best, radius):
     """Whether a start other than `start` has finished a line within
     `radius` of `u` with a value strictly below `best`; `lines` holds
-    (start, detuning, value) records.  A tie does not count, so starts
-    with equal lines never stop each other."""
+    (start, detuning, value, probes) records.  A tie does not count, so
+    starts with equal lines never stop each other."""
     return any(k != start and abs(d - u) <= radius and value < best
-               for k, d, value in lines)
+               for k, d, value, _ in lines)
 
 
 def _drive_line(solved, det, seed, lo, hi):
@@ -492,51 +476,31 @@ def _drive_line(solved, det, seed, lo, hi):
 
 
 def _lockstep(steppers, solve):
-    """Run generators that yield (key, xs) requests side by side.
+    """Run generators side by side, in rounds, to their return values.
 
-    A generator itself.  Each round gathers the requests of every live
-    stepper into one `solve(points)` over their (key, x) points, a
-    generator run with `yield from` that returns the points' values, and
-    sends each stepper its slice.  Returns the steppers' return values,
-    in order.
+    Each round hands `solve` the requests of every live stepper, as
+    (stepper index, request) pairs in stepper order, in one call; then it
+    resumes each live stepper, in order, with `next()`.  Nothing is sent
+    back: `solve` leaves its answers where the steppers read them.
+    Returns the steppers' return values, in order.
     """
     results = [None] * len(steppers)
     asks = {}
 
-    def advance(i, values):
+    def advance(i):
         try:
-            asks[i] = steppers[i].send(values)
+            asks[i] = next(steppers[i])
         except StopIteration as stop:
             asks.pop(i, None)
             results[i] = stop.value
 
     for i in range(len(steppers)):
-        advance(i, None)
+        advance(i)
     while asks:
-        live = list(asks.items())
-        values = yield from solve([(key, x) for _, (key, xs) in live for x in xs])
-        at = 0
-        for i, (_, xs) in live:
-            advance(i, values[at:at + len(xs)])
-            at += len(xs)
+        solve(list(asks.items()))
+        for i in list(asks):
+            advance(i)
     return results
-
-
-def _relay(points):
-    """A `_lockstep` solve that yields each round's points as one request."""
-    return (yield points)
-
-
-def _serve(stepper, solve):
-    """Run the generator `stepper` to its return value, answering each
-    request it yields with `solve(request)`."""
-    values = None
-    while True:
-        try:
-            request = stepper.send(values)
-        except StopIteration as stop:
-            return stop.value
-        values = solve(request)
 
 
 @dataclass(frozen=True)
@@ -559,40 +523,35 @@ def _search_box(detuning_bounds, drive_bounds):
     return d_lo, d_hi, p_lo, p_hi
 
 
-def _search(detuning_bounds, drive_bounds, coarse, cell=None):
-    """The search of `optimize_scalar` as a generator.
+def _searches(cells, detuning_bounds, drive_bounds, coarse, objective):
+    """The search of `optimize_scalar` in every cell of `cells` at once.
 
-    It yields (cell, rows) requests, `rows` being the (detuning, log10
-    drive) rows its memo lacks, each once, expects their values sent
-    back, and returns the OptimizeResult.  `cell` only tags the requests.
+    `cells` tags the cells, and `objective(points)` returns the values at
+    a list of (cell, (detuning, log10 drive)) points.  Each cell keeps its
+    own memo of values and its own record of finished lines.  The coarse
+    grids of all cells go to the objective in one call; then the
+    REFINE_STARTS starts of every cell run as the steppers of one
+    `_lockstep`, cells in order and starts in order within a cell.  Each
+    round's requests go to the objective in one call, each distinct row
+    once, and fill the memos the starts read.  Returns one OptimizeResult
+    per cell, in order.
     """
     d_lo, d_hi, p_lo, p_hi = _search_box(detuning_bounds, drive_bounds)
     lg_lo, lg_hi = math.log10(p_lo), math.log10(p_hi)
     n_det, n_drv = coarse
     dets = np.linspace(d_lo, d_hi, n_det)
     logs = np.linspace(lg_lo, lg_hi, n_drv)
-
-    solved = {}
-
-    def ask(points):
-        """Values at (detuning, log10 drive) points; only rows not solved
-        before are requested, deduplicated, in one request."""
-        new = [p for p in dict.fromkeys(points) if p not in solved]
-        if new:
-            values = yield cell, new
-            solved.update(zip(new, np.asarray(values, dtype=float).tolist()))
-        return [solved[p] for p in points]
-
     grid = list(zip(np.repeat(dets, n_drv), np.tile(logs, n_det)))
-    cells = [(val, dv, lg) for val, (dv, lg) in zip((yield from ask(grid)), grid)
-             if math.isfinite(val)]
-    evals = len(grid)
-    if not cells:
-        return OptimizeResult(math.inf, math.nan, math.nan, False, evals,
-                              len(solved))
-    cells.sort()
-
     det_step = dets[1] - dets[0] if n_det > 1 else 0.1 * (d_hi - d_lo)
+    memos = {cell: {} for cell in cells}
+    # every finished detuning line per cell: (start, detuning, value, probes)
+    lines = {cell: [] for cell in cells}
+
+    def solve(points):
+        """Put the values at (cell, row) points in the cells' memos."""
+        values = np.asarray(objective(points), dtype=float).tolist()
+        for (cell, row), value in zip(points, values):
+            memos[cell][row] = value
 
     # Stage two is nested coordinate descent.  The objective's valley is a
     # needle in drive (the hybridization window is well under a percent
@@ -605,38 +564,46 @@ def _search(detuning_bounds, drive_bounds, coarse, cell=None):
     def det_tol(det):
         return 0.5 * STEP_FLOOR * max(abs(det), 1.0)
 
-    # every finished detuning line of the cell: (start, detuning, value)
-    lines = []
-
-    def line(start, det, seed_lg):
-        nonlocal evals
-        value, lg, probes = yield from _drive_line(solved, det, seed_lg,
+    def line(cell, start, det, seed_lg):
+        value, lg, probes = yield from _drive_line(memos[cell], det, seed_lg,
                                                    lg_lo, lg_hi)
-        evals += probes
-        lines.append((start, det, value))
+        lines[cell].append((start, det, value, probes))
         return value, lg
 
-    def refine(start, det0, lg0):
-        fb, lg = yield from line(start, det0, lg0)
+    def refine(cell, start, det0, lg0):
+        fb, lg = yield from line(cell, start, det0, lg0)
         return (yield from _line_search(
             det0, fb, lg, det_step, d_lo, d_hi, det_tol,
-            lambda det, seed_lg: line(start, det, seed_lg),
-            stop=lambda det, best: _searched(lines, start, det, best,
+            lambda det, seed_lg: line(cell, start, det, seed_lg),
+            stop=lambda det, best: _searched(lines[cell], start, det, best,
                                              0.5 * det_step)))
 
-    best_val, best_x = math.inf, None
-    starts = [refine(k, det0, lg0)
-              for k, (_, det0, lg0) in enumerate(cells[:REFINE_STARTS])]
-    for fb, det, lg in (yield from _lockstep(starts, ask)):
-        if fb < best_val:
-            best_val, best_x = fb, (det, lg)
+    solve([(cell, row) for cell in cells for row in grid])
+    owners, steppers = [], []
+    for cell in cells:
+        memo = memos[cell]
+        best = sorted((memo[row], *row) for row in grid if math.isfinite(memo[row]))
+        for start, (_, det0, lg0) in enumerate(best[:REFINE_STARTS]):
+            owners.append(cell)
+            steppers.append(refine(cell, start, det0, lg0))
+    finished = _lockstep(steppers, lambda asks: solve(list(dict.fromkeys(
+        (owners[i], (det, x)) for i, (det, xs) in asks for x in xs))))
 
-    det, lg = best_x
-    on_boundary = (min(det - d_lo, d_hi - det) <= det_tol(det)
-                   or min(lg - lg_lo, lg_hi - lg) <= DRIVE_TOL)
-    return OptimizeResult(value=best_val, detuning=det, drive=10.0 ** lg,
-                          on_boundary=on_boundary, evaluations=evals,
-                          solved_rows=len(solved))
+    def result(cell):
+        evaluations = len(grid) + sum(probes for *_, probes in lines[cell])
+        ends = [end for owner, end in zip(owners, finished) if owner == cell]
+        if not ends:
+            return OptimizeResult(math.inf, math.nan, math.nan, False,
+                                  evaluations, len(memos[cell]))
+        # the first start of least value, in start order
+        value, det, lg = min(ends, key=lambda end: end[0])
+        on_boundary = (min(det - d_lo, d_hi - det) <= det_tol(det)
+                       or min(lg - lg_lo, lg_hi - lg) <= DRIVE_TOL)
+        return OptimizeResult(value=value, detuning=det, drive=10.0 ** lg,
+                              on_boundary=on_boundary, evaluations=evaluations,
+                              solved_rows=len(memos[cell]))
+
+    return [result(cell) for cell in cells]
 
 
 def _drives(points):
@@ -670,20 +637,20 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     another start, so the optimum is never a stopped start's point.  A
     line search still open after LINE_SEARCH_ITERATIONS Brent steps
     raises NumericalError; no unconverged point is returned.  The starts
-    run in lockstep, each round's requests in one objective call, and
-    the best start is taken in start order once all have finished.  Values are
-    kept in one memo per (detuning, log10 drive) row, and a request names
-    only rows the memo lacks, so the objective sees each distinct row
-    once.  `evaluations` counts the values the search consumed and
-    `solved_rows` the distinct rows the objective was given.
-    `on_boundary` says whether the optimum lies within its coordinate's
-    line-search tolerance of a bound of the search box; the optimum is
-    not moved.  The search itself is a generator (`_search`) that this
-    function feeds from `objective`; `occupation_landscape` feeds many at
-    once.
+    run in lockstep rounds, each round's requests in one objective call,
+    and the best start is taken in start order once all have finished.
+    Values are kept in one memo per (detuning, log10 drive) row, every
+    probe reads it, and a request names only rows the memo lacks, so the
+    objective sees each distinct row once.  `evaluations` counts the
+    values the search consumed and `solved_rows` the distinct rows the
+    objective was given.  `on_boundary` says whether the optimum lies
+    within its coordinate's line-search tolerance of a bound of the
+    search box; the optimum is not moved.  This is the one-cell case of
+    `_searches`, which `occupation_landscape` runs over all its cells.
     """
-    return _serve(_search(detuning_bounds, drive_bounds, coarse),
-                  lambda request: objective(*_drives(request[1])))
+    (result,) = _searches([None], detuning_bounds, drive_bounds, coarse,
+                          lambda points: objective(*_drives([p for _, p in points])))
+    return result
 
 
 def sphere_occupation_objective(m: ModelParams):
@@ -754,12 +721,13 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     point records the optimizer's evaluation and solved-row counts and
     whether its optimum sits on a search bound.
 
-    The cells run in lockstep.  Each cell runs the search of
-    `optimize_scalar` with its own memo, and each round's requests from
-    every live cell go to `solve_points` together, with each row's
-    parameters gathered from its cell's ModelParams (`_RowParams`), in
-    calls of at most one coarse grid of rows.  A stacked row equals the
-    row solved alone, so each cell's result is that of its own search.
+    Every cell runs the search of `optimize_scalar` (`_searches`), in
+    one lockstep over every start of every cell, answered through each
+    cell's memo.  Each round's rows go to `solve_points` together, each
+    row's parameters gathered from its cell's ModelParams
+    (`_RowParams`), in calls of at most one coarse grid of rows.  A
+    stacked row equals the row solved alone, so each cell's result is
+    that of its own search.
     """
     omega1_grid, omega2_grid = check_landscape_inputs(
         omega1_grid, omega2_grid, detuning_bounds, drive_bounds)
@@ -782,9 +750,8 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
                 *_drives([p for _, p in chunk])))
         return np.concatenate(values)
 
-    searches = [_search(detuning_bounds, drive_bounds, coarse, cell)
-                for cell in range(len(models))]
-    results = dict(zip(models, _serve(_lockstep(searches, _relay), solve)))
+    results = dict(zip(models, _searches(range(len(models)), detuning_bounds,
+                                         drive_bounds, coarse, solve)))
 
     def cell_point(k, o1, o2):
         if k not in models:

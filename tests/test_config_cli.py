@@ -273,11 +273,14 @@ class TestConfigBoundary:
         assert err.startswith("config error") and f"{axis}_count" in err
 
     def test_drive_grid_of_one_point_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, NOMINAL + "\n".join([
-            "", "[sweep]", "kind = power", "points = 1",
-            "power_min = 1e-5 W", "power_max = 1e-4 W", ""]))
-        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
-        assert "points" in capsys.readouterr().err
+        """A grid of one point, or a count that is no finite number."""
+        for points in ("1", "nan", "inf"):
+            cfg = write_config(tmp_path, NOMINAL + "\n".join([
+                "", "[sweep]", "kind = power", f"points = {points}",
+                "power_min = 1e-5 W", "power_max = 1e-4 W", ""]))
+            assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and "points" in err
 
     def test_nonpositive_power_bound_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, NOMINAL + "\n".join([
@@ -299,10 +302,12 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("line, key", [
         ("reflectivity = -1.5", "reflectivity"),
         ("wavelength = 0 nm", "wavelength"),
+        ("samples = inf", "samples"),
     ])
     def test_bad_cavity_geometry_exits_2(self, tmp_path, capsys, line, key):
         lines = ["[geometry]", "length = 0.5 cm", "wavelength = 1064 nm",
-                 "reflectivity = -0.9", "transmissivity = 0.1", ""]
+                 "reflectivity = -0.9", "transmissivity = 0.1", "samples = 101",
+                 ""]
         lines = [line if ln.startswith(key) else ln for ln in lines]
         cfg = write_config(tmp_path, "\n".join(lines))
         assert main(["geometry", "-i", cfg, "-o", str(tmp_path)]) == 2

@@ -12,7 +12,7 @@ import pytest
 import trimech.linear as linear
 from trimech.errors import NumericalError, UnstableSystemError
 from trimech.linear import (EPS_STABLE, IMAG_FLOOR, diffusion_matrix,
-                            drift_matrix, linear_model, normal_modes,
+                            _sorted_modes, drift_matrix, linear_model,
                             occupation, physicality_floor,
                             solve_lyapunov, squeezing, stability,
                             symplectic_form, track_modes)
@@ -161,17 +161,25 @@ class TestStability:
         assert stability(A)[0]
 
 
+def one_row_modes(eigenvalues):
+    """The (frequency, damping) modes of one spectrum: `_sorted_modes` of
+    a one-row stack, cut to the row's count."""
+    freq, damp, counts = _sorted_modes(np.asarray(eigenvalues)[None])
+    c = counts[0]
+    return list(zip(freq[0, :c].tolist(), damp[0, :c].tolist()))
+
+
 class TestNormalModes:
     def test_uncoupled_exact_frequencies(self):
         m = basic_model(g1=0.0, g2=0.0, chi=0.0, drive=0.0,
                         gamma1=0.0, gamma2=0.0)
-        modes = normal_modes(linear_model(m, fixed_point(m)).eigenvalues)
+        modes = one_row_modes(linear_model(m, fixed_point(m)).eigenvalues)
         freqs = [f for f, _ in modes]
         assert freqs == pytest.approx([3.4, 10.0, 27.2], rel=1e-12)
 
     def test_sorted_by_frequency(self, model_draws_100):
         for _, _, lm in model_draws_100[:25]:
-            freqs = [f for f, _ in normal_modes(lm.eigenvalues)]
+            freqs = [f for f, _ in one_row_modes(lm.eigenvalues)]
             assert freqs == sorted(freqs)
 
     @staticmethod
@@ -187,7 +195,7 @@ class TestNormalModes:
     def test_overdamped_spectrum_warns_zero_frequency(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the zero frequencies are the data
-            modes = normal_modes(stability(self.overdamped_drift())[1])
+            modes = one_row_modes(stability(self.overdamped_drift())[1])
         assert len(modes) == 4
         assert sum(1 for f, _ in modes if f == 0.0) == 2
 
@@ -232,7 +240,7 @@ class TestTrackModes:
         tracked = track_modes(reference, spectra)
         assert tracked.tobytes() == reference_chain(reference, spectra).tobytes()
         for lam in spectra:
-            assert normal_modes(lam) == reference_normal_modes(lam)
+            assert one_row_modes(lam) == reference_normal_modes(lam)
         return tracked
 
     def test_fig3_preset(self):
@@ -250,7 +258,7 @@ class TestTrackModes:
         Q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         all_real = stability(Q @ np.diag([-0.5, -1.0, -2.0, -3.0, -5.0, -8.0]) @ Q.T)[1]
         spectra = np.array([overdamped, all_real, overdamped])
-        assert [len(normal_modes(lam)) for lam in spectra] == [4, 6, 4]
+        assert [len(one_row_modes(lam)) for lam in spectra] == [4, 6, 4]
         self.assert_tracks_like_chain([0.05, 1.0, 2.0], spectra)
 
     def test_cost_tie_goes_to_first_permutation(self):

@@ -326,6 +326,19 @@ class TestOptimizeScalar:
         assert res.on_boundary
         assert res.detuning == -30.0
 
+    def test_objective_sees_each_row_once(self):
+        """On an objective flat in detuning the starts' lines meet, and
+        starts ask for the same rows in one round; the objective is given
+        each row once, and `solved_rows` counts them."""
+        rows = []
+
+        def objective(detuning, drive):
+            rows.extend(zip(detuning.tolist(), drive.tolist()))
+            return (np.log10(drive) - 6.5) ** 2
+
+        res = optimize_scalar(objective, (-30.0, -2.0), (1e4, 1e9))
+        assert len(rows) == len(set(rows)) == res.solved_rows < res.evaluations
+
     def test_deterministic(self):
         m = fig3_model()
         objective = sphere_occupation_objective(m)
@@ -482,7 +495,7 @@ class TestLineSearch:
         """A march stops on ground that another start has searched with a
         strictly lower value, within half a coarse step; its own lines and
         tied lines never stop it."""
-        lines = [(0, -16.0, 0.5), (1, -20.0, 0.25)]
+        lines = [(0, -16.0, 0.5, 30), (1, -20.0, 0.25, 30)]
         assert _searched(lines, 1, -16.5, 0.75, 0.5)  # the edge counts
         assert not _searched(lines, 1, -16.6, 0.75, 0.5)  # too far
         assert not _searched(lines, 1, -16.0, 0.5, 0.5)  # a tie
@@ -546,9 +559,14 @@ class TestOccupationLandscape:
                                       sphere_freq=3.4 * kappa), detuning=-1.0)
         opt = optimize_scalar(sphere_occupation_objective(m), (-45.0, -2.0),
                               (1e6, 1e12), coarse=(9, 9))
-        assert point.evaluations == opt.evaluations > 81
-        assert point.on_boundary == opt.on_boundary
-        assert point.n2_min == opt.value
+        # the landscape cell is optimize_scalar's search, bit for bit
+        assert opt.evaluations > 81
+        assert ((float(point.n2_min).hex(), float(point.detuning).hex(),
+                 float(point.drive).hex(), point.on_boundary,
+                 point.evaluations, point.solved_rows)
+                == (float(opt.value).hex(), float(opt.detuning).hex(),
+                    float(opt.drive).hex(), opt.on_boundary,
+                    opt.evaluations, opt.solved_rows))
 
     def test_on_boundary_up_to_the_search_tolerance(self):
         """fig2 preset cells whose optimum ends on the detuning bound read
@@ -628,35 +646,33 @@ class TestOccupationLandscape:
 
     def test_search_pinned_and_stacked(self, monkeypatch):
         """The eight benchmark cells keep their probe counts and bit-exact
-        optima.  Each cell's search asks for each distinct row once, and
-        every request it makes (the coarse grid and each lockstep round)
-        brings new rows; the cells run in lockstep, so the kernel sees
-        few calls, none of them over one coarse grid of rows."""
+        optima.  No (cell, detuning, drive) row is solved twice in the
+        whole run, and a cell's rows come in few requests (its coarse grid
+        and the lockstep rounds it is live in); the cells share the rounds,
+        so the kernel sees few calls, none of them over one coarse grid of
+        rows."""
         import trimech.sweeps as sweeps
         proto = fig2_protocol()
-        real_search = sweeps._search
+        real_lockstep = sweeps._lockstep
         real_solve_points = sweeps.solve_points
-        requests = []  # per cell: the (detuning, log10 drive) rows of each request
+        rounds = [0]   # lockstep rounds so far; the coarse grids are round 0
         kernel = []    # rows of each solve_points call
+        solved = []    # (round, omega2, detuning, drive) of every solved row
 
-        def search(*args, **kwargs):
-            stepper = real_search(*args, **kwargs)
-            log = []
-            requests.append(log)
-            values = None
-            while True:
-                try:
-                    request = stepper.send(values)
-                except StopIteration as stop:
-                    return stop.value
-                log.append(request[1])
-                values = yield request
+        def lockstep(steppers, solve):
+            def counted(asks):
+                rounds[0] += 1
+                return solve(asks)
+            return real_lockstep(steppers, counted)
 
         def solve_points(m, detunings, drives):
             kernel.append(len(np.ravel(detunings)))
+            solved.extend(zip([rounds[0]] * kernel[-1], m.omega2.tolist(),
+                              np.ravel(detunings).tolist(),
+                              np.ravel(drives).tolist()))
             return real_solve_points(m, detunings, drives)
 
-        monkeypatch.setattr(sweeps, "_search", search)
+        monkeypatch.setattr(sweeps, "_lockstep", lockstep)
         monkeypatch.setattr(sweeps, "solve_points", solve_points)
         result = occupation_landscape(
             reference_params(), [10.0],
@@ -685,12 +701,17 @@ class TestOccupationLandscape:
         assert [(p.evaluations, p.solved_rows, float(p.n2_min).hex(),
                  float(p.detuning).hex(), float(p.drive).hex())
                 for p in result.points] == expected
-        for p, cell in zip(result.points, requests):
-            rows = [row for request in cell for row in request]
-            assert p.solved_rows == len(rows) == len(set(rows))
-            assert all(cell)
-            assert len(cell) < p.evaluations / 10
-        assert sum(len(cell) for cell in requests) == 520
+        rows = [row[1:] for row in solved]
+        assert len(rows) == len(set(rows))
+        # the rounds of each cell's rows, the cells known by their omega2
+        cells = {o2: [] for _, o2, *_ in solved}
+        for r, o2, *_ in solved:
+            cells[o2].append(r)
+        assert len(cells) == len(result.points)
+        for p, own in zip(result.points, cells.values()):
+            assert p.solved_rows == len(own)
+            assert len(set(own)) < p.evaluations / 10
+        assert sum(len(set(own)) for own in cells.values()) == 520
         assert sum(kernel) == sum(p.solved_rows for p in result.points) == 9549
         assert len(kernel) <= 92
         assert max(kernel) == 25 * 25
