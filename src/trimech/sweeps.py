@@ -23,8 +23,8 @@ states the search, is deterministic: a coarse grid, then nested
 bracketed Brent line searches from the best few coarse cells.  The
 cooling landscape runs one lockstep over every start of every cell,
 answered through each cell's memo: a round's requests go to one stacked
-solve, each row with its own cell's parameters, in calls of at most one
-coarse grid of rows, so each distinct row is solved once.  As a stacked
+solve, each row with its own cell's parameters, in calls of at most
+SOLVE_CHUNK rows, so each distinct row is solved once.  As a stacked
 row equals the row solved alone, whatever the other rows and their
 parameters, sharing the rounds changes no value, optimum or evaluation
 count.
@@ -70,9 +70,17 @@ LINE_SEARCH_ITERATIONS = 100
 #: a golden-section step's share of the larger part of the bracket
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
-#: relative agreement of a fig2 cell's n2_min between coarse grids of
-#: (25, 25) and (37, 37), the tolerance the search is converged to
+#: the optimizer's default coarse grid, (detuning, drive) points: the
+#: smallest that meets SEARCH_REL_TOL on both boxes below ((7, 7) does
+#: not on the wide one)
+COARSE_GRID = (9, 9)
+#: relative agreement of a fig2 cell's n2_min between the COARSE_GRID
+#: and a (37, 37) grid, on the (-45, -2) and (-90, -2) detuning boxes:
+#: the tolerance the search is converged to
 SEARCH_REL_TOL = 1e-5
+#: the most rows the landscape hands `solve_points` in one call; set
+#: apart from the coarse grid, so that a smaller grid means no more calls
+SOLVE_CHUNK = 625
 
 #: the fig2 search box: effective detuning and model-unit drive
 DETUNING_BOUNDS = (-45.0, -2.0)
@@ -514,10 +522,12 @@ class OptimizeResult:
 
 
 def _search_box(detuning_bounds, drive_bounds):
-    """(d_lo, d_hi, p_lo, p_hi) as floats; ValueError unless ordered with
-    positive drives."""
+    """(d_lo, d_hi, p_lo, p_hi) as floats; ValueError unless all four are
+    finite, ordered, with positive drives."""
     d_lo, d_hi = map(float, detuning_bounds)
     p_lo, p_hi = map(float, drive_bounds)
+    if not all(map(math.isfinite, (d_lo, d_hi, p_lo, p_hi))):
+        raise ValueError("search bounds must be finite")
     if not (d_lo < d_hi and 0 < p_lo < p_hi):
         raise ValueError("bounds must be ordered and drives positive")
     return d_lo, d_hi, p_lo, p_hi
@@ -613,13 +623,15 @@ def _drives(points):
 
 
 def optimize_scalar(objective, detuning_bounds, drive_bounds,
-                    coarse=(25, 25)) -> OptimizeResult:
+                    coarse=COARSE_GRID) -> OptimizeResult:
     """Deterministic minimizer over (detuning, drive).
 
     `objective(detunings, drives)` takes two equal-length 1-D arrays and
     returns an array of values, +inf where undefined (unstable or
-    degenerate).  Stage one evaluates a coarse grid, linear in detuning
-    and logarithmic in drive, in one call.  Stage two refines the best
+    degenerate).  Stage one evaluates a coarse grid of `coarse` (detuning,
+    drive) points, linear in detuning and logarithmic in drive, in one
+    call; the default COARSE_GRID gives the optima of a (37, 37) grid to
+    SEARCH_REL_TOL on the fig2 cells.  Stage two refines the best
     REFINE_STARTS coarse cells by nested line searches (`_line_search`),
     each bracketed by a march at a fixed step while the value improves,
     then minimized by Brent's method, with parabolic steps where the last
@@ -692,8 +704,8 @@ def check_landscape_inputs(omega1_grid, omega2_grid, detuning_bounds, drive_boun
     """The frequency axes of a landscape as 1-D float arrays.
 
     ValueError unless both axes are non-empty, every omega2 lies inside
-    (1, max(omega1)), and the search bounds are ordered with positive
-    drives.
+    (1, max(omega1)), and the search bounds are finite and ordered, with
+    positive drives.
     """
     omega1_grid = np.atleast_1d(np.asarray(omega1_grid, dtype=float))
     omega2_grid = np.atleast_1d(np.asarray(omega2_grid, dtype=float))
@@ -709,7 +721,7 @@ def check_landscape_inputs(omega1_grid, omega2_grid, detuning_bounds, drive_boun
 def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
                          detuning_bounds=DETUNING_BOUNDS,
                          drive_bounds=DRIVE_BOUNDS,
-                         coarse=(25, 25)) -> LandscapeResult:
+                         coarse=COARSE_GRID) -> LandscapeResult:
     """Minimized sphere occupation over (detuning, drive) per frequency cell.
 
     Mechanical frequencies are taken in units of the cavity decay rate;
@@ -725,9 +737,9 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     one lockstep over every start of every cell, answered through each
     cell's memo.  Each round's rows go to `solve_points` together, each
     row's parameters gathered from its cell's ModelParams
-    (`_RowParams`), in calls of at most one coarse grid of rows.  A
-    stacked row equals the row solved alone, so each cell's result is
-    that of its own search.
+    (`_RowParams`), in calls of at most SOLVE_CHUNK rows, whatever the
+    size of `coarse`.  A stacked row equals the row solved alone, so
+    each cell's result is that of its own search.
     """
     omega1_grid, omega2_grid = check_landscape_inputs(
         omega1_grid, omega2_grid, detuning_bounds, drive_bounds)
@@ -737,14 +749,13 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
                                            sphere_freq=o2 * kappa), detuning=-1.0)
               for k, (o1, o2) in enumerate(grid) if o2 < o1}
     cell_params = _RowParams.stack(models.values())
-    cap = coarse[0] * coarse[1]
 
     def solve(round_points):
         """Sphere occupations at the (cell, (detuning, log10 drive)) points
-        of one round, in calls of at most `cap` rows."""
+        of one round, in calls of at most SOLVE_CHUNK rows."""
         values = []
-        for at in range(0, len(round_points), cap):
-            chunk = round_points[at:at + cap]
+        for at in range(0, len(round_points), SOLVE_CHUNK):
+            chunk = round_points[at:at + SOLVE_CHUNK]
             rows = cell_params.take([cell for cell, _ in chunk])
             values.append(sphere_occupation_objective(rows)(
                 *_drives([p for _, p in chunk])))

@@ -243,6 +243,19 @@ class TestConfigBoundary:
         assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
         assert "bounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["drive_max = inf", "detuning_min = -inf"])
+    def test_infinite_landscape_bound_exits_2(self, tmp_path, capsys, bound):
+        """On one cell, an infinite drive bound used to write n2_min = inf
+        with exit 0 and an infinite detuning bound to exit 4."""
+        cfg = write_config(tmp_path, NOMINAL + "\n".join([
+            "", "[sweep]", "kind = landscape",
+            "omega1_min = 10", "omega1_max = 10", "omega1_count = 1",
+            "omega2_min = 3.4", "omega2_max = 3.4", "omega2_count = 1",
+            bound, ""]))
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "finite" in err
+
     def test_one_row_landscape_equals_its_row_of_two(self, tmp_path):
         """A frequency axis of one cell (min = max) needs no dummy row: the
         omega1 = 10 cells equal those of a two-row config whose other row

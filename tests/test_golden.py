@@ -89,11 +89,11 @@ DIGESTS = {
     },
     "sweep-fig2": {
         "landscape.dat":
-            "e9a8ac0ebbf05325e1d3717a1e118f56fd8ea04bff757af9535b9191b51bbbaf",
+            "a14b93eb236a50dbdf7faa9011fe659f1dfd4dabf2c73787b2ede2169485cea0",
         "summary.json":
-            "a68a2c8dd7d21501ecd18db2b95618d5e21d6c19f31c6d4654e092b43745bbde",
+            "d70ed7fb766827f0f3bed50d32f25a7e1d948cf5660ff775897f691b90467fb8",
         "sweep.csv":
-            "e0d344912397ccd71dedee623db69f45d9aefe883b9706794b2d28ee879a9beb",
+            "90c7ef21cfb2a49cf93f17f3636eb2f2946b8c27b3cd8c3592422642bfbbda2d",
     },
     "sweep-fig3": {
         "summary.json":

@@ -11,9 +11,9 @@ import pytest
 from trimech.errors import NumericalError, PhysicsError
 from trimech.params import drive_from_watts, reference_params, watts_from_drive
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
-from trimech.sweeps import (DRIVE_SCAN, DRIVE_SPAN, DRIVE_TOL,
-                            SEARCH_REL_TOL, _drive_line, _line_search,
-                            _searched, instability_threshold,
+from trimech.sweeps import (COARSE_GRID, DRIVE_SCAN, DRIVE_SPAN, DRIVE_TOL,
+                            SEARCH_REL_TOL, SOLVE_CHUNK, _drive_line,
+                            _line_search, _searched, instability_threshold,
                             occupation_landscape, optimize_scalar, power_sweep,
                             sphere_occupation_objective, squeezing_sweep)
 
@@ -326,6 +326,19 @@ class TestOptimizeScalar:
         assert res.on_boundary
         assert res.detuning == -30.0
 
+    @pytest.mark.parametrize("detuning_bounds, drive_bounds", [
+        ((-30.0, -2.0), (1e4, math.inf)),
+        ((-math.inf, -2.0), (1e4, 1e9)),
+        ((-30.0, math.nan), (1e4, 1e9)),
+    ])
+    def test_rejects_a_bound_that_is_not_finite(self, detuning_bounds,
+                                                drive_bounds):
+        def objective(detuning, drive):
+            raise AssertionError("the objective is never called")
+
+        with pytest.raises(ValueError, match="finite"):
+            optimize_scalar(objective, detuning_bounds, drive_bounds)
+
     def test_objective_sees_each_row_once(self):
         """On an objective flat in detuning the starts' lines meet, and
         starts ask for the same rows in one round; the objective is given
@@ -581,7 +594,7 @@ class TestOccupationLandscape:
                                       proto["drive_bounds"])
         assert [p.on_boundary for p in result.points] == [False] + [True] * 5
         assert [p.detuning for p in result.points][1:] == [-45.0] * 5
-        assert result.points[0].detuning == pytest.approx(-43.279, abs=1e-3)
+        assert result.points[0].detuning == pytest.approx(-43.2812, abs=1e-3)
 
     def test_stopped_start_keeps_its_best_point(self, monkeypatch):
         """On omega2 = 6.0 the starts march toward -45 over one corridor.
@@ -634,30 +647,41 @@ class TestOccupationLandscape:
 
     def test_agrees_across_coarse_grids(self):
         """The search is converged: on the nine fig2 cells, a (37, 37)
-        coarse grid gives the n2_min of the (25, 25) one to SEARCH_REL_TOL."""
+        coarse grid gives the n2_min of the COARSE_GRID one to
+        SEARCH_REL_TOL, on the fig2 detuning box and on one twice as wide.
+        The gate can fail: on the wide box a (7, 7) grid misses it."""
         proto = fig2_protocol()
-        n2 = {coarse: np.array([p.n2_min for p in occupation_landscape(
-                  proto["base"], proto["omega1"], proto["omega2"],
-                  proto["detuning_bounds"], proto["drive_bounds"],
-                  coarse=coarse).points])
-              for coarse in ((25, 25), (37, 37))}
-        assert np.all(np.isfinite(n2[25, 25]))
-        np.testing.assert_allclose(n2[37, 37], n2[25, 25], rtol=SEARCH_REL_TOL)
 
-    def test_search_pinned_and_stacked(self, monkeypatch):
-        """The eight benchmark cells keep their probe counts and bit-exact
-        optima.  No (cell, detuning, drive) row is solved twice in the
-        whole run, and a cell's rows come in few requests (its coarse grid
-        and the lockstep rounds it is live in); the cells share the rounds,
-        so the kernel sees few calls, none of them over one coarse grid of
-        rows."""
+        def n2_min(detuning_bounds, coarse):
+            return np.array([p.n2_min for p in occupation_landscape(
+                proto["base"], proto["omega1"], proto["omega2"],
+                detuning_bounds, proto["drive_bounds"], coarse=coarse).points])
+
+        boxes = ((-45.0, -2.0), (-90.0, -2.0))
+        fine = {box: n2_min(box, (37, 37)) for box in boxes}
+        for box in boxes:
+            n2 = n2_min(box, COARSE_GRID)
+            assert np.all(np.isfinite(n2))
+            np.testing.assert_allclose(fine[box], n2, rtol=SEARCH_REL_TOL)
+        wide = fine[-90.0, -2.0]
+        coarser = n2_min((-90.0, -2.0), (7, 7))
+        assert np.any(np.abs(coarser - wide) > SEARCH_REL_TOL * wide)
+
+    #: the eight benchmark cells, omega2 at omega1 = 10
+    BENCHMARK_OMEGA2 = [1.95, 3.15, 3.6, 4.95, 6.0, 6.45, 7.95, 8.55]
+
+    def run_benchmark_cells(self, monkeypatch):
+        """The landscape of the eight benchmark cells, with (result,
+        kernel, solved): the (round, rows) of each `solve_points` call and
+        the (round, omega2, detuning, drive) of every solved row.  Round 0
+        holds the coarse grids; each lockstep round adds one."""
         import trimech.sweeps as sweeps
         proto = fig2_protocol()
         real_lockstep = sweeps._lockstep
         real_solve_points = sweeps.solve_points
-        rounds = [0]   # lockstep rounds so far; the coarse grids are round 0
-        kernel = []    # rows of each solve_points call
-        solved = []    # (round, omega2, detuning, drive) of every solved row
+        rounds = [0]   # lockstep rounds so far
+        kernel = []
+        solved = []
 
         def lockstep(steppers, solve):
             def counted(asks):
@@ -666,8 +690,9 @@ class TestOccupationLandscape:
             return real_lockstep(steppers, counted)
 
         def solve_points(m, detunings, drives):
-            kernel.append(len(np.ravel(detunings)))
-            solved.extend(zip([rounds[0]] * kernel[-1], m.omega2.tolist(),
+            n = len(np.ravel(detunings))
+            kernel.append((rounds[0], n))
+            solved.extend(zip([rounds[0]] * n, m.omega2.tolist(),
                               np.ravel(detunings).tolist(),
                               np.ravel(drives).tolist()))
             return real_solve_points(m, detunings, drives)
@@ -675,28 +700,37 @@ class TestOccupationLandscape:
         monkeypatch.setattr(sweeps, "_lockstep", lockstep)
         monkeypatch.setattr(sweeps, "solve_points", solve_points)
         result = occupation_landscape(
-            reference_params(), [10.0],
-            [1.95, 3.15, 3.6, 4.95, 6.0, 6.45, 7.95, 8.55],
+            reference_params(), [10.0], self.BENCHMARK_OMEGA2,
             detuning_bounds=proto["detuning_bounds"],
             drive_bounds=proto["drive_bounds"])
+        return result, kernel, solved
+
+    def test_search_pinned_and_stacked(self, monkeypatch):
+        """The eight benchmark cells keep their probe counts and bit-exact
+        optima.  No (cell, detuning, drive) row is solved twice in the
+        whole run, and each cell's rows come in a pinned number of
+        requests (its coarse grid and the lockstep rounds it is live in);
+        the cells share the rounds, so the kernel sees few calls, none of
+        them over SOLVE_CHUNK rows."""
+        result, kernel, solved = self.run_benchmark_cells(monkeypatch)
         # (evaluations, solved_rows, n2_min, detuning, drive)
         expected = [
-            (1350, 1341, "0x1.32603a3b6978cp+9", "-0x1.22943da0b4f4dp+5",
-             "0x1.937f70a8aaa6ap+36"),
-            (1196, 1187, "0x1.1c4f0a000efe4p+9", "-0x1.6142d122eafc1p+5",
-             "0x1.52b756b2b6d2fp+37"),
-            (1162, 1153, "0x1.1d5150d2de6bdp+9", "-0x1.6800000000000p+5",
+            (654, 618, "0x1.3260392e4cbb7p+9", "-0x1.2291db2f72fdbp+5",
+             "0x1.937575240b6c7p+36"),
+            (618, 614, "0x1.1c4f0958b9be2p+9", "-0x1.613b1d23785b0p+5",
+             "0x1.52a11b02a14eep+37"),
+            (490, 487, "0x1.1d5150d2de6bdp+9", "-0x1.6800000000000p+5",
              "0x1.59f02f87aa139p+37"),
-            (1194, 1185, "0x1.5abf3417778ecp+9", "-0x1.6800000000000p+5",
-             "0x1.2a56bacf57d14p+37"),
-            (1100, 1091, "0x1.ddb6946fb70a8p+9", "-0x1.6800000000000p+5",
-             "0x1.f6e35138b6c81p+36"),
-            (1160, 1151, "0x1.1ed96babddc38p+10", "-0x1.6800000000000p+5",
-             "0x1.c991bbe2a8e05p+36"),
-            (1230, 1221, "0x1.55169f0085f81p+11", "-0x1.67fffffffffffp+5",
-             "0x1.1d2d55cfebfd2p+36"),
-            (1229, 1220, "0x1.1d64ac617b3cbp+12", "-0x1.6800000000000p+5",
-             "0x1.9ecc986f77027p+35"),
+            (491, 488, "0x1.5abefa8f74536p+9", "-0x1.6800000000000p+5",
+             "0x1.2a55e6385eef2p+37"),
+            (468, 465, "0x1.ddb6c56f516eap+9", "-0x1.6800000000000p+5",
+             "0x1.f6e20c970aa68p+36"),
+            (470, 467, "0x1.1ed96ebc7ed67p+10", "-0x1.6800000000000p+5",
+             "0x1.c991589f9fa99p+36"),
+            (547, 544, "0x1.5516a01cf649ap+11", "-0x1.6800000000000p+5",
+             "0x1.1d2cfb8783253p+36"),
+            (466, 463, "0x1.1d64ac613c1a9p+12", "-0x1.6800000000000p+5",
+             "0x1.9ecc95e02fa89p+35"),
         ]
         assert [(p.evaluations, p.solved_rows, float(p.n2_min).hex(),
                  float(p.detuning).hex(), float(p.drive).hex())
@@ -708,13 +742,25 @@ class TestOccupationLandscape:
         for r, o2, *_ in solved:
             cells[o2].append(r)
         assert len(cells) == len(result.points)
-        for p, own in zip(result.points, cells.values()):
-            assert p.solved_rows == len(own)
-            assert len(set(own)) < p.evaluations / 10
-        assert sum(len(set(own)) for own in cells.values()) == 520
-        assert sum(kernel) == sum(p.solved_rows for p in result.points) == 9549
-        assert len(kernel) <= 92
-        assert max(kernel) == 25 * 25
+        assert [p.solved_rows for p in result.points] == [
+            len(own) for own in cells.values()]
+        assert [len(set(own)) for own in cells.values()] == [
+            70, 57, 54, 55, 54, 53, 69, 63]
+        sizes = [n for _, n in kernel]
+        assert sum(sizes) == sum(p.solved_rows for p in result.points) == 4146
+        assert len(sizes) <= 71
+        assert max(sizes) == SOLVE_CHUNK
+
+    def test_coarse_grids_go_in_chunks(self, monkeypatch):
+        """The eight cells' coarse grids, 8 x 81 = 648 rows, go to the
+        kernel in calls of SOLVE_CHUNK rows and the rest, not in one call
+        per grid; no call of the run is over SOLVE_CHUNK rows."""
+        _, kernel, _ = self.run_benchmark_cells(monkeypatch)
+        grid_rows = len(self.BENCHMARK_OMEGA2) * COARSE_GRID[0] * COARSE_GRID[1]
+        assert grid_rows == 648
+        assert [n for r, n in kernel if r == 0] == [SOLVE_CHUNK,
+                                                    grid_rows - SOLVE_CHUNK]
+        assert all(n <= SOLVE_CHUNK for _, n in kernel)
 
 
 def _point_bits(p):
