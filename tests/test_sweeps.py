@@ -11,7 +11,8 @@ import pytest
 from trimech.errors import NumericalError, PhysicsError
 from trimech.params import drive_from_watts, reference_params, watts_from_drive
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
-from trimech.sweeps import (COARSE_GRID, DRIVE_SCAN, DRIVE_SPAN, DRIVE_TOL,
+from trimech.sweeps import (COARSE_GRID, DETUNING_BOUNDS, DRIVE_BOUNDS,
+                            DRIVE_SCAN, DRIVE_SPAN, DRIVE_TOL,
                             SEARCH_REL_TOL, SOLVE_CHUNK, _drive_line,
                             _line_search, _searched, instability_threshold,
                             occupation_landscape, optimize_scalar, power_sweep,
@@ -564,14 +565,14 @@ class TestOccupationLandscape:
 
     def test_points_record_optimizer_diagnostics(self):
         base = fig2_protocol()["base"]
-        result = occupation_landscape(base, [10.0], [3.4], coarse=(9, 9))
+        result = occupation_landscape(base, [10.0], [3.4], coarse=COARSE_GRID)
         (point,) = result.points
         kappa = base.cavity_decay
         from trimech.params import nondimensionalize
         m = nondimensionalize(replace(base, mirror_freq=10.0 * kappa,
                                       sphere_freq=3.4 * kappa), detuning=-1.0)
-        opt = optimize_scalar(sphere_occupation_objective(m), (-45.0, -2.0),
-                              (1e6, 1e12), coarse=(9, 9))
+        opt = optimize_scalar(sphere_occupation_objective(m), DETUNING_BOUNDS,
+                              DRIVE_BOUNDS, coarse=COARSE_GRID)
         # the landscape cell is optimize_scalar's search, bit for bit
         assert opt.evaluations > 81
         assert ((float(point.n2_min).hex(), float(point.detuning).hex(),

@@ -3,11 +3,25 @@
 import numpy as np
 import pytest
 
+from trimech.cli import validation_set
 from trimech.errors import NumericalError, UnstableSystemError
 from trimech.linear import solve_lyapunov, stability
-from trimech.validate import integrate_moments, lyapunov_direct
+from trimech.validate import (ORACLE_CHUNK, _apply_steps, _rk4_affine_map,
+                              _step_counts, cross_check, integrate_moments,
+                              lyapunov_direct)
 
 from conftest import generic_stable_instances, stable_model_draws
+
+
+def divergent_pair():
+    """A stable draw with its damping signs flipped: the moment flow
+    diverges, and every route refuses it."""
+    _, _, lm = stable_model_draws(1, seed=3)[0]
+    A_bad = lm.drift.copy()
+    A_bad[3, 3] = -A_bad[3, 3]
+    A_bad[5, 5] = -A_bad[5, 5]
+    A_bad[0, 0] = A_bad[1, 1] = 0.3
+    return A_bad, lm.diffusion
 
 
 class TestLyapunovDirect:
@@ -62,16 +76,11 @@ class TestIntegrateMoments:
                 assert np.abs(V - V_ref).max() <= 1e-8 * np.abs(V_ref).max()
 
     def test_divergence_matches_stability_verdict(self):
-        # flip the damping signs of a stable draw to construct instability
-        _, _, lm = stable_model_draws(1, seed=3)[0]
-        A_bad = lm.drift.copy()
-        A_bad[3, 3] = -A_bad[3, 3]
-        A_bad[5, 5] = -A_bad[5, 5]
-        A_bad[0, 0] = A_bad[1, 1] = 0.3
+        A_bad, D = divergent_pair()
         stable, _ = stability(A_bad)
         assert not stable
         with pytest.raises(UnstableSystemError):
-            integrate_moments(A_bad, lm.diffusion)
+            integrate_moments(A_bad, D)
 
     def test_symmetry_preserved(self, model_draws_100):
         _, _, lm = model_draws_100[0]
@@ -114,3 +123,136 @@ class TestThreeWayAgreement:
             scale = np.abs(V_kron).max()
             assert np.abs(V_prod - V_kron).max() <= 1e-10 * scale
             assert np.abs(V_ode - V_kron).max() <= 1e-8 * scale
+
+
+@pytest.fixture(scope="module")
+def validate_set():
+    """The default `trimech validate` set: 50 seeded random instances, then
+    the fig3 and fig4 preset points with their own moment-flow steps."""
+    return validation_set(50)
+
+
+def with_row(A, D, dt, at, A_row, D_row):
+    """The stack with (A_row, D_row) inserted at `at`, default step."""
+    return (np.insert(A, at, A_row, axis=0), np.insert(D, at, D_row, axis=0),
+            dt[:at] + [None] + dt[at:])
+
+
+class TestStackedOracles:
+    """Each row of a stacked oracle call is its one-instance call, bit for
+    bit, on the default validate set."""
+
+    def test_rows_have_their_own_step_counts(self, validate_set):
+        # the presets need 10-18 more binary digits of RK4 steps than the
+        # random instances, so rows leave a chunk's squaring loop at
+        # different levels
+        _, A, _, dt = validate_set
+        assert len(A) > ORACLE_CHUNK
+        _, steps = _step_counts(A, dt)
+        bits = [int(s).bit_length() for s in steps]
+        assert (min(bits[:50]), max(bits[:50])) == (14, 19)
+        assert bits[50:] == [32, 29]
+
+    def test_lyapunov_direct(self, validate_set):
+        _, A, D, _ = validate_set
+        V = lyapunov_direct(A, D)
+        eye = np.eye(6)
+        for i in range(len(A)):
+            assert np.array_equal(V[i], lyapunov_direct(A[i], D[i]))
+        # the one-matrix case is the textbook vectorized solve
+        K = np.kron(A[0], eye) + np.kron(eye, A[0])
+        v = np.linalg.solve(K, -D[0].reshape(-1)).reshape(6, 6)
+        assert np.array_equal(V[0], 0.5 * (v + v.T))
+
+    def test_integrate_moments(self, validate_set):
+        _, A, D, dt = validate_set
+        V = integrate_moments(A, D, dt=dt)
+        for i in range(len(A)):
+            assert np.array_equal(V[i], integrate_moments(A[i], D[i], dt=dt[i]))
+        # a row's numbers do not depend on its neighbours or its chunk
+        assert np.array_equal(integrate_moments(A[::-1], D[::-1], dt=dt[::-1]),
+                              V[::-1])
+
+    def test_integrate_moments_transients(self, validate_set):
+        # short horizons and per-row starts stop each row mid-relaxation,
+        # where one more step, or one fewer, moves its bits
+        _, A, D, _ = validate_set
+        rng = np.random.default_rng(7)
+        V0 = rng.normal(size=A.shape)
+        horizon = list(rng.uniform(0.05, 2.0, size=len(A)))
+        V = integrate_moments(A, D, V0=V0, horizon=horizon)
+        for i in range(len(A)):
+            assert np.array_equal(
+                V[i], integrate_moments(A[i], D[i], V0=V0[i], horizon=horizon[i]))
+
+    def test_cross_check(self, validate_set):
+        _, A, D, dt = validate_set
+        chk = cross_check(A, D, dt=dt)
+        for i in range(len(A)):
+            one = cross_check(A[i], D[i], dt=dt[i])
+            assert one == {key: float(x[i]) for key, x in chk.items()}
+
+
+class TestStackErrors:
+    """A stack raises the error its failing row raises alone, wherever the
+    row sits among the validate set."""
+
+    @pytest.mark.parametrize("at", [0, 25, 52])
+    @pytest.mark.parametrize("horizon", [None, 1e6])
+    def test_divergent_moment_flow(self, validate_set, at, horizon):
+        # caught at its last binary digit (default horizon) or mid-way
+        _, A, D, dt = validate_set
+        A_bad, D_bad = divergent_pair()
+        with pytest.raises(UnstableSystemError) as alone:
+            integrate_moments(A_bad, D_bad, horizon=horizon)
+        integrate_moments(A, D, dt=dt)  # the rest alone passes
+        A_s, D_s, dt_s = with_row(A, D, dt, at, A_bad, D_bad)
+        horizons = [None] * len(A_s)
+        horizons[at] = horizon
+        with pytest.raises(UnstableSystemError) as stacked:
+            integrate_moments(A_s, D_s, dt=dt_s, horizon=horizons)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("at", [0, 25, 52])
+    def test_singular_kronecker_system(self, validate_set, at):
+        _, A, D, dt = validate_set
+        A_sing = np.diag([0.0, -1.0, -1.0, -1.0, -1.0, -1.0])
+        with pytest.raises(NumericalError) as alone:
+            lyapunov_direct(A_sing, np.eye(6))
+        A_s, D_s, _ = with_row(A, D, dt, at, A_sing, np.eye(6))
+        with pytest.raises(NumericalError) as stacked:
+            lyapunov_direct(A_s, D_s)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("at", [0, 25, 52])
+    def test_cross_check_raises_the_rows_own_error(self, validate_set, at):
+        _, A, D, dt = validate_set
+        A_bad, D_bad = divergent_pair()
+        with pytest.raises(UnstableSystemError) as alone:
+            cross_check(A_bad, D_bad)
+        A_s, D_s, dt_s = with_row(A, D, dt, at, A_bad, D_bad)
+        with pytest.raises(UnstableSystemError) as stacked:
+            cross_check(A_s, D_s, dt=dt_s)
+        assert str(stacked.value) == str(alone.value)
+        assert "max Re(eig)" in str(alone.value)
+
+    def test_diverged_row_leaves_the_others_untouched(self, validate_set):
+        # over a long horizon the divergent row is caught at level 16 of
+        # its 31, while fig4 (29 binary digits) and two random rows (19)
+        # square on behind it; each of those ends on its clean value
+        _, A, D, dt = validate_set
+        A_bad, D_bad = divergent_pair()
+        rows = [50, 51, 10, 22]
+        A_s = np.concatenate([A[rows], A_bad[None]])
+        D_s = np.concatenate([D[rows], D_bad[None]])
+        dt_s, steps = _step_counts(A_s, [dt[i] for i in rows] + [None],
+                                   [None] * 4 + [1e6])
+        order = np.argsort(steps, kind="stable")[::-1]
+        assert order.tolist() == [0, 4, 1, 3, 2]
+        assert [int(s).bit_length() for s in steps] == [32, 29, 19, 19, 31]
+        M, b = _rk4_affine_map(A_s[order], D_s[order], dt_s[order])
+        v = np.zeros((5, 36))
+        assert list(_apply_steps(M, b, steps[order], v, order)) == [4]
+        V = v[:4].reshape(4, 6, 6)
+        clean = integrate_moments(A[rows], D[rows], dt=[dt[i] for i in rows])
+        assert np.array_equal(0.5 * (V + V.transpose(0, 2, 1)), clean)
