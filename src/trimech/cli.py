@@ -229,7 +229,7 @@ def _sweep_job(args):
         return kind, None, phys, (omega1, omega2, bounds_det, bounds_drv)
     m = _config_model(phys, sections)
     if m.detuning_mode != "effective":
-        raise ConfigError("power sweeps require detuning_mode = effective")
+        raise ConfigError(f"{kind} sweeps require detuning_mode = effective")
     unit, lo = spec["power_min"]
     drives = np.logspace(math.log10(lo), math.log10(spec["power_max"][1]),
                          spec["points"])

@@ -42,9 +42,11 @@ rows one by one, so only a row that fails alone is left without a
 result.  A status becomes an exception in one place, `_raise_for`:
 UnstableSystemError, DegenerateTrapError or NumericalError, so a fault
 never reads as an instability.  The one-row entry points (`stability`,
-`linear_model`, `solve_lyapunov`) solve a one-row stack and apply that
-map; `sweeps.solve_points` runs the whole chain on a stack, from fixed
-points through `linear_models` to the covariances of `_lyapunov_rows`.
+`linear_model`) solve a one-row stack and apply that map;
+`solve_lyapunov` takes one matrix or a stack and raises for its first
+failing row; `sweeps.solve_points` runs the whole chain on a stack, from
+fixed points through `linear_models` to the covariances of
+`_lyapunov_rows`.
 """
 
 import itertools
@@ -437,20 +439,28 @@ def _lyapunov_rows(stack: LinearStack):
 def solve_lyapunov(A, D) -> np.ndarray:
     """Stationary covariance solving A V + V A^T = -D.
 
-    The single-matrix case of the stacked solve: one eigendecomposition
-    of A gives the stability verdict (raises UnstableSystemError when A
-    is not stable, NumericalError when the eigensolver fails) and the
-    eigenbasis solve.  The result is symmetrized and satisfies
-    max|A V + V A^T + D| <= 1e-10 * max|D|, or NumericalError is raised.
-    When the eigenbasis result misses that contract, the refined direct
-    vectorized solve is tried as well and the result with the smaller
-    residual is kept.
+    One (6, 6) pair, or (N, 6, 6) stacks of them; one matrix is the
+    N = 1 case and comes back unstacked.  One eigendecomposition of each
+    row of A gives its stability verdict and its eigenbasis solve.  Each
+    result is symmetrized and satisfies max|A V + V A^T + D| <=
+    1e-10 * max|D| of its own row; when the eigenbasis result misses that
+    contract, the refined direct vectorized solve is tried as well and
+    the result with the smaller residual is kept.  Rows are independent,
+    each bit for bit its one-matrix call, and a stack raises the error of
+    its first failing row: UnstableSystemError for a row that is not
+    stable, NumericalError for one whose eigensolver fails or whose
+    contract stays missed.
     """
-    stack = _decompose(np.asarray(A, dtype=float)[None],
-                       np.asarray(D, dtype=float)[None])
+    A = np.asarray(A, dtype=float)
+    D = np.asarray(D, dtype=float)
+    single = A.ndim == 2
+    stack = _decompose(A[None], D[None]) if single else _decompose(A, D)
     V, status, reasons = _lyapunov_rows(stack)
-    _raise_for(status[0], reasons.get(0), stack.eigenvalues[0])
-    return V[0]
+    failed = np.flatnonzero(status != OK)
+    if failed.size:
+        i = int(failed[0])
+        _raise_for(status[i], reasons.get(i), stack.eigenvalues[i])
+    return V[0] if single else V
 
 
 def occupation(V, oscillator, clamp=True):

@@ -43,7 +43,8 @@ DIVERGENCE_NORM = 1e12
 PAIR_TOL = 1e-10
 ODE_TOL = 1e-8
 
-#: rows per stacked Kronecker-size computation of the oracles
+#: rows per stacked Kronecker-size computation of the oracles, which
+#: bounds the oracles' working set
 ORACLE_CHUNK = 8
 
 _DIVERGED = "moment flow diverged; system has no stationary state"
@@ -119,40 +120,23 @@ def _rk4_affine_map(A, D, dt):
     N, n, _ = A.shape
     h = dt[:, None, None]
     eye = np.eye(n * n)
-    hK = _kron_sum(A)
-    hK *= h
+    hK = _kron_sum(A) * h
     hK2 = hK @ hK
     hK3 = hK2 @ hK
-    # M = I + hK + hK2/2 + hK3/6 + hK4/24 and b's matrix
-    # I + hK/2 + hK2/6 + hK3/24, each summed left to right, through one
-    # spare stack t, so the working set stays at five stacks
-    t = hK2 / 2.0
-    M = hK + eye
-    M += t
-    np.divide(hK3, 6.0, out=t)
-    M += t
-    np.matmul(hK3, hK, out=t)
-    t /= 24.0
-    M += t
-    np.divide(hK, 2.0, out=t)
-    t += eye
-    hK2 /= 6.0
-    t += hK2
-    hK3 /= 24.0
-    t += hK3
-    b = t @ (h * D.reshape(N, n * n, 1))
+    M = eye + hK + hK2 / 2.0 + hK3 / 6.0 + hK3 @ hK / 24.0
+    b = (eye + hK / 2.0 + hK2 / 6.0 + hK3 / 24.0) @ (h * D.reshape(N, n * n, 1))
     P = _symmetrizer(n)
-    return np.matmul(P, M, out=t), (P @ b)[..., 0]
+    return P @ M, (P @ b)[..., 0]
 
 
 def _per_row(name, value, count):
     """`value` (None, a number, or one of those per row) as `count`
-    entries; ValueError unless each given entry is positive."""
+    entries; ValueError unless each given entry is positive and finite."""
     values = [value] * count if value is None or np.ndim(value) == 0 else list(value)
     if len(values) != count:
         raise ValueError(f"{name} needs one entry per row, got {len(values)}")
-    if any(x is not None and not x > 0 for x in values):
-        raise ValueError(f"{name} must be positive")
+    if any(x is not None and not 0 < x < math.inf for x in values):
+        raise ValueError(f"{name} must be positive and finite")
     return values
 
 
@@ -167,10 +151,10 @@ def _step_counts(A, dt=None, horizon=None):
     slowest = 50.0 / np.maximum(np.abs(lam.real.max(axis=1)), 1e-15)
     dt = np.array([f if t is None else t for f, t in zip(fastest, dt)])
     horizon = [s if T is None else T for s, T in zip(slowest, horizon)]
-    # Exact step count caps at 2^63; beyond that the flow has either
-    # converged or diverged long before.
-    return dt, np.array([min(max(1, math.ceil(T / t)), 2 ** 63)
-                         for T, t in zip(horizon, dt)], dtype=np.uint64)
+    # Exact step count caps at 2^63, also where T / dt overflows; beyond
+    # that the flow has either converged or diverged long before.
+    return dt, np.array([max(1, math.ceil(min(float(T) / t, 2.0 ** 63)))
+                         for T, t in zip(horizon, dt.tolist())], dtype=np.uint64)
 
 
 def _apply_steps(M, b, steps, v, rows):
@@ -226,7 +210,7 @@ def integrate_moments(A, D, V0=None, dt=None, horizon=None) -> np.ndarray:
     `dt` defaults to 1e-2 / max(|eig|, 1), which resolves the fastest
     mode, and `horizon` to fifty relaxation times of the slowest one
     (50 / |max Re eig|), which lands on the RK4 fixed point to machine
-    accuracy; either, when given, must be positive (ValueError).
+    accuracy; either, when given, must be positive and finite (ValueError).
     Unbounded growth raises UnstableSystemError, mirroring the algebraic
     stability verdict.
 
@@ -266,22 +250,17 @@ def cross_check(A, D, dt=None):
     (None for the default); a coarser step improves the conditioning of
     its fixed point on stiff spectra without moving the limit.
 
-    The production route is one stacked `linear._decompose` and
-    `_lyapunov_rows`, and each oracle is one stacked call.  Rows are
-    independent, and each row's numbers are its one-instance call's.  A
-    route that fails raises its first failing row's error, the production
-    route first, then the direct solve, then the moment flow.
+    The production route (`linear.solve_lyapunov`) and each oracle are
+    one stacked call.  Rows are independent, and each row's numbers are
+    its one-instance call's.  A route that fails raises its first failing
+    row's error, the production route first, then the direct solve, then
+    the moment flow.
     """
-    from .linear import OK, _decompose, _lyapunov_rows, _raise_for
+    from .linear import solve_lyapunov
 
     A, single = _stacked(A)
     D, _ = _stacked(D)
-    stack = _decompose(A, D)
-    V_prod, status, reasons = _lyapunov_rows(stack)
-    failed = np.flatnonzero(status != OK)
-    if failed.size:
-        i = int(failed[0])
-        _raise_for(status[i], reasons.get(i), stack.eigenvalues[i])
+    V_prod = solve_lyapunov(A, D)
     V_kron = lyapunov_direct(A, D)
     V_ode = integrate_moments(A, D, dt=dt)
     scale = np.maximum(np.abs(V_kron).max(axis=(1, 2)), np.finfo(float).tiny)

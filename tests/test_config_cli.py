@@ -374,6 +374,17 @@ class TestSweepKeys:
         assert f"line {line}: key '{key}'" in err and f"kind = {kind}" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["power", "squeezing"])
+    def test_bare_detuning_exits_2(self, tmp_path, capsys, kind):
+        text = self.config(kind, self.SWEEPS[kind]).replace(
+            "detuning_mode = effective", "detuning_mode = bare")
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "-i", cfg, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: {kind} sweeps require detuning_mode = effective")
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("kind, missing", [
         (kind, line) for kind, lines in SWEEPS.items() for line in lines])
     def test_missing_key_of_the_kind_exits_2(self, tmp_path, capsys, kind,

@@ -1,6 +1,7 @@
 """Output bytes pinned: the sha256 of every file the CLI writes for the
-preset sweeps, `validate`, and `linear`/`steady` on the two model presets
-and on a bare-detuning config with three branches.
+preset sweeps, `validate` (the default set and 500 random instances), and
+`linear`/`steady` on the two model presets and on a bare-detuning config
+with three branches.
 
 The digests hold for the numpy version in NUMPY; under another version
 LAPACK may round differently, so the test skips.  A change that moves
@@ -55,6 +56,7 @@ RUNS = {
     **{f"sweep-{p}": ["sweep", "--preset", p, "--format", "both"]
        for p in ("fig2", "fig3", "fig4")},
     "validate": ["validate"],
+    "validate-500": ["validate", "--validate-instances", "500"],
     **{f"{cmd}-{p}": [cmd, "--preset", p]
        for cmd in ("linear", "steady") for p in ("fig3", "fig4")},
     "linear-bare": ["linear", "-i", BARE],
@@ -110,6 +112,10 @@ DIGESTS = {
     "validate": {
         "validation.txt":
             "8dbfca7c486cb2873d2f45788ca9d4b909999f59a0af6411fe8879e40e4e0ba3",
+    },
+    "validate-500": {
+        "validation.txt":
+            "768ed5556459f1a08199f0a6e1ccc8c14c9781ceb6d0c3f1cd4be9aa6c77805c",
     },
 }
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import trimech.linear as linear
 from trimech.cli import validation_set
 from trimech.errors import NumericalError, UnstableSystemError
 from trimech.linear import solve_lyapunov, stability
@@ -11,6 +12,7 @@ from trimech.validate import (ORACLE_CHUNK, _apply_steps, _rk4_affine_map,
                               lyapunov_direct)
 
 from conftest import generic_stable_instances, stable_model_draws
+import test_linear
 
 
 def divergent_pair():
@@ -94,6 +96,20 @@ class TestIntegrateMoments:
         with pytest.raises(ValueError, match="horizon"):
             integrate_moments(A, D, horizon=0.0)
 
+    def test_non_finite_steps(self):
+        # a non-finite step or horizon is a bad input, not a divergence;
+        # a step count whose T / dt overflows caps at 2^63, with no
+        # warning (pytest turns warnings into errors)
+        A, D = np.diag([-1.0, -2.0]), np.eye(2)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            integrate_moments(A, D, horizon=np.inf)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate_moments(A, D, dt=np.inf)
+        _, steps = _step_counts(A[None], 1e-300, 1e10)
+        assert steps.tolist() == [2 ** 63]
+        V = integrate_moments(A, D, dt=1e-300, horizon=1e10)
+        assert np.isfinite(V).all()
+
 
 class TestThreeWayAgreement:
     def test_generic_instances(self, generic_instances_1000):
@@ -136,6 +152,30 @@ def with_row(A, D, dt, at, A_row, D_row):
     """The stack with (A_row, D_row) inserted at `at`, default step."""
     return (np.insert(A, at, A_row, axis=0), np.insert(D, at, D_row, axis=0),
             dt[:at] + [None] + dt[at:])
+
+
+def test_affine_map_is_one_rk4_step(validate_set):
+    """On every row of the default validate set, M v + b is one classical
+    RK4 step of dV/dt = A V + V A^T + D from a random symmetric V, then
+    symmetrized."""
+    _, A, D, dt = validate_set
+    h, _ = _step_counts(A, dt)
+    M, b = _rk4_affine_map(A, D, h)
+    rng = np.random.default_rng(3)
+    for i in range(len(A)):
+        V = rng.normal(size=(6, 6))
+        V = V + V.T
+
+        def f(X):
+            return A[i] @ X + X @ A[i].T + D[i]
+        k1 = f(V)
+        k2 = f(V + h[i] / 2 * k1)
+        k3 = f(V + h[i] / 2 * k2)
+        k4 = f(V + h[i] * k3)
+        step = V + h[i] / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        step = 0.5 * (step + step.T)
+        mapped = (M[i] @ V.reshape(-1) + b[i]).reshape(6, 6)
+        assert np.abs(mapped - step).max() <= 1e-13 * np.abs(step).max()
 
 
 class TestStackedOracles:
@@ -185,6 +225,26 @@ class TestStackedOracles:
             assert np.array_equal(
                 V[i], integrate_moments(A[i], D[i], V0=V0[i], horizon=horizon[i]))
 
+    def test_solve_lyapunov(self, validate_set, monkeypatch):
+        # the near-degenerate draw needs the refined direct solve, so the
+        # stack takes the fallback on that row
+        _, A, D, _ = validate_set
+        A_17, D_17 = test_linear.TestLyapunov.near_degenerate(
+            *test_linear.TestLyapunov.DRAW_17)
+        A = np.insert(A, 30, A_17, axis=0)
+        D = np.insert(D, 30, D_17, axis=0)
+        calls = []
+
+        def counting_direct(A, D):
+            calls.append(1)
+            return lyapunov_direct(A, D)
+        monkeypatch.setattr(linear, "lyapunov_direct", counting_direct)
+        V = solve_lyapunov(A, D)
+        assert V.shape == A.shape and calls
+        for i in range(len(A)):
+            assert np.array_equal(V[i], solve_lyapunov(A[i], D[i]))
+        assert solve_lyapunov(A[0], D[0]).shape == (6, 6)
+
     def test_cross_check(self, validate_set):
         _, A, D, dt = validate_set
         chk = cross_check(A, D, dt=dt)
@@ -231,6 +291,11 @@ class TestStackErrors:
         with pytest.raises(UnstableSystemError) as alone:
             cross_check(A_bad, D_bad)
         A_s, D_s, dt_s = with_row(A, D, dt, at, A_bad, D_bad)
+        # the production route is the stacked solve_lyapunov, which raises
+        # the row's error itself
+        with pytest.raises(UnstableSystemError) as stacked:
+            solve_lyapunov(A_s, D_s)
+        assert str(stacked.value) == str(alone.value)
         with pytest.raises(UnstableSystemError) as stacked:
             cross_check(A_s, D_s, dt=dt_s)
         assert str(stacked.value) == str(alone.value)
