@@ -97,14 +97,18 @@ def parse_sections(text):
 
 def _parse_number(raw, key, line):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"not a number: {raw!r}", key=key, line=line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}", key=key,
+                          line=line)
+    return value
 
 
 def _parse_count(raw, key, line, least):
     value = _parse_number(raw, key, line)
-    if not math.isfinite(value) or value != int(value) or value < least:
+    if value != int(value) or value < least:
         raise ConfigError(f"expected an integer >= {least}", key=key, line=line)
     return int(value)
 
@@ -127,6 +131,9 @@ def _parse_quantity(raw, units, angular, key, line):
     value *= units[unit]
     if angular:
         value *= 2.0 * math.pi
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite quantity, got {raw!r}", key=key,
+                          line=line)
     return value
 
 

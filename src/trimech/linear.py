@@ -31,8 +31,7 @@ the better result; a row still over it is a fault, so every covariance
 returned meets it.  Every stack carries a per-row (N, 6, 6) diffusion,
 and each row's contract is relative to its own D.  No row depends on the
 rest of its stack, so one stack may hold rows of different parameter
-sets: fed a record of per-row (N,) parameter arrays instead of a
-ModelParams, the drift and the diffusion are built row by row.
+sets, a `params.ParamRows`.
 
 Each row carries a status: OK, UNSTABLE, DEGENERATE (no valid fixed
 point) or FAULT (no certified result).  A failing row is isolated in one
@@ -132,9 +131,8 @@ class SteadyCovariance:
 def _drift_stack(m: ModelParams, delta_eff, photon_number, x1_bar, x2_bar):
     """(N, 6, 6) drift matrices from (N,) mean-field arrays.
 
-    The parameters of `m` are scalars or per-row (N,) arrays.  The mean
-    field is real (pb = 0) by the input-phase convention, so the entries
-    proportional to pb vanish and xb = sqrt(2 |a_bar|^2).
+    The mean field is real (pb = 0) by the input-phase convention, so the
+    entries proportional to pb vanish and xb = sqrt(2 |a_bar|^2).
     """
     dt = delta_eff
     xb = np.sqrt(2.0 * photon_number)
@@ -261,13 +259,12 @@ def _decompose(A, D, degenerate=None) -> LinearStack:
 
 
 def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
-    """Drift and per-row diffusion stacks of stacked fixed points of `m`,
-    a ModelParams or a record of per-row parameter arrays, with one
-    eigendecomposition per row; degenerate-trap rows are carried over."""
+    """Drift and per-row diffusion stacks of stacked fixed points of `m`
+    (`params.ParamRows`), with one eigendecomposition per row;
+    degenerate-trap rows are carried over."""
     A = _drift_stack(m, fp.delta_eff, fp.photon_number, fp.x1_bar, fp.x2_bar)
     degenerate = {int(i): fp.reason(i) for i in fp.degenerate.nonzero()[0]}
-    # contiguous (faster solves): a ModelParams' one D is copied to every
-    # row, a per-row record's stack is used as it is
+    # contiguous for faster solves: a scalar-parameter D is copied per row
     D = np.ascontiguousarray(np.broadcast_to(diffusion_matrix(m), A.shape))
     return _decompose(A, D, degenerate)
 

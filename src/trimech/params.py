@@ -23,6 +23,9 @@ automatically.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 # CODATA 2018 values.
 HBAR = 1.054571817e-34      # J s
@@ -129,6 +132,35 @@ class ModelParams:
                 f"detuning_mode must be 'effective' or 'bare', got {self.detuning_mode!r}")
 
 
+class ParamRows(NamedTuple):
+    """Model parameters of N stacked rows, one (N,) array per field: the
+    nine the stacked kernel (`steady.fixed_points`, `linear.linear_models`,
+    `sweeps.solve_points`) reads of its `m`, as scalars or (N,) arrays, so
+    one stack can hold rows of different ModelParams.  A ModelParams is
+    the unconverted one-row case."""
+
+    omega1: np.ndarray
+    omega2: np.ndarray
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    chi: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+
+    @classmethod
+    def stack(cls, models):
+        """One row per ModelParams of `models`."""
+        return cls(*np.array([[getattr(m, f) for f in cls._fields]
+                              for m in models]).T)
+
+    def take(self, rows):
+        """The record of the rows `rows` of this one."""
+        rows = np.asarray(rows)
+        return ParamRows(*(field[rows] for field in self))
+
+
 def zero_point_spread(mass, omega):
     """Ground-state position spread sqrt(hbar/(m*omega)) in metres."""
     return math.sqrt(HBAR / (mass * omega))
@@ -173,12 +205,13 @@ def bose_occupation(omega, temperature):
 
     T = 0 returns exactly 0; otherwise 1/(exp(hbar*omega/(kB*T)) - 1),
     evaluated via expm1 so the high-T limit kB*T/(hbar*omega) is
-    accurate.
+    accurate.  ValueError unless omega > 0 and T >= 0, both finite.
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature!r}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    if not (temperature >= 0 and math.isfinite(temperature)):
+        raise ValueError(
+            f"temperature must be finite and >= 0, got {temperature!r}")
     if temperature == 0:
         return 0.0
     x = HBAR * omega / (K_BOLTZMANN * temperature)

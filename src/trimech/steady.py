@@ -130,8 +130,8 @@ def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
     """Closed-form fixed points of stacked (effective detuning, drive) rows.
 
     `detunings` and `drives` broadcast to one shape (N,); every other
-    parameter comes from `m`, a ModelParams or a record of per-row (N,)
-    parameter arrays.  Degenerate-trap rows are flagged, not raised.
+    parameter comes from `m` (`params.ParamRows`).  Degenerate-trap rows
+    are flagged, not raised.
     """
     delta = np.array(detunings, dtype=float, ndmin=1)
     drive = np.array(drives, dtype=float, ndmin=1)

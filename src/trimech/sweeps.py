@@ -15,8 +15,8 @@ its modes in one pass over the stacked spectra: they are sorted into
 normal modes once, then a continuity chain matches each row to the row
 before it by least total frequency jump, the first permutation in
 itertools order winning a tie.  `instability_threshold` bisects a
-bracket on the spectral verdict of `is_stable` with the stacked engine
-of `steady`, several halvings per stacked call.
+bracket on a stacked spectral verdict, whose N = 1 case is `is_stable`,
+with the bisection engine of `steady`, several halvings per stacked call.
 
 The (detuning, power) optimizer, `optimize_scalar`, whose docstring
 states the search, is deterministic: a coarse grid, then nested
@@ -32,20 +32,19 @@ count.
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTrapError, NumericalError, PhysicsError
+from .errors import NumericalError, PhysicsError
 from .linear import (DEGENERATE, FAULT, OK, UNSTABLE, LinearStack,
                      _lyapunov_rows, _raise_for, covariance_summary,
-                     linear_model, linear_models, occupation, squeezing,
-                     track_modes)
-from .params import (ModelParams, PhysicalParams, nondimensionalize,
-                     watts_from_drive)
-# re-exported for its one reader here, perfbench/test_perfbench.py
+                     linear_models, occupation, squeezing, track_modes)
+from .params import (ModelParams, ParamRows, PhysicalParams,
+                     nondimensionalize, watts_from_drive)
+# re-exported for their one reader here, perfbench/test_perfbench.py
+from .linear import linear_model  # noqa: F401
 from .params import drive_from_watts  # noqa: F401
-from .steady import FixedPoints, _bisect_rows, fixed_point, fixed_points
+from .steady import FixedPoints, _bisect_rows, fixed_points
 
 #: relative width of the bracket `instability_threshold` bisects down to,
 #: and its halvings per stacked stability call (the threshold does not
@@ -87,37 +86,9 @@ DETUNING_BOUNDS = (-45.0, -2.0)
 DRIVE_BOUNDS = (1e6, 1e12)
 
 
-class _RowParams(NamedTuple):
-    """The model parameters the stacked kernel reads, one (N,) array per
-    field, so that one stack can hold rows of different ModelParams
-    (which holds validated scalars only)."""
-
-    omega1: np.ndarray
-    omega2: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    chi: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-
-    @classmethod
-    def stack(cls, models):
-        """One row per ModelParams of `models`."""
-        return cls(*np.array([[getattr(m, f) for f in cls._fields]
-                              for m in models]).T)
-
-    def take(self, rows):
-        """The record of the rows `rows` of this one."""
-        rows = np.asarray(rows)
-        return _RowParams(*(field[rows] for field in self))
-
-
 @dataclass(frozen=True)
 class PointBatch:
-    """Stacked solve of N (effective detuning, drive) rows of one ModelParams
-    or of a `_RowParams` record."""
+    """Stacked solve of N (effective detuning, drive) rows."""
 
     states: FixedPoints
     linear: LinearStack
@@ -136,11 +107,11 @@ def solve_points(m: ModelParams, detunings, drives) -> PointBatch:
     """Fixed points, linear models and covariances of stacked rows.
 
     `detunings` (effective) and `drives` broadcast to one shape (N,); the
-    other parameters come from `m`, whose detuning, detuning mode and
-    drive are not read: a ModelParams, or a `_RowParams` record of
-    per-row parameters.  Every row carries its own diffusion (the stack's
-    is (N, 6, 6)) and gets one eigendecomposition, and a row's result does
-    not depend on the other rows or on the parameters of theirs.
+    other parameters come from `m` (`params.ParamRows`), whose detuning,
+    detuning mode and drive are not read.  Every row carries its own
+    diffusion (the stack's is (N, 6, 6)) and gets one eigendecomposition,
+    and a row's result does not depend on the other rows or on the
+    parameters of theirs.
     """
     fp = fixed_points(m, detunings, drives)
     stack = linear_models(m, fp)
@@ -161,23 +132,33 @@ def solve_point(m: ModelParams):
     return solve_points(m, m.detuning, m.drive).row(0)
 
 
+def _verdicts(m: ModelParams, drives):
+    """The spectral verdicts of `m` at stacked drives of its effective
+    detuning: +1 stable, -1 unstable or degenerate, NaN where the
+    eigen-solver failed; and the stack's {row: message}.  Fixed points
+    and the linear stack's spectra only, never a Lyapunov solve."""
+    stack = linear_models(m, fixed_points(m, m.detuning, drives))
+    return (np.where(stack.status == OK, 1.0,
+                     np.where(stack.status == FAULT, np.nan, -1.0)),
+            stack.reasons)
+
+
 def is_stable(m: ModelParams) -> bool:
     """Stability verdict including trap degeneracy.
 
-    The verdict is spectral: the same one-row eigendecomposition as
-    `solve_point`, so a drive that a sweep finds unstable is unstable here
-    too.  A row whose spectrum cannot be certified raises NumericalError,
-    never reads as unstable; a stable row is stable here even if its
-    covariance would miss the Lyapunov contract, which this verdict does
-    not solve for, so a sweep can stop at it with `stop_reason = "fault"`.
-    `instability_threshold` bisects on this verdict for stacked drives,
-    with no one-row call; this is its N = 1 case.
+    The N = 1 case of the stacked verdict `instability_threshold` bisects
+    on, so a drive that a sweep finds unstable is unstable here too.  A
+    row whose spectrum cannot be certified raises NumericalError, never
+    reads as unstable; a stable row is stable here even if its covariance
+    would miss the Lyapunov contract, which this verdict does not solve
+    for, so a sweep can stop at it with `stop_reason = "fault"`.
     """
-    try:
-        s = fixed_point(m)
-    except DegenerateTrapError:
-        return False
-    return linear_model(m, s).stable
+    if m.detuning_mode != "effective":
+        raise ValueError("is_stable requires detuning_mode='effective'")
+    (verdict,), reasons = _verdicts(m, m.drive)
+    if math.isnan(verdict):
+        raise NumericalError(reasons[0])
+    return bool(verdict > 0)
 
 
 @dataclass(frozen=True)
@@ -307,43 +288,34 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
     checked in one stacked call; the returned value is the last stable
     drive of a bracket of relative width THRESHOLD_REL_TOL.  The bracket
     is bisected by `steady._bisect_rows`, THRESHOLD_BISECT_DEPTH
-    halvings per stacked call, each drive judged by the verdict of
-    `is_stable`: fixed points and the linear stack's spectra only, never
-    a Lyapunov solve.  So the drive returned can be one whose covariance
-    misses the contract and that `solve_points` reports as FAULT.  A
-    drive whose spectrum cannot be certified raises NumericalError when
-    the bisection reaches it, never reads as unstable; a fault at a
-    drive the bisection does not reach is not read.
+    halvings per stacked call, each drive judged by the stacked verdict
+    whose N = 1 case is `is_stable`: fixed points and the linear stack's
+    spectra only, never a Lyapunov solve.  So the drive returned can be
+    one whose covariance misses the contract and that `solve_points`
+    reports as FAULT.  A drive whose spectrum cannot be certified raises
+    NumericalError when the bisection reaches it, never reads as
+    unstable; a fault at a drive the bisection does not reach is not
+    read.
     """
     if not (0 < drive_lo < drive_hi):
         raise ValueError("need 0 < drive_lo < drive_hi")
     if m.detuning_mode != "effective":
         raise ValueError("instability_threshold requires detuning_mode='effective'")
-    faults = {}
-
-    def stable(drives):
-        """+1 stable, -1 unstable or degenerate, NaN where the solver failed."""
-        stack = linear_models(m, fixed_points(m, m.detuning, drives))
-        for i, reason in stack.reasons.items():
-            if stack.status[i] == FAULT:
-                faults[float(drives[i])] = reason
-        return np.where(stack.status == OK, 1.0,
-                        np.where(stack.status == FAULT, np.nan, -1.0))
-
     lo, hi = float(drive_lo), float(drive_hi)
-    ends = stable(np.array([lo, hi]))
+    ends, reasons = _verdicts(m, [lo, hi])
     if math.isnan(ends[0]):
-        raise NumericalError(faults[lo])
+        raise NumericalError(reasons[0])
     if ends[0] < 0:
         raise ValueError(f"lower bound {lo:.6g} is not stable")
     if math.isnan(ends[1]):
-        raise NumericalError(faults[hi])
+        raise NumericalError(reasons[1])
     if ends[1] > 0:
         raise ValueError(f"upper bound {hi:.6g} is not unstable")
-    lo, hi, frozen = _bisect_rows(stable, lo, hi, 1.0, THRESHOLD_REL_TOL,
-                                  THRESHOLD_BISECT_DEPTH, geometric=True)
-    if frozen[0]:
-        raise NumericalError(faults[math.sqrt(lo[0] * hi[0])])
+    lo, hi, frozen = _bisect_rows(lambda drives: _verdicts(m, drives)[0], lo, hi,
+                                  1.0, THRESHOLD_REL_TOL, THRESHOLD_BISECT_DEPTH,
+                                  geometric=True)
+    if frozen[0]:  # a faulted midpoint faults alone too, with the same message
+        raise NumericalError(_verdicts(m, math.sqrt(lo[0] * hi[0]))[1][0])
     return float(lo[0])
 
 
@@ -667,8 +639,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
 
 def sphere_occupation_objective(m: ModelParams):
     """Objective over stacked (effective detuning, drive) rows returning
-    the sphere occupation, +inf where no stable covariance exists.  `m`
-    is a ModelParams or, for rows of different cells, a `_RowParams`."""
+    the sphere occupation, +inf where no stable covariance exists."""
 
     def objective(detunings, drives):
         batch = solve_points(m, detunings, drives)
@@ -737,8 +708,8 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     one lockstep over every start of every cell, answered through each
     cell's memo.  Each round's rows go to `solve_points` together, each
     row's parameters gathered from its cell's ModelParams
-    (`_RowParams`), in calls of at most SOLVE_CHUNK rows, whatever the
-    size of `coarse`.  A stacked row equals the row solved alone, so
+    (`params.ParamRows`), in calls of at most SOLVE_CHUNK rows, whatever
+    the size of `coarse`.  A stacked row equals the row solved alone, so
     each cell's result is that of its own search.
     """
     omega1_grid, omega2_grid = check_landscape_inputs(
@@ -748,7 +719,7 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     models = {k: nondimensionalize(replace(base, mirror_freq=o1 * kappa,
                                            sphere_freq=o2 * kappa), detuning=-1.0)
               for k, (o1, o2) in enumerate(grid) if o2 < o1}
-    cell_params = _RowParams.stack(models.values())
+    cell_params = ParamRows.stack(models.values())
 
     def solve(round_points):
         """Sphere occupations at the (cell, (detuning, log10 drive)) points

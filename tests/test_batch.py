@@ -9,10 +9,11 @@ import pytest
 import trimech.linear as linear
 from trimech.errors import DegenerateTrapError, NumericalError, UnstableSystemError
 from trimech.linear import DEGENERATE, FAULT, OK, UNSTABLE
-from trimech.params import drive_from_watts, nondimensionalize, reference_params
+from trimech.params import (ParamRows, drive_from_watts, nondimensionalize,
+                            reference_params)
 from trimech.presets import fig2_protocol, fig3_model
 from trimech.steady import fixed_point
-from trimech.sweeps import _RowParams, is_stable, solve_point, solve_points
+from trimech.sweeps import is_stable, solve_point, solve_points
 
 STATUS_OF = {UnstableSystemError: UNSTABLE, DegenerateTrapError: DEGENERATE,
              NumericalError: FAULT}
@@ -355,25 +356,28 @@ class TestMixedCellRows:
 
     def test_each_row_bit_identical_to_its_cell_alone(self):
         cells, dets, drives = self.mixed(self.POINTS)
-        batch = solve_points(_RowParams.stack([self.CELLS[c] for c in cells]),
+        batch = solve_points(ParamRows.stack([self.CELLS[c] for c in cells]),
                              dets, drives)
         assert batch.linear.diffusion.shape == (len(cells), 6, 6)
         seen = set()
         for i, c in enumerate(cells):
             m = self.CELLS[c]
-            alone = solve_points(m, dets[i], drives[i])
-            for name in ("delta_eff", "drive", "photon_number", "x1_bar",
-                         "x2_bar", "Omega1", "Omega2", "degenerate"):
-                assert same_bits(getattr(batch.states, name)[i],
-                                 getattr(alone.states, name)[0]), name
-            assert same_bits(batch.linear.drift[i], alone.linear.drift[0])
-            assert same_bits(batch.linear.diffusion[i], alone.linear.diffusion[0])
+            # the cell's ModelParams, and its one-row record
+            for alone in (solve_points(m, dets[i], drives[i]),
+                          solve_points(ParamRows.stack([m]), dets[i], drives[i])):
+                for name in ("delta_eff", "drive", "photon_number", "x1_bar",
+                             "x2_bar", "Omega1", "Omega2", "degenerate"):
+                    assert same_bits(getattr(batch.states, name)[i],
+                                     getattr(alone.states, name)[0]), name
+                assert same_bits(batch.linear.drift[i], alone.linear.drift[0])
+                assert same_bits(batch.linear.diffusion[i], alone.linear.diffusion[0])
+                assert same_bits(batch.linear.eigenvalues[i], alone.linear.eigenvalues[0])
+                assert same_bits(batch.linear.eigenvectors[i],
+                                 alone.linear.eigenvectors[0])
+                assert same_bits(batch.V[i], alone.V[0])
+                assert batch.status[i] == alone.status[0]
+                assert batch.reasons.get(i) == alone.reasons.get(0)
             assert same_bits(batch.linear.diffusion[i], linear.diffusion_matrix(m))
-            assert same_bits(batch.linear.eigenvalues[i], alone.linear.eigenvalues[0])
-            assert same_bits(batch.linear.eigenvectors[i], alone.linear.eigenvectors[0])
-            assert same_bits(batch.V[i], alone.V[0])
-            assert batch.status[i] == alone.status[0]
-            assert batch.reasons.get(i) == alone.reasons.get(0)
             seen.add(int(batch.status[i]))
         assert {OK, UNSTABLE, DEGENERATE} <= seen
         # the rows of one cell are that cell's stack
@@ -386,17 +390,25 @@ class TestMixedCellRows:
     def test_cells_differ(self):
         """The cells give the stack different couplings and baths; the fig2
         cells share the sphere damping, so the fourth cell changes it."""
-        rows = _RowParams.stack(self.CELLS)
+        rows = ParamRows.stack(self.CELLS)
         for name in ("omega2", "g2", "chi", "n2"):
             assert len(set(getattr(rows, name).tolist())) == len(self.CELLS), name
         assert len(set(rows.gamma2.tolist())) == 2
+
+    def test_take_is_the_stack_of_its_rows(self):
+        rows = [3, 0, 0, 2]
+        taken = ParamRows.stack(self.CELLS).take(rows)
+        want = ParamRows.stack([self.CELLS[i] for i in rows])
+        assert type(taken) is ParamRows
+        for name in ParamRows._fields:
+            assert same_bits(getattr(taken, name), getattr(want, name)), name
 
     @pytest.mark.parametrize("inv_raises", [False, True])
     def test_defective_row(self, monkeypatch, inv_raises):
         """The defective-row case of `TestRowIndependence` inside a stack of
         stable rows from every cell, with one D per row."""
         cells, dets, drives = self.mixed(self.POINTS[:2])
-        base = solve_points(_RowParams.stack([self.CELLS[c] for c in cells]),
+        base = solve_points(ParamRows.stack([self.CELLS[c] for c in cells]),
                             dets, drives)
         assert np.all(base.status == OK)
         check_defective_row(monkeypatch, base, inv_raises)

@@ -256,6 +256,31 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "finite" in err
 
+    @pytest.mark.parametrize("command, old, new", [
+        ("derive", "bath_temp_mirror = 50 mK", "bath_temp_mirror = inf K"),
+        ("derive", "mirror_freq      = 1 MHz", "mirror_freq = 1e308 GHz"),
+        ("steady", "detuning      = -27.2", "detuning = nan"),
+        ("sweep", "power_max = 1e-4 W", "power_max = inf W"),
+        ("geometry", "transmissivity = 0.1", "transmissivity = nan"),
+    ], ids=["physical", "physical-overflow", "model", "sweep", "geometry"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, old, new):
+        """One case per section.  An infinite mirror bath used to raise
+        ZeroDivisionError, and a NaN detuning to write NaN with exit 0."""
+        text = NOMINAL + "\n".join([
+            "", "[sweep]", "kind = power", "points = 20", "power_min = 1e-5 W",
+            "power_max = 1e-4 W", "", "[geometry]", "length = 0.5 cm",
+            "wavelength = 1064 nm", "reflectivity = -0.9",
+            "transmissivity = 0.1", ""])
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        assert main([command, "-i", cfg, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        line = text.splitlines().index(new) + 1
+        key = new.split()[0]
+        assert err.startswith(f"config error: line {line}: key '{key}'")
+        assert "finite" in err
+
     def test_one_row_landscape_equals_its_row_of_two(self, tmp_path):
         """A frequency axis of one cell (min = max) needs no dummy row: the
         omega1 = 10 cells equal those of a two-row config whose other row

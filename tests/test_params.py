@@ -134,6 +134,14 @@ class TestBoseOccupation:
         with pytest.raises(ValueError):
             bose_occupation(1.0, -1.0)
 
+    @pytest.mark.parametrize("omega, temperature", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_rejects_non_finite_inputs(self, omega, temperature):
+        """An infinite temperature used to raise ZeroDivisionError and a
+        NaN one to return NaN."""
+        with pytest.raises(ValueError, match="finite"):
+            bose_occupation(omega, temperature)
+
 
 class TestNondimensionalize:
     def test_mirror_freq_in_model_units(self):

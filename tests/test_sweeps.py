@@ -271,6 +271,11 @@ class TestBareDetuningRefused:
         with pytest.raises(ValueError, match="detuning_mode='effective'"):
             solve_point(replace(fig3_model(), detuning_mode="bare"))
 
+    def test_is_stable(self):
+        from trimech.sweeps import is_stable
+        with pytest.raises(ValueError, match="detuning_mode='effective'"):
+            is_stable(replace(fig3_model(), detuning_mode="bare"))
+
     def test_instability_threshold(self):
         m = replace(fig4_model(), detuning_mode="bare")
         with pytest.raises(ValueError, match="detuning_mode='effective'"):
