@@ -23,9 +23,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, fmt, format_matrix, format_record,
-                     geometry_section, model_section, parse_sections,
-                     physical_params, sweep_section)
+from .config import (NUMBER_FORMAT, ConfigError, fmt, format_matrix,
+                     format_record, geometry_section, model_section,
+                     parse_sections, physical_params, sweep_section)
 from .errors import NumericalError, PhysicsError
 from .geometry import CavitySpec, field_profile_samples, lineshape
 from .linear import linear_model, physicality_floor
@@ -112,13 +112,14 @@ def _write(path, text):
 
 def _csv_table(header_echo, columns, data):
     """CSV text of the equal-length columns `data`, one per name in
-    `columns`: numbers formatted by `fmt`, a column at a time, and string
-    columns as they are."""
-    cells = [col if len(col) and isinstance(col[0], str)
-             else list(map(fmt, np.asarray(col, dtype=float).tolist()))
-             for col in data]
+    `columns`: each row formatted by one template, numbers in
+    NUMBER_FORMAT and string columns as they are."""
+    text = [len(col) and isinstance(col[0], str) for col in data]
+    row = ",".join(["%s" if is_text else NUMBER_FORMAT for is_text in text])
+    cells = [col if is_text else np.asarray(col, dtype=float).tolist()
+             for col, is_text in zip(data, text)]
     lines = [header_echo.rstrip("\n"), ",".join(columns)]
-    lines.extend(map(",".join, zip(*cells)))
+    lines.extend(row % values for values in zip(*cells))
     return "\n".join(lines) + "\n"
 
 

@@ -252,9 +252,14 @@ def geometry_section(sections):
 
 # --- structured text records -------------------------------------------------
 
+#: the one number format of every record and table: 17 significant
+#: digits in scientific notation, lossless for float64
+NUMBER_FORMAT = "%.16e"
+
+
 def fmt(value) -> str:
-    """17-significant-digit scientific notation, lossless for float64."""
-    return f"{float(value):.16e}"
+    """`value` as a float in NUMBER_FORMAT."""
+    return NUMBER_FORMAT % float(value)
 
 
 def format_record(title, mapping):
@@ -273,7 +278,7 @@ def format_record(title, mapping):
 def format_matrix(name, matrix):
     """Row-major full-precision plain-text grid."""
     matrix = np.asarray(matrix)
+    row = " ".join([NUMBER_FORMAT] * matrix.shape[1])
     lines = [f"# {name} ({matrix.shape[0]}x{matrix.shape[1]}, row-major)"]
-    for row in matrix:
-        lines.append(" ".join(fmt(x) for x in row))
+    lines.extend(row % tuple(values) for values in matrix.tolist())
     return "\n".join(lines) + "\n"

@@ -48,6 +48,7 @@ fixed points through `linear_models` to the covariances of
 `_lyapunov_rows`.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -312,45 +313,45 @@ def _sorted_modes(eigenvalues):
     return freq, damp, (group < 2).sum(axis=-1)
 
 
-def _assignment(reference_freqs, freqs):
-    """Indices into `freqs` of the branches following `reference_freqs`:
-    of all len(reference_freqs)-permutations, in itertools order, the
-    first of least total |f - f_ref|, summed in reference order.
-    ValueError when no total is finite."""
-    k = len(reference_freqs)
-    if len(freqs) < k:
-        raise ValueError("fewer candidate modes than reference branches")
-    jumps = [[abs(f - r) for f in freqs] for r in reference_freqs]
-    best, best_cost = None, math.inf
-    for perm in itertools.permutations(range(len(freqs)), k):
-        cost = sum(map(list.__getitem__, jumps, perm))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    if best is None:
-        raise ValueError("no assignment of finite frequency jump to reference "
-                         f"{list(reference_freqs)}")
-    return best
+@functools.cache
+def _permutations(count):
+    """The 3-permutations of range(count), in itertools order."""
+    return tuple(itertools.permutations(range(count), 3))
 
 
 def track_modes(reference_freqs, eigenvalues):
-    """Modes of each row of an (n, k) stack of spectra, tracked by continuity.
+    """Modes of each row of an (n, k) stack of spectra, tracked by continuity
+    along the model's three branches.
 
-    The stack is sorted into normal modes once (`_sorted_modes`);
-    then the first row is matched to `reference_freqs` and each later row
-    to the frequencies matched on the row before it: of all
-    len(reference_freqs)-permutations of the row's modes, in itertools
-    order, the first of least total |f - f_ref| (summed in reference
-    order).  ValueError when no assignment has a finite total.  Returns
-    (n, len(reference_freqs), 2): (frequency, damping) per branch.
+    `reference_freqs` holds exactly three frequencies, one per branch.
+    The stack is sorted into normal modes once (`_sorted_modes`); then
+    one chain loop matches the first row to `reference_freqs` and each
+    later row to the frequencies matched on the row before it: of all
+    3-permutations (i, j, k) of the row's modes, in itertools order, the
+    first of least |f_i - r0| + |f_j - r1| + |f_k - r2|, summed left to
+    right.  ValueError when a row has fewer than three modes or no
+    assignment has a finite total; the latter names the reference that
+    row was matched against.  Returns (n, 3, 2): (frequency, damping)
+    per branch.
     """
     freq, damp, counts = _sorted_modes(eigenvalues)
-    reference = list(reference_freqs)
+    r0, r1, r2 = reference_freqs
     picks = []
     for row, c in zip(freq.tolist(), counts.tolist()):
-        pick = _assignment(reference, row[:c])
-        reference = [row[j] for j in pick]
-        picks.append(pick)
-    picks = np.array(picks, dtype=np.intp).reshape(len(freq), len(reference))
+        if c < 3:
+            raise ValueError("fewer candidate modes than reference branches")
+        best, best_cost = None, math.inf
+        for i, j, k in _permutations(c):
+            cost = abs(row[i] - r0) + abs(row[j] - r1) + abs(row[k] - r2)
+            if cost < best_cost:
+                best, best_cost = (i, j, k), cost
+        if best is None:
+            raise ValueError("no assignment of finite frequency jump to reference "
+                             f"{[r0, r1, r2]}")
+        i, j, k = best
+        r0, r1, r2 = row[i], row[j], row[k]
+        picks.append(best)
+    picks = np.array(picks, dtype=np.intp).reshape(len(freq), 3)
     return np.stack([np.take_along_axis(freq, picks, axis=-1),
                      np.take_along_axis(damp, picks, axis=-1)], axis=-1)
 

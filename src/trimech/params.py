@@ -22,7 +22,7 @@ automatically.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,9 +35,19 @@ K_BOLTZMANN = 1.380649e-23  # J/K
 _SITES = ("node", "antinode")
 
 
+def _require_finite(record):
+    """ValueError naming the first numeric field of `record` that is not
+    finite."""
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if not isinstance(value, str) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Lab-frame system parameters, SI units, angular rates."""
+    """Lab-frame system parameters, SI units, angular rates.  Every
+    numeric field must be finite (ValueError naming it)."""
 
     wavelength: float        # m
     cavity_length: float     # m
@@ -57,6 +67,7 @@ class PhysicalParams:
     sphere_site: str = "node"
 
     def __post_init__(self):
+        _require_finite(self)
         positive = (
             ("wavelength", self.wavelength),
             ("cavity_length", self.cavity_length),
@@ -101,7 +112,8 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless system parameters, rates in units of kappa_c."""
+    """Dimensionless system parameters, rates in units of kappa_c.  Every
+    numeric field must be finite (ValueError naming it)."""
 
     omega1: float    # mirror frequency
     omega2: float    # sphere frequency
@@ -117,6 +129,7 @@ class ModelParams:
     detuning_mode: str = "effective"
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.omega1 > 0 or not self.omega2 > 0:
             raise ValueError("mechanical frequencies must be strictly positive")
         if self.gamma1 < 0 or self.gamma2 < 0:

@@ -11,12 +11,14 @@ grid, truncated at the first point without a certified stable covariance,
 and records the bracketing drives, from its last row to the first
 unstable drive, so downstream consumers see only valid rows; it also
 records why and at which drive its rows stopped.  A power sweep tracks
-its modes in one pass over the stacked spectra: they are sorted into
-normal modes once, then a continuity chain matches each row to the row
-before it by least total frequency jump, the first permutation in
-itertools order winning a tie.  `instability_threshold` bisects a
-bracket on a stacked spectral verdict, whose N = 1 case is `is_stable`,
-with the bisection engine of `steady`, several halvings per stacked call.
+its three branches (cavity, mirror, sphere) in one pass over the
+stacked spectra: they are sorted into normal modes once, then one chain
+loop matches each row's modes to the three frequencies of the row
+before it by least total frequency jump over the 3-permutations of the
+row's modes, the first permutation in itertools order winning a tie.
+`instability_threshold` bisects a bracket on a stacked spectral
+verdict, whose N = 1 case is `is_stable`, with the bisection engine of
+`steady`, several halvings per stacked call.
 
 The (detuning, power) optimizer, `optimize_scalar`, whose docstring
 states the search, is deterministic: a coarse grid, then nested

@@ -522,9 +522,15 @@ class TestCliOptions:
         assert main(argv + ["-o", str(tmp_path)]) == 0
 
 
+#: every kind of value the row-template writers must write as `fmt` does
+EDGE_VALUES = [0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0,
+               -2.5e300, 1.0, -3.0, 2.0 ** 53, 1e16, 42.0]
+
+
 class TestCsvTable:
-    """`_csv_table` formats a column at a time; each cell reads as `fmt`
-    gives it."""
+    """`_csv_table` formats a row at a time with one template; each cell
+    reads as `fmt` gives it."""
 
     ECHO = "# trimech test\n# key = value\n"
 
@@ -536,17 +542,58 @@ class TestCsvTable:
         return "\n".join(lines) + "\n"
 
     def test_equals_per_cell_fmt(self):
-        values = [0.1, -0.0, 0.0, math.inf, -math.inf, math.nan, 1e-300,
-                  5e-324, 1.0 / 3.0, -2.5e300]
+        values = EDGE_VALUES
+        ok = ["1", "0"] * (len(values) // 2) + ["1"] * (len(values) % 2)
         data = [np.array(values), list(values), [np.float64(v) for v in values],
-                np.array([values, values]).T[:, 1], ["1", "0"] * 5]
-        columns = ["numpy", "python", "scalars", "strided", "ok"]
+                np.array([values, values]).T[:, 1], ok,
+                np.arange(len(values)), ["%s", "%e"] * (len(values) // 2) + ["%"]]
+        columns = ["numpy", "python", "scalars", "strided", "ok", "ints", "percent"]
         assert (_csv_table(self.ECHO, columns, data)
                 == self.per_cell(self.ECHO, columns, zip(*data)))
+
+    def test_landscape_columns(self):
+        # the landscape table: six numeric columns and the string `ok`
+        rows = [(1.0, 2.5, 0.125, 40.0, -27.2, 1e9, "1"),
+                (10.0, 9.75, math.nan, 12.5, math.nan, math.nan, "0")]
+        columns = ["omega1", "omega2", "n2_min", "n2_thermal", "detuning",
+                   "drive", "ok"]
+        assert (_csv_table(self.ECHO, columns, list(zip(*rows)))
+                == self.per_cell(self.ECHO, columns, rows))
 
     def test_zero_rows_keep_echo_and_header(self):
         assert (_csv_table(self.ECHO, ["drive", "ok"], [np.array([]), []])
                 == "# trimech test\n# key = value\ndrive,ok\n")
+
+
+class TestFormatMatrix:
+    """`format_matrix` writes each row with one template, the bytes of a
+    per-value `fmt` join."""
+
+    @staticmethod
+    def per_value(name, matrix):
+        lines = [f"# {name} ({len(matrix)}x{len(matrix[0])}, row-major)"]
+        lines.extend(" ".join(fmt(x) for x in row) for row in matrix)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (6, 6)])
+    def test_equals_per_value_fmt(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        matrix = rng.permutation(np.resize(EDGE_VALUES, shape[0] * shape[1]))
+        matrix = matrix.reshape(shape)
+        assert (format_matrix("M", matrix)
+                == self.per_value("M", matrix)
+                == self.per_value("M", matrix.tolist()))
+
+    def test_integer_and_list_input(self):
+        grid = [[1, -2], [0, 3]]
+        assert format_matrix("I", grid) == self.per_value("I", grid)
+        assert format_matrix("I", np.eye(3, dtype=int)) == self.per_value(
+            "I", np.eye(3))
+
+    def test_fmt_is_seventeen_digit_scientific(self):
+        for x in EDGE_VALUES:
+            assert fmt(x) == f"{x:.16e}"
+            assert fmt(np.float64(x)) == f"{x:.16e}"
 
 
 class TestCachedParser:

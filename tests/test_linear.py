@@ -3,6 +3,7 @@ occupations, squeezing and Gaussian physicality."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -281,6 +282,86 @@ class TestTrackModes:
             track_modes([math.nan, 1.0, 2.0], np.array([[-1 + 1j, -1 - 1j,
                                                           -1 + 2j, -1 - 2j,
                                                           -1 + 3j, -1 - 3j]]))
+
+    @staticmethod
+    def coarse_spectrum(rng, pairs):
+        """Six eigenvalues: `pairs` conjugate pairs and 6 - 2 * pairs real
+        ones, so 6 - pairs modes, drawn from coarse grids that repeat
+        frequencies and make equal jump totals exactly equal."""
+        f = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], size=pairs)
+        d = rng.choice([0.125, 0.25, 0.5], size=pairs)
+        reals = -rng.choice([0.25, 0.5, 1.0, 2.0], size=6 - 2 * pairs)
+        return np.concatenate([-d + 1j * f, -d - 1j * f, reals + 0j])
+
+    @staticmethod
+    def tied_rows(reference, spectra):
+        """Rows whose least jump total the chain reaches by more than one
+        permutation."""
+        ties = 0
+        for lam in spectra:
+            freqs = [f for f, _ in reference_normal_modes(lam)]
+            costs = [sum(abs(freqs[j] - r) for j, r in zip(perm, reference))
+                     for perm in itertools.permutations(range(len(freqs)), 3)]
+            ties += costs.count(min(costs)) > 1
+            reference = [f for f, _ in reference_assign_modes(
+                reference, reference_normal_modes(lam))]
+        return ties
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_mode_counts_equal_the_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        overdamped = stability(TestNormalModes.overdamped_drift())[1]
+        Q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        all_real = stability(Q @ np.diag(-rng.uniform(0.1, 5.0, 6)) @ Q.T)[1]
+        rows = [self.coarse_spectrum(rng, pairs)
+                for pairs in rng.integers(0, 4, size=40)]
+        rows[rng.integers(40)] = overdamped
+        rows[rng.integers(40)] = all_real
+        spectra = np.array(rows)
+        reference = rng.choice([0.5, 1.0, 2.0, 3.0], size=3).tolist()
+        counts = {len(one_row_modes(lam)) for lam in spectra}
+        assert counts == {3, 4, 5, 6}
+        assert self.tied_rows(reference, spectra) > 0
+        self.assert_tracks_like_chain(reference, spectra)
+
+    def test_later_row_without_finite_assignment_names_its_reference(self):
+        # row 1 matches its huge frequencies; every assignment of row 2
+        # then jumps by more than the largest float
+        first = np.array([-1 + 1e300j, -1 - 1e300j, -1 + 1.5e308j, -1 - 1.5e308j,
+                          -1 + 1.7e308j, -1 - 1.7e308j])
+        second = np.array([-1 + 1j, -1 - 1j, -1 + 2j, -1 - 2j, -1 + 3j, -1 - 3j])
+        reference = [1.7e308, 1e300, 1.5e308]
+        assert track_modes(reference, first[None])[0, :, 0].tolist() == reference
+        with pytest.raises(ValueError, match=r"^no assignment of finite frequency "
+                           r"jump to reference \[1\.7e\+308, 1e\+300, 1\.5e\+308\]$"):
+            track_modes(reference, np.array([first, second]))
+
+    def test_row_with_fewer_than_three_modes(self):
+        # four eigenvalues: one pair and two reals is three modes, two
+        # pairs only two
+        spectra = np.array([[-1 + 1j, -1 - 1j, -0.5, -2.0],
+                            [-1 + 1j, -1 - 1j, -1 + 2j, -1 - 2j]])
+        with pytest.raises(ValueError, match="^fewer candidate modes than "
+                           "reference branches$"):
+            track_modes([0.0, 0.0, 1.0], spectra)
+
+    def test_working_set_stays_small(self):
+        """The chain holds each row's jumps as Python floats, never a
+        table of every row times every permutation.  Measured with
+        tracemalloc on this 250-row stack (Python 3.11, numpy 2.4): a
+        peak of 88 KB, 119 KB on a first call that fills the permutation
+        cache.  A cost table padded to the widest row (120 permutations
+        of 6 modes) is 240 KB for the costs alone."""
+        rng = np.random.default_rng(3)
+        spectra = np.array([self.coarse_spectrum(rng, (3, 2, 0)[i % 3])
+                            for i in range(250)])
+        tracemalloc.start()
+        try:
+            track_modes([1.0, 2.0, 3.0], spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
 
 class TestLyapunov:

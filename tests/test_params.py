@@ -1,14 +1,17 @@
 """Coupling-rate derivations, bath occupations and unit conversion."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from trimech.params import (HBAR, C_LIGHT, K_BOLTZMANN, PhysicalParams,
-                            bose_occupation, linear_coupling,
+from trimech.params import (HBAR, C_LIGHT, K_BOLTZMANN, ModelParams,
+                            PhysicalParams, bose_occupation, linear_coupling,
                             nondimensionalize, quadratic_coupling,
                             reference_params, zpf_ratio)
+from trimech.presets import fig3_model
+from trimech.sweeps import solve_point
 
 TWO_PI = 2.0 * math.pi
 REF = reference_params()
@@ -210,3 +213,36 @@ class TestInvariants:
             reference_params(cavity_decay=0.0)
         with pytest.raises(ValueError, match="cavity_decay"):
             reference_params(cavity_decay=-1.0)
+
+
+def numeric_fields(record):
+    return [f.name for f in dataclasses.fields(record) if f.type is float]
+
+
+class TestNonFiniteFields:
+    """Both parameter records refuse a non-finite number with a
+    ValueError that names the field, before any derivation or solve."""
+
+    def test_infinite_mirror_mass(self):
+        # inf passed `> 0`, and g1 = chi = 0 came back without an error
+        with pytest.raises(ValueError, match="mirror_mass must be finite"):
+            nondimensionalize(dataclasses.replace(REF, mirror_mass=math.inf), -27.2)
+
+    def test_nan_detuning_is_an_input_error(self):
+        # NaN reached LAPACK and came back as a NumericalError
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            solve_point(dataclasses.replace(fig3_model(), detuning=math.nan))
+
+    def test_infinite_drive(self):
+        with pytest.raises(ValueError, match="drive must be finite"):
+            dataclasses.replace(fig3_model(), drive=math.inf)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("record, cls", [(REF, PhysicalParams),
+                                             (fig3_model(), ModelParams)])
+    def test_every_numeric_field(self, record, cls, value):
+        names = numeric_fields(cls)
+        assert len(names) == len(dataclasses.fields(cls)) - 1  # all but one str
+        for name in names:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                dataclasses.replace(record, **{name: value})
