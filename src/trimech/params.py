@@ -22,7 +22,7 @@ automatically.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,10 +38,9 @@ _SITES = ("node", "antinode")
 def _require_finite(record):
     """ValueError naming the first numeric field of `record` that is not
     finite."""
-    for field in fields(record):
-        value = getattr(record, field.name)
+    for name, value in vars(record).items():
         if not isinstance(value, str) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
