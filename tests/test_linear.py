@@ -346,12 +346,13 @@ class TestTrackModes:
             track_modes([0.0, 0.0, 1.0], spectra)
 
     def test_working_set_stays_small(self):
-        """The chain holds each row's jumps as Python floats, never a
-        table of every row times every permutation.  Measured with
-        tracemalloc on this 250-row stack (Python 3.11, numpy 2.4): a
-        peak of 88 KB, 119 KB on a first call that fills the permutation
-        cache.  A cost table padded to the widest row (120 permutations
-        of 6 modes) is 240 KB for the costs alone."""
+        """The chain works on one row's Python floats at a time, never
+        on a table of every row times every permutation.  Measured with
+        tracemalloc on this 250-row stack of 3-, 4- and 6-mode rows
+        (Python 3.11, numpy 2.4): a peak of 88 KB, 120 KB on a first
+        call that fills the permutation cache.  A cost table padded to
+        the widest row (120 permutations of 6 modes) is 240 KB for the
+        costs alone."""
         rng = np.random.default_rng(3)
         spectra = np.array([self.coarse_spectrum(rng, (3, 2, 0)[i % 3])
                             for i in range(250)])
