@@ -27,8 +27,10 @@ dt_eff = dt + g1 x1(dt_eff) - g2 (chi x1 - x2)^2(dt_eff) is solved by a
 dense scan plus bisection of every bracket in lockstep; several roots
 may coexist (optical bistability) and all are returned.  The bisection
 engine, `_bisect_rows`, also serves `sweeps.instability_threshold`: each
-stacked evaluation takes several halvings of every bracket at once, and
-every midpoint is the one a loop of one halving per evaluation forms.
+stacked evaluation holds the midpoints of every bracket a few halvings
+deep, plus, for a root, those on the path its regula falsi guess
+predicts, and every midpoint is the one a loop of one halving per
+evaluation forms.
 """
 
 import math
@@ -45,10 +47,6 @@ _SQRT2 = math.sqrt(2.0)
 #: condition, and the width each root is bisected down to
 SCAN_POINTS = 2001
 BISECT_TOL = 1e-12
-
-#: halvings of every root bracket per stacked residual evaluation; the
-#: roots do not depend on it
-ROOT_BISECT_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -170,77 +168,108 @@ def _consistency_residuals(m: ModelParams, delta_bare, delta_effs):
     return np.where(fp.degenerate, np.nan, res)
 
 
-def _bisect_rows(f, lo, hi, flo, tol, depth, geometric=False):
+def _bisect_rows(f, lo, hi, flo, tol, depth, geometric=False, fhi=None):
     """Bisect N brackets [lo, hi] of a stacked function `f` in lockstep.
 
     `f` maps a 1-D array of points to their values, each point's value
-    independent of the others; `flo` holds each bracket's value at `lo`.
-    A halving goes left when flo * f(mid) <= 0 and right otherwise
+    independent of the others; `flo` holds each bracket's value at `lo`
+    and `fhi`, if given, its value at `hi`.  A halving goes left when
+    flo * f(mid) <= 0 (`hi`, `fhi` = mid, f(mid)) and right otherwise
     (`lo`, `flo` = mid, f(mid)); a NaN f(mid) freezes the bracket.  The
     midpoint is 0.5 * (lo + hi), or sqrt(lo * hi) when `geometric`, and
-    a bracket is bisected while hi - lo > tol (hi / lo > 1 + tol).
+    a bracket is bisected while hi - lo > tol (hi / lo > 1 + tol) and
+    its midpoint lies strictly inside it, so two adjacent floats end it.
 
-    Each call of `f` takes `depth` halvings of every live bracket: it
-    evaluates the whole depth-`depth` bisection tree of the bracket
-    (2**depth - 1 points, bracket-major), each node the midpoint of its
-    two neighbours among the bracket's ends and the nodes above it.
-    Every bracket then walks down its tree by the rules above, testing
-    its width after every halving, and the nodes off its path are not
-    read.  So each midpoint is the one a loop of one halving per call
-    would form, bit for bit, and no result depends on `depth`.
+    Each call of `f` evaluates the midpoints of every live bracket's
+    depth-`depth` bisection tree (2**depth - 1 points, in order) and,
+    when `fhi` is given, the midpoints on the path that the bracket's
+    regula falsi guess lo - flo (hi - lo) / (fhi - flo) predicts, down
+    to `tol`; a guess that is not finite or not strictly inside the
+    bracket predicts no path.  Every bracket then walks by the rules
+    above, reading f at each midpoint it reaches, and ends the call at
+    the first midpoint that was not evaluated.  So each midpoint is the
+    one a loop of one halving per call would form, bit for bit, no
+    result depends on `depth` or `fhi`, and the values at evaluated
+    points off the walk are not read.
 
     Returns (lo, hi, frozen): the final brackets, and which of them
     froze; a frozen bracket's NaN midpoint is the midpoint of its
     returned ends.
     """
-    lo, hi, flo = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, flo))
+    # Python floats: their arithmetic and comparisons are numpy's bit for bit
+    lo, hi, flo = (np.array(v, dtype=float, ndmin=1).tolist() for v in (lo, hi, flo))
+    predict = fhi is not None
+    fhi = np.array(fhi, dtype=float, ndmin=1).tolist() if predict else [math.nan] * len(lo)
+    # mid(a, b) is a bracket's midpoint; split(a, b) is too while the
+    # bracket is still to bisect, and None once it is not
     if geometric:
         def mid(a, b):
-            return np.sqrt(a * b)
+            return math.sqrt(a * b)
 
-        def wide(a, b):
-            return b / a > 1.0 + tol
+        def split(a, b):
+            m = math.sqrt(a * b)
+            return m if b / a > 1.0 + tol and a < m < b else None
     else:
         def mid(a, b):
             return 0.5 * (a + b)
 
-        def wide(a, b):
-            return b - a > tol
-    frozen = np.zeros(lo.shape, dtype=bool)
-    live = np.flatnonzero(wide(lo, hi)).tolist()
-    top = 2 ** depth
-    while live:
-        # columns 0 and `top` hold the ends; level k fills the odd
-        # multiples of top / 2**k from their neighbours at that stride
-        tree = np.empty((len(live), top + 1))
-        tree[:, 0], tree[:, top] = lo[live], hi[live]
-        step = top // 2
-        while step:
-            tree[:, step::2 * step] = mid(tree[:, :-1:2 * step], tree[:, 2 * step::2 * step])
-            step //= 2
-        values = np.reshape(f(tree[:, 1:top].ravel()), (len(live), top - 1)).tolist()
-        still = []
-        # the walk is the one-halving loop in Python floats, whose
-        # arithmetic and comparisons are numpy's bit for bit
-        for i, nodes, fs in zip(live, tree.tolist(), values):
-            a, b, fa = 0, top, float(flo[i])
-            for _ in range(depth):
-                j = (a + b) // 2
-                fm = fs[j - 1]
-                if math.isnan(fm):
-                    frozen[i] = True
-                    break
-                if fa * fm <= 0.0:
-                    b = j
-                else:
-                    a, fa = j, fm
-                if not wide(nodes[a], nodes[b]):
-                    break
+        def split(a, b):
+            m = 0.5 * (a + b)
+            return m if b - a > tol and a < m < b else None
+
+    def tree(a, b):
+        """The bracket's midpoints `depth` halvings deep, in order."""
+        # level by level: a self-recursive closure would leave a
+        # reference cycle per call for the garbage collector
+        ends = [a, b]
+        for _ in range(depth):
+            ends[1:] = [x for left, right in zip(ends, ends[1:])
+                        for x in (mid(left, right), right)]
+        return ends[1:-1]
+
+    def path(a, b, fa, fb):
+        """The predicted path's midpoints below the tree."""
+        guess = a - fa * (b - a) / (fb - fa) if fb != fa else math.nan
+        if not a < guess < b:
+            return []
+        nodes = []
+        m = split(a, b)
+        while m is not None:
+            nodes.append(m)
+            if guess <= m:
+                b = m
             else:
+                a = m
+            m = split(a, b)
+        return nodes[depth:]
+
+    frozen = [False] * len(lo)
+    live = [i for i in range(len(lo)) if split(lo[i], hi[i]) is not None]
+    while live:
+        points = [tree(lo[i], hi[i])
+                  + (path(lo[i], hi[i], flo[i], fhi[i]) if predict else [])
+                  for i in live]
+        values = iter(f(np.array([x for row in points for x in row])).tolist())
+        still = []
+        for i, row in zip(live, points):
+            known = dict(zip(row, values))  # takes len(row) values
+            a, b, fa, fb = lo[i], hi[i], flo[i], fhi[i]
+            m = split(a, b)
+            fm = known.get(m)
+            while fm is not None and not math.isnan(fm):
+                if fa * fm <= 0.0:
+                    b, fb = m, fm
+                else:
+                    a, fa = m, fm
+                m = split(a, b)
+                fm = known.get(m)
+            if fm is not None:
+                frozen[i] = True
+            elif m is not None:
                 still.append(i)
-            lo[i], hi[i], flo[i] = nodes[a], nodes[b], fa
+            lo[i], hi[i], flo[i], fhi[i] = a, b, fa, fb
         live = still
-    return lo, hi, frozen
+    return np.array(lo), np.array(hi), np.array(frozen)
 
 
 def self_consistent_fixed_points(m: ModelParams, window=None):
@@ -248,15 +277,18 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
 
     The scalar self-consistency condition is scanned on SCAN_POINTS
     evenly spaced effective detunings over `window` (default
-    +/- (|detuning| + 50)) in one stacked evaluation.  A scan cell is
-    skipped when either end is NaN (degenerate trap); otherwise its left
-    end is a root when its residual is exactly zero, and a sign change
-    is bracketed.  All brackets are bisected in lockstep to BISECT_TOL
-    by `_bisect_rows`, ROOT_BISECT_DEPTH halvings per stacked
-    evaluation; a bracket whose midpoint is NaN stops there.  The last
-    scan point is a root when its residual is exactly zero.  Returns the
-    expanded states sorted by photon number; more than one entry signals
-    optical bistability.
+    +/- (|detuning| + 50); ValueError unless finite and increasing) in
+    one stacked evaluation.  A scan cell is skipped when either end is
+    NaN (degenerate trap); otherwise its left end is a root when its
+    residual is exactly zero, and a sign change is bracketed.  All
+    brackets are bisected in lockstep to BISECT_TOL, or to two adjacent
+    floats, by `_bisect_rows`, each stacked evaluation taking every
+    bracket's midpoint and the midpoints on the path that its regula
+    falsi guess from the residuals at both ends predicts; a bracket
+    whose midpoint is NaN stops there.  The last scan point is a root
+    when its residual is exactly zero.  Returns the expanded states
+    sorted by photon number; more than one entry signals optical
+    bistability.
     """
     if m.detuning_mode != "bare":
         raise ValueError("self_consistent_fixed_points requires detuning_mode='bare'")
@@ -264,7 +296,10 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
     if window is None:
         half = abs(delta) + 50.0
         window = (-half, half)
-    grid = np.linspace(window[0], window[1], SCAN_POINTS)
+    w_lo, w_hi = map(float, window)
+    if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo < w_hi):
+        raise ValueError(f"window must be finite and increasing, got {window}")
+    grid = np.linspace(w_lo, w_hi, SCAN_POINTS)
     res = _consistency_residuals(m, delta, grid)
 
     r0, r1 = res[:-1], res[1:]
@@ -278,7 +313,7 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
     bracket = cross[cells]
     lo[bracket], hi[bracket], _ = _bisect_rows(
         lambda x: _consistency_residuals(m, delta, x), lo[bracket], hi[bracket],
-        r0[cells][bracket], BISECT_TOL, ROOT_BISECT_DEPTH)
+        r0[cells][bracket], BISECT_TOL, 1, fhi=r1[cells][bracket])
     roots = np.where(zero[cells], lo, 0.5 * (lo + hi))
     if res[-1] == 0.0:
         roots = np.append(roots, grid[-1])

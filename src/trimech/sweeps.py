@@ -286,8 +286,8 @@ def squeezing_sweep(m: ModelParams, drives, base: PhysicalParams = None) -> Sque
 def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
     """Critical drive where stability is lost, by geometric bisection.
 
-    Requires a stable lower bound and an unstable upper bound, both
-    checked in one stacked call; the returned value is the last stable
+    Requires finite bounds, a stable lower one and an unstable upper one,
+    both checked in one stacked call; the returned value is the last stable
     drive of a bracket of relative width THRESHOLD_REL_TOL.  The bracket
     is bisected by `steady._bisect_rows`, THRESHOLD_BISECT_DEPTH
     halvings per stacked call, each drive judged by the stacked verdict
@@ -299,11 +299,13 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
     unstable; a fault at a drive the bisection does not reach is not
     read.
     """
-    if not (0 < drive_lo < drive_hi):
+    lo, hi = float(drive_lo), float(drive_hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("threshold bounds must be finite")
+    if not (0 < lo < hi):
         raise ValueError("need 0 < drive_lo < drive_hi")
     if m.detuning_mode != "effective":
         raise ValueError("instability_threshold requires detuning_mode='effective'")
-    lo, hi = float(drive_lo), float(drive_hi)
     ends, reasons = _verdicts(m, [lo, hi])
     if math.isnan(ends[0]):
         raise NumericalError(reasons[0])

@@ -1,4 +1,8 @@
-"""Shared fixtures: seeded random model draws and generic stable instances."""
+"""Shared fixtures: seeded random model draws, generic stable instances,
+and a call budget that makes a search that never ends fail fast."""
+
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -77,3 +81,23 @@ def model_draws_1000():
 @pytest.fixture(scope="session")
 def generic_instances_1000():
     return generic_stable_instances(1000)
+
+
+@contextmanager
+def call_budget(limit=100_000):
+    """Raise AssertionError once the code in the block has made more than
+    `limit` Python function calls, so that a loop that no longer ends
+    fails fast instead of hanging; every bisection step calls one."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise AssertionError(f"more than {limit} Python calls")
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)

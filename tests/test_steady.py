@@ -1,5 +1,6 @@
 """Classical fixed points: closed forms, self-consistency, bistability."""
 
+import gc
 import math
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from trimech.steady import (BISECT_TOL, SCAN_POINTS, cavity_amplitude,
                             self_consistent_fixed_points,
                             stationarity_residuals)
 
-from conftest import SEED, draw_model
+from conftest import SEED, call_budget, draw_model
 
 
 def basic_model(**overrides):
@@ -205,13 +206,33 @@ class TestSelfConsistent:
             self_consistent_fixed_points(basic_model())
 
 
-def scalar_reference(m, window=None, halvings=None):
+def one_halving(f, lo, hi, flo, tol, midpoints=None):
+    """Bisect one bracket [lo, hi] of `f`, one midpoint per call of `f`,
+    while its width exceeds `tol` and a float lies strictly inside it;
+    stop at a NaN f(mid).  The reference `_bisect_rows` must match.
+    Returns (lo, hi, frozen); appends each midpoint to `midpoints`, if
+    given."""
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if midpoints is not None:
+            midpoints.append(mid)
+        fm = f(np.array([mid]))[0]
+        if math.isnan(fm):
+            return lo, hi, True
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return lo, hi, False
+
+
+def scalar_reference(m, window=None, paths=None):
     """The root search as one scan cell and one root at a time: scan the
     residuals, skip a cell with a NaN end, take an exactly-zero left end
-    as a root, bisect each sign change alone until its width is at most
-    BISECT_TOL or its midpoint is NaN, and take an exactly-zero last scan
-    point as a root.  The reference the lockstep search must match.
-    Appends each bracket's midpoint evaluations to `halvings`, if given."""
+    as a root, bisect each sign change alone by `one_halving` to
+    BISECT_TOL, and take an exactly-zero last scan point as a root.  The
+    reference the lockstep search must match.  Appends the list of each
+    bracket's midpoints to `paths`, if given."""
     delta = m.detuning
     if window is None:
         half = abs(delta) + 50.0
@@ -227,21 +248,12 @@ def scalar_reference(m, window=None, halvings=None):
             roots.append(grid[i])
             continue
         if r0 * r1 < 0.0:
-            lo, hi, flo = grid[i], grid[i + 1], r0
-            steps = 0
-            while hi - lo > BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                fm = steady._consistency_residuals(m, delta, mid)[0]
-                steps += 1
-                if math.isnan(fm):
-                    break
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
+            midpoints = []
+            lo, hi, _ = one_halving(lambda x: steady._consistency_residuals(m, delta, x),
+                                    grid[i], grid[i + 1], r0, BISECT_TOL, midpoints)
             roots.append(0.5 * (lo + hi))
-            if halvings is not None:
-                halvings.append(steps)
+            if paths is not None:
+                paths.append(midpoints)
     if res[-1] == 0.0:
         roots.append(grid[-1])
     if not roots:
@@ -281,48 +293,106 @@ def count_residual_calls(monkeypatch):
     return calls
 
 
-def at_every_depth(monkeypatch):
-    """Set the root search's halvings per stacked evaluation to 1, ..., 8
-    in turn, yielding each."""
+def at_every_engine(monkeypatch):
+    """Run the root search's `_bisect_rows` with trees 1, ..., 8 halvings
+    deep, each with and without the brackets' upper-end values (with
+    and without a predicted path), yielding each (depth, predicted)."""
+    bisect = steady._bisect_rows
     for depth in range(1, 9):
-        monkeypatch.setattr(steady, "ROOT_BISECT_DEPTH", depth)
-        yield depth
+        for predicted in (True, False):
+            def engine(f, lo, hi, flo, tol, _, fhi=None, depth=depth,
+                       predicted=predicted):
+                return bisect(f, lo, hi, flo, tol, depth,
+                              fhi=fhi if predicted else None)
+            monkeypatch.setattr(steady, "_bisect_rows", engine)
+            yield depth, predicted
+
+
+def seeded_bare_draws(count=40):
+    """The first `count` seeded draws at a bare detuning."""
+    rng = np.random.default_rng(SEED)
+    return [replace(draw_model(rng), detuning_mode="bare") for _ in range(count)]
+
+
+def bits(values):
+    """Each value's float.hex: equal lists mean equal bits."""
+    return [float(v).hex() for v in values]
 
 
 class TestLockstepSearch:
     """The lockstep search returns the scalar reference's states, bit for
-    bit, whatever number of halvings each stacked evaluation takes."""
+    bit, whatever bisection tree and predicted path each stacked
+    evaluation takes."""
 
-    #: most residual calls of one search on the seeded draws, per depth;
-    #: one halving per call (depth 1) made 38
-    MOST_CALLS = {1: 38, 2: 20, 3: 14, 4: 11, 5: 9, 6: 8, 7: 7, 8: 6}
+    #: residual calls per search on the seeded draws, counting the scan,
+    #: and how many searches made them; one halving per call made up to 38
+    CALLS = {2: 2, 3: 23, 4: 13, 5: 1, 6: 1}
 
     def test_seeded_bare_draws(self, monkeypatch):
-        """Also pins the residual calls per search: the scan, then one
-        call per `depth` halvings of the longest bracket."""
-        assert self.MOST_CALLS[steady.ROOT_BISECT_DEPTH] <= 8
+        """Also pins the residual calls per search."""
         calls = count_residual_calls(monkeypatch)
-        rng = np.random.default_rng(SEED)
-        counts, most = set(), dict.fromkeys(self.MOST_CALLS, 0)
-        for _ in range(40):
-            m = replace(draw_model(rng), detuning_mode="bare")
-            halvings = []
-            want = outcome(lambda m, w: scalar_reference(m, w, halvings), m)
+        counts, made = set(), {}
+        for m in seeded_bare_draws():
+            want = outcome(scalar_reference, m)
             counts.add(want.count("ClassicalSteadyState("))
-            for depth in at_every_depth(monkeypatch):
-                calls[0] = 0
-                assert outcome(self_consistent_fixed_points, m) == want
-                assert calls[0] == 1 + -(-max(halvings, default=0) // depth)
-                most[depth] = max(most[depth], calls[0])
+            calls[0] = 0
+            assert outcome(self_consistent_fixed_points, m) == want
+            made[calls[0]] = made.get(calls[0], 0) + 1
         assert {1, 3} <= counts
-        assert most == self.MOST_CALLS
+        assert made == self.CALLS
+
+    def test_engine_on_seeded_brackets(self, monkeypatch):
+        """`_bisect_rows` on the sign-change brackets of the seeded draws,
+        with trees 1 to 8 halvings deep, each with and without `fhi`,
+        returns the one-halving loop's brackets bit for bit."""
+        bisect, brackets = steady._bisect_rows, []
+
+        def recorded(*args, **kwargs):
+            brackets.append((args, kwargs))
+            return bisect(*args, **kwargs)
+        monkeypatch.setattr(steady, "_bisect_rows", recorded)
+        for m in seeded_bare_draws():
+            self_consistent_fixed_points(m)
+        assert sum(len(args[1]) for args, _ in brackets) > 40
+        for (f, lo, hi, flo, tol, _), kwargs in brackets:
+            want = [one_halving(f, *row, tol) for row in zip(lo, hi, flo)]
+            want = [bits(column) for column in zip(*want)] if want else [[]] * 3
+            for depth in range(1, 9):
+                for fhi in (kwargs["fhi"], None):
+                    got = bisect(f, lo, hi, flo, tol, depth, fhi=fhi)
+                    assert [bits(column) for column in got] == want
 
     @pytest.mark.parametrize("m", [KERR, UNCOUPLED], ids=["kerr", "uncoupled"])
     def test_named_cases(self, monkeypatch, m):
         want = outcome(scalar_reference, m)
         assert want.count("ClassicalSteadyState(") == (3 if m is KERR else 1)
-        for _ in at_every_depth(monkeypatch):
+        assert outcome(self_consistent_fixed_points, m) == want
+        for _ in at_every_engine(monkeypatch):
             assert outcome(self_consistent_fixed_points, m) == want
+
+    def test_fault_off_the_path_is_not_read(self, monkeypatch):
+        """Every point a stacked evaluation after the scan takes but no
+        bracket's walk reaches reads NaN, and the states are unchanged:
+        on KERR the predicted paths leave the walks, so there are such
+        points."""
+        paths = []
+        want = outcome(lambda m, w: scalar_reference(m, w, paths), KERR)
+        residuals, taken = steady._consistency_residuals, []
+
+        def recorded(m, delta_bare, delta_effs):
+            taken.append(np.asarray(delta_effs).tolist())
+            return residuals(m, delta_bare, delta_effs)
+        monkeypatch.setattr(steady, "_consistency_residuals", recorded)
+        assert outcome(self_consistent_fixed_points, KERR) == want
+        off = sorted({x for call in taken[1:] for x in call}
+                     - {x for path in paths for x in path})
+        assert len(off) > 10
+
+        def faulted(m, delta_bare, delta_effs):
+            res = residuals(m, delta_bare, delta_effs)
+            return np.where(np.isin(delta_effs, off), np.nan, res)
+        monkeypatch.setattr(steady, "_consistency_residuals", faulted)
+        assert outcome(self_consistent_fixed_points, KERR) == want
 
     @pytest.mark.parametrize("centre, half, window", [
         (-3.0, 1e-6, None), (-2.999, 1e-4, (-4.0, -2.0))],
@@ -340,7 +410,8 @@ class TestLockstepSearch:
             return np.where(np.abs(np.asarray(delta_effs) - centre) < half, np.nan, res)
         monkeypatch.setattr(steady, "_consistency_residuals", banded)
         want = outcome(scalar_reference, UNCOUPLED, window)
-        for _ in at_every_depth(monkeypatch):
+        assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
+        for _ in at_every_engine(monkeypatch):
             assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
             if window is None:
                 (state,) = self_consistent_fixed_points(UNCOUPLED)
@@ -363,10 +434,48 @@ class TestLockstepSearch:
         assert np.count_nonzero(res == 0.0) == on_grid
         assert on_grid or -3.0 in 0.5 * (grid[:-1] + grid[1:])
         want = outcome(scalar_reference, UNCOUPLED, window)
-        for _ in at_every_depth(monkeypatch):
+        assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
+        for _ in at_every_engine(monkeypatch):
             assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
             (state,) = self_consistent_fixed_points(UNCOUPLED, window)
             assert abs(state.delta_eff + 3.0) <= (0.0 if on_grid else BISECT_TOL)
+
+    def test_adjacent_floats_end_a_bracket(self):
+        """At |delta_eff| >= 8192 two adjacent floats are more than
+        BISECT_TOL apart; such a bracket ends, with the reference's root,
+        instead of bisecting forever."""
+        m = replace(UNCOUPLED, detuning=-9000.0)
+        assert math.ulp(9000.0) > BISECT_TOL
+        want = outcome(scalar_reference, m)
+        with call_budget():
+            (state,) = self_consistent_fixed_points(m)
+        assert repr([state]) == want
+        assert state.delta_eff == -9000.0
+        assert steady._consistency_residuals(m, m.detuning, [-9000.0])[0] == 0.0
+
+    def test_leaves_no_reference_cycles(self):
+        """Everything the search allocates is freed by reference counting.
+        A cycle per call (a self-recursive closure made one) leaves
+        garbage that brings the collector's full passes, about 10 ms in
+        a long-running process, sooner."""
+        self_consistent_fixed_points(KERR)
+        gc.collect()
+        gc.disable()
+        try:
+            self_consistent_fixed_points(KERR)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("window", [
+        (62.0, -62.0), (1.0, 1.0), (math.nan, 62.0), (-62.0, math.nan),
+        (-math.inf, 62.0), (-62.0, math.inf)],
+        ids=["descending", "empty", "nan-lo", "nan-hi", "-inf", "+inf"])
+    def test_bad_window_raises(self, window):
+        """A window that is not finite and increasing is a ValueError, not
+        unbisected brackets or a search that finds nothing."""
+        with call_budget(), pytest.raises(ValueError, match="finite and increasing"):
+            self_consistent_fixed_points(KERR, window)
 
 
 class TestContinuity:

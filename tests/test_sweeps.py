@@ -18,6 +18,7 @@ from trimech.sweeps import (COARSE_GRID, DETUNING_BOUNDS, DRIVE_BOUNDS,
                             occupation_landscape, optimize_scalar, power_sweep,
                             sphere_occupation_objective, squeezing_sweep)
 
+from conftest import call_budget
 from test_golden import NUMPY
 
 REF = reference_params()
@@ -309,6 +310,16 @@ class TestInstabilityThreshold:
         drives = np.logspace(math.log10(lo), math.log10(hi), 80)
         verdicts = np.array([is_stable(replace(m, drive=d)) for d in drives])
         assert int(np.sum(verdicts[:-1] != verdicts[1:])) == 1
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1e9, math.inf), (math.inf, math.inf), (math.nan, 1e9), (1e9, math.nan)],
+        ids=["inf-hi", "inf-both", "nan-lo", "nan-hi"])
+    def test_bounds_must_be_finite(self, lo, hi):
+        """sqrt(lo * inf) is inf, so an infinite upper bound never shrank;
+        a bound that is not finite is a ValueError."""
+        m = fig4_model()
+        with call_budget(), pytest.raises(ValueError, match="finite"):
+            instability_threshold(m, lo, hi)
 
 
 class TestOptimizeScalar:
