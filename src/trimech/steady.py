@@ -24,13 +24,14 @@ effective potential is flat or inverted and no valid fixed point exists.
 With an effective-detuning parameterization the fixed point is in closed
 form.  With a bare detuning the scalar self-consistency condition
 dt_eff = dt + g1 x1(dt_eff) - g2 (chi x1 - x2)^2(dt_eff) is solved by a
-dense scan plus bisection of every bracket in lockstep; several roots
-may coexist (optical bistability) and all are returned.  The bisection
-engine, `_bisect_rows`, also serves `sweeps.instability_threshold`: each
-stacked evaluation holds the midpoints of every bracket a few halvings
-deep, plus, for a root, those on the path its regula falsi guess
-predicts, and every midpoint is the one a loop of one halving per
-evaluation forms.
+dense scan, in which every exactly-zero residual is a root and every
+strict sign change a bracket, plus bisection of every bracket in
+lockstep; several roots may coexist (optical bistability) and all are
+returned.  The bisection engine, `_bisect_rows`, also serves
+`sweeps.instability_threshold`: each stacked evaluation holds the
+midpoints of every bracket a few halvings deep, plus, for a root, those
+on the path its regula falsi guess predicts, and every midpoint is the
+one a loop of one halving per evaluation forms.
 """
 
 import math
@@ -137,7 +138,8 @@ def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
     rows = np.empty((2,) + np.broadcast_shapes(delta.shape, drive.shape))
     rows[0], rows[1] = delta, drive
     delta, drive = rows
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # |delta| above about 1.3e154 overflows delta ** 2: the photon number is 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         na = 2.0 * drive / (delta ** 2 + 1.0)
         Omega1, Omega2 = _trap_frequencies(m, na)
         x1 = m.g1 * na / Omega1
@@ -278,17 +280,16 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
     The scalar self-consistency condition is scanned on SCAN_POINTS
     evenly spaced effective detunings over `window` (default
     +/- (|detuning| + 50); ValueError unless finite and increasing) in
-    one stacked evaluation.  A scan cell is skipped when either end is
-    NaN (degenerate trap); otherwise its left end is a root when its
-    residual is exactly zero, and a sign change is bracketed.  All
-    brackets are bisected in lockstep to BISECT_TOL, or to two adjacent
-    floats, by `_bisect_rows`, each stacked evaluation taking every
-    bracket's midpoint and the midpoints on the path that its regula
-    falsi guess from the residuals at both ends predicts; a bracket
-    whose midpoint is NaN stops there.  The last scan point is a root
-    when its residual is exactly zero.  Returns the expanded states
-    sorted by photon number; more than one entry signals optical
-    bistability.
+    one stacked evaluation.  Every scan point whose residual is exactly
+    zero is a root, and every scan cell whose end residuals have a
+    negative product is a bracket; a NaN (degenerate trap) or a zero end
+    makes no bracket.  All brackets are bisected in lockstep to
+    BISECT_TOL, or to two adjacent floats, by `_bisect_rows`, each
+    stacked evaluation taking every bracket's midpoint and the midpoints
+    on the path that its regula falsi guess from the residuals at both
+    ends predicts; a bracket whose midpoint is NaN stops there.  Returns
+    the expanded states sorted by photon number; more than one entry
+    signals optical bistability.
     """
     if m.detuning_mode != "bare":
         raise ValueError("self_consistent_fixed_points requires detuning_mode='bare'")
@@ -302,21 +303,14 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
     grid = np.linspace(w_lo, w_hi, SCAN_POINTS)
     res = _consistency_residuals(m, delta, grid)
 
-    r0, r1 = res[:-1], res[1:]
-    valid = ~np.isnan(r0) & ~np.isnan(r1)
-    zero = valid & (r0 == 0.0)
-    # the products keep float semantics: overflow gives inf, inf * 0 NaN
+    # a NaN or zero end never makes the product negative; overflow gives
+    # inf, and inf * 0 NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = valid & ~zero & (r0 * r1 < 0.0)
-    cells = np.flatnonzero(zero | cross)
-    lo, hi = grid[cells], grid[cells + 1]
-    bracket = cross[cells]
-    lo[bracket], hi[bracket], _ = _bisect_rows(
-        lambda x: _consistency_residuals(m, delta, x), lo[bracket], hi[bracket],
-        r0[cells][bracket], BISECT_TOL, 1, fhi=r1[cells][bracket])
-    roots = np.where(zero[cells], lo, 0.5 * (lo + hi))
-    if res[-1] == 0.0:
-        roots = np.append(roots, grid[-1])
+        cells = np.flatnonzero(res[:-1] * res[1:] < 0.0)
+    lo, hi, _ = _bisect_rows(
+        lambda x: _consistency_residuals(m, delta, x), grid[cells], grid[cells + 1],
+        res[cells], BISECT_TOL, 1, fhi=res[cells + 1])
+    roots = np.sort(np.concatenate((grid[res == 0.0], 0.5 * (lo + hi))))
 
     if not roots.size:
         raise NumericalError(

@@ -2,17 +2,20 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import trimech.cli as cli
 from trimech.cli import _csv_table, build_parser, main
 from trimech.config import (ConfigError, fmt, format_matrix, format_record,
                             geometry_section, model_section, parse_sections,
                             physical_params, sweep_section)
 from trimech.geometry import PROFILE_SAMPLES, PumpGeometry
 from trimech.params import linear_coupling, quadratic_coupling
+from trimech.validate import PAIR_TOL
 
 NOMINAL = """
 # reference silica-sphere configuration
@@ -92,6 +95,33 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_sections(text + "detuning = -1\n")
 
+    @pytest.mark.parametrize("text, read, message", [
+        (NOMINAL.replace("[model]", "[weather]"), physical_params,
+         "line 21: unknown section [weather]"),
+        ("wavelength = 1064 nm\n" + NOMINAL, physical_params,
+         "line 1: key outside any [section]"),
+        (NOMINAL.replace("input_power      = 1 mW", "= 1 mW"), physical_params,
+         "line 18: expected 'key = value'"),
+        (NOMINAL.replace("input_power      = 1 mW", "input_power ="), physical_params,
+         "line 18: key 'input_power': expected 'key = value'"),
+        (NOMINAL.replace("1064 nm", "ten nm"), physical_params,
+         "line 4: key 'wavelength': not a number: 'ten'"),
+        (NOMINAL.replace("refractive_index = 1.5", "refractive_index = 1.5 m"),
+         physical_params,
+         "line 12: key 'refractive_index': unexpected unit on dimensionless quantity"),
+        (NOMINAL.split("[model]")[0], model_section, "missing [model] section"),
+        (NOMINAL.replace("detuning_mode = effective", "detuning_mode = sideways"),
+         model_section,
+         "line 22: key 'detuning_mode': detuning_mode must be 'effective' or 'bare'"),
+        (NOMINAL + "\n[sweep]\nkind = spiral\n", sweep_section,
+         "line 26: key 'kind': kind must be power, squeezing or landscape"),
+    ], ids=["unknown-section", "key-outside-section", "empty-key", "empty-value",
+            "not-a-number", "unit-on-dimensionless", "missing-section",
+            "bad-detuning-mode", "bad-sweep-kind"])
+    def test_malformed_input_names_key_and_line(self, text, read, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            read(parse_sections(text))
+
     def test_line_numbers_reported(self):
         try:
             parse_sections("[physical]\nwavelength 1064 nm\n")
@@ -144,13 +174,56 @@ class TestCliExitCodes:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["derive", "-o", str(tmp_path)]) == 2
 
-    def test_unstable_linear_exits_3(self, tmp_path, capsys):
-        # enormous drive at red detuning: no stable branch anywhere
+    def test_degenerate_trap_linear_exits_3(self, tmp_path, capsys):
+        # enormous drive at red detuning inverts the sphere trap
         cfg = write_config(tmp_path, NOMINAL.replace(
             "input_power      = 1 mW", "input_power      = 10 W"))
         code = main(["linear", "-i", cfg, "-o", str(tmp_path)])
         assert code == 3
-        assert "physics" in capsys.readouterr().err
+        assert "physics error: sphere trap degenerate" in capsys.readouterr().err
+
+    def test_no_stable_branch_linear_exits_3(self, tmp_path, capsys):
+        # blue detuning: the one branch is unstable
+        cfg = write_config(tmp_path, NOMINAL.replace(
+            "detuning      = -27.2", "detuning      = 27.2"))
+        code = main(["linear", "-i", cfg, "-o", str(tmp_path)])
+        assert code == 3
+        assert "physics error: no stable branch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["absent.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, name):
+        code = main(["derive", "-i", str(tmp_path / name), "-o", str(tmp_path)])
+        assert code == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+
+    def test_validate_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        """A discrepancy above PAIR_TOL fails the verdict: validation.txt
+        is still written, and the run exits 4."""
+        checked = cli.cross_check
+
+        def discrepant(A, D, dt=None):
+            out = checked(A, D, dt=dt)
+            out["algebraic_pair"][0] = 2.0 * PAIR_TOL
+            return out
+        monkeypatch.setattr(cli, "cross_check", discrepant)
+        code = main(["validate", "-o", str(tmp_path), "--validate-instances", "0"])
+        assert code == 4
+        assert ("numerical fault: solver cross-checks exceeded tolerance"
+                in capsys.readouterr().err)
+        lines = (tmp_path / "validation.txt").read_text().splitlines()
+        assert sum(line.endswith(" FAIL") for line in lines[:-1]) == 1
+        assert lines[-1] == "verdict: FAIL"
+
+    def test_huge_bare_detuning_exits_0(self, tmp_path):
+        """|detuning| = 1e300 overflows delta_eff ** 2 without a warning;
+        the one branch is the empty cavity at the bare detuning."""
+        cfg = write_config(tmp_path, NOMINAL.replace(
+            "detuning_mode = effective", "detuning_mode = bare").replace(
+            "detuning      = -27.2", "detuning      = -1e300"))
+        assert main(["steady", "-i", cfg, "-o", str(tmp_path)]) == 0
+        text = (tmp_path / "steady_state.txt").read_text()
+        assert f"delta_eff = {fmt(-1e300)}" in text
+        assert f"photon_number = {fmt(0.0)}" in text
 
 
 class TestCliSteadyLinear:

@@ -1,7 +1,8 @@
 """Output bytes pinned: the sha256 of every file the CLI writes for the
-preset sweeps, `validate` (the default set and 500 random instances), and
+preset sweeps, `validate` (the default set and 500 random instances),
 `linear`/`steady` on the two model presets and on a bare-detuning config
-with three branches.
+with three branches, `derive` on that config, and `geometry` on a cavity
+config.
 
 The digests hold for the numpy version in NUMPY; under another version
 LAPACK may round differently, so the test skips.  A change that moves
@@ -50,8 +51,21 @@ detuning_mode = bare
 detuning      = -27.2
 """
 
-#: run name -> CLI arguments; BARE stands for the path of BARE_CONFIG
-BARE = object()
+#: a cavity whose sphere is pumped through both mirrors
+GEOMETRY_CONFIG = """\
+[geometry]
+variant        = symmetric
+length         = 0.5 cm
+wavelength     = 1064 nm
+reflectivity   = -0.9
+transmissivity = 0.1
+samples        = 101
+"""
+
+#: config file name -> text; each run reads the file its arguments name
+CONFIGS = {"bare.cfg": BARE_CONFIG, "geometry.cfg": GEOMETRY_CONFIG}
+
+#: run name -> CLI arguments; a key of CONFIGS stands for that file's path
 RUNS = {
     **{f"sweep-{p}": ["sweep", "--preset", p, "--format", "both"]
        for p in ("fig2", "fig3", "fig4")},
@@ -59,12 +73,22 @@ RUNS = {
     "validate-500": ["validate", "--validate-instances", "500"],
     **{f"{cmd}-{p}": [cmd, "--preset", p]
        for cmd in ("linear", "steady") for p in ("fig3", "fig4")},
-    "linear-bare": ["linear", "-i", BARE],
-    "steady-bare": ["steady", "-i", BARE],
+    "linear-bare": ["linear", "-i", "bare.cfg"],
+    "steady-bare": ["steady", "-i", "bare.cfg"],
+    "derive-bare": ["derive", "-i", "bare.cfg"],
+    "geometry": ["geometry", "-i", "geometry.cfg"],
 }
 
 #: run name -> {file written: sha256}
 DIGESTS = {
+    "derive-bare": {
+        "model_params.txt":
+            "746de63ee737422605f161c623dc47a3b6ec4970a4e15218f1932dc8fb08d4fe",
+    },
+    "geometry": {
+        "field_profile.dat":
+            "76765964853b199b4f74fdf8aad3caeeb5b65fa9b6cde57585462d631519c7cb",
+    },
     "linear-bare": {
         "linear.txt":
             "dbef31214de47eecc3af3c4bf74befee563300ef88ad7b9e463d99a743ada433",
@@ -123,9 +147,9 @@ DIGESTS = {
 def output_digests(name, out_dir):
     """Run `name` into the empty directory `out_dir`; {file: sha256}."""
     out_dir = Path(out_dir)
-    config = out_dir / "bare.cfg"
-    config.write_text(BARE_CONFIG, encoding="utf-8")
-    argv = [str(config) if arg is BARE else arg for arg in RUNS[name]]
+    for file, text in CONFIGS.items():
+        (out_dir / file).write_text(text, encoding="utf-8")
+    argv = [str(out_dir / arg) if arg in CONFIGS else arg for arg in RUNS[name]]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + ["-o", str(out_dir / "out")]) == 0
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()

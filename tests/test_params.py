@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -207,6 +208,27 @@ class TestInvariants:
     def test_bad_site_rejected(self):
         with pytest.raises(ValueError, match="sphere_site"):
             reference_params(sphere_site="midpoint")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("input_power", -1e-3, "input_power must be >= 0, got -0.001"),
+        ("sphere_radius", 1e-120, "derived sphere mass is not positive"),
+    ], ids=["negative-power", "sphere-mass-underflow"])
+    def test_physical_checks(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reference_params(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("omega2", 0.0, "mechanical frequencies must be strictly positive"),
+        ("gamma1", -1e-3, "damping rates must be >= 0"),
+        ("chi", -1e-3, "chi must be >= 0"),
+        ("drive", -1.0, "drive must be >= 0"),
+        ("n2", -1.0, "bath occupations must be >= 0"),
+        ("detuning_mode", "sideways",
+         "detuning_mode must be 'effective' or 'bare', got 'sideways'"),
+    ], ids=["frequency", "damping", "chi", "drive", "occupation", "detuning-mode"])
+    def test_model_checks(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(fig3_model(), **{field: value})
 
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError, match="cavity_decay"):

@@ -118,6 +118,13 @@ class TestFixedPoint:
             assert s.photon_number == pytest.approx(abs(s.a_bar) ** 2,
                                                     rel=1e-12, abs=1e-300)
 
+    def test_huge_detuning_empties_cavity(self):
+        """delta_eff ** 2 overflows to inf above about 1.3e154; the photon
+        number is 0, with no overflow warning."""
+        s = fixed_point(basic_model(detuning=-1e200))
+        assert s.delta_eff == -1e200
+        assert s.photon_number == 0.0 and s.x1_bar == 0.0
+
     def test_requires_effective_mode(self):
         with pytest.raises(ValueError, match="effective"):
             fixed_point(basic_model(detuning_mode="bare"))
@@ -201,6 +208,12 @@ class TestSelfConsistent:
                                   - m.g2 * (m.chi * s.x1_bar - s.x2_bar) ** 2)
             assert back == pytest.approx(m.detuning, abs=1e-9)
 
+    def test_huge_bare_detuning_is_its_own_root(self):
+        """Every scan point's photon number underflows to 0, with no
+        overflow warning, and the root is the bare detuning."""
+        (state,) = self_consistent_fixed_points(replace(UNCOUPLED, detuning=-1e300))
+        assert state.delta_eff == -1e300 and state.photon_number == 0.0
+
     def test_requires_bare_mode(self):
         with pytest.raises(ValueError, match="bare"):
             self_consistent_fixed_points(basic_model())
@@ -227,12 +240,12 @@ def one_halving(f, lo, hi, flo, tol, midpoints=None):
 
 
 def scalar_reference(m, window=None, paths=None):
-    """The root search as one scan cell and one root at a time: scan the
-    residuals, skip a cell with a NaN end, take an exactly-zero left end
-    as a root, bisect each sign change alone by `one_halving` to
-    BISECT_TOL, and take an exactly-zero last scan point as a root.  The
-    reference the lockstep search must match.  Appends the list of each
-    bracket's midpoints to `paths`, if given."""
+    """The root search as one scan point and one root at a time: scan the
+    residuals, take every exactly-zero scan point as a root, and bisect
+    each strict sign change (r0 * r1 < 0, which a NaN or zero end never
+    meets) alone by `one_halving` to BISECT_TOL.  The reference the
+    lockstep search must match.  Appends the list of each bracket's
+    midpoints to `paths`, if given."""
     delta = m.detuning
     if window is None:
         half = abs(delta) + 50.0
@@ -240,22 +253,16 @@ def scalar_reference(m, window=None, paths=None):
     grid = np.linspace(window[0], window[1], SCAN_POINTS)
     res = steady._consistency_residuals(m, delta, grid).tolist()
     roots = []
-    for i in range(len(grid) - 1):
-        r0, r1 = res[i], res[i + 1]
-        if math.isnan(r0) or math.isnan(r1):
-            continue
-        if r0 == 0.0:
+    for i in range(len(grid)):
+        if res[i] == 0.0:
             roots.append(grid[i])
-            continue
-        if r0 * r1 < 0.0:
+        if i + 1 < len(grid) and res[i] * res[i + 1] < 0.0:
             midpoints = []
             lo, hi, _ = one_halving(lambda x: steady._consistency_residuals(m, delta, x),
-                                    grid[i], grid[i + 1], r0, BISECT_TOL, midpoints)
+                                    grid[i], grid[i + 1], res[i], BISECT_TOL, midpoints)
             roots.append(0.5 * (lo + hi))
             if paths is not None:
                 paths.append(midpoints)
-    if res[-1] == 0.0:
-        roots.append(grid[-1])
     if not roots:
         raise NumericalError(
             f"no self-consistent fixed point found for detuning {delta} "
@@ -402,7 +409,7 @@ class TestLockstepSearch:
         inside the only sign-change cell, around the root at -3, so the
         bisection stops at the first midpoint in the band, short of
         BISECT_TOL.  "right-of-zero": on the scan point right of an
-        exactly-zero one, so that zero is no root and none is found."""
+        exactly-zero one, which is still the root, -3 exactly."""
         residuals = steady._consistency_residuals
 
         def banded(m, delta_bare, delta_effs):
@@ -413,11 +420,33 @@ class TestLockstepSearch:
         assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
         for _ in at_every_engine(monkeypatch):
             assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
+            (state,) = self_consistent_fixed_points(UNCOUPLED, window)
             if window is None:
-                (state,) = self_consistent_fixed_points(UNCOUPLED)
                 assert 1e-7 < abs(state.delta_eff + 3.0) < 1e-6
-        if window is not None:
-            assert want.startswith("NumericalError: no self-consistent fixed point")
+            else:
+                assert state.delta_eff == -3.0
+
+    @pytest.mark.parametrize("window, sides", [
+        ((-4.0, -2.0), (1,)), ((-4.0, -2.0), (-1, 1)),
+        ((-3.0, -1.0), (1,)), ((-5.0, -3.0), (-1,))],
+        ids=["nan-right", "nan-both-sides", "first", "last"])
+    def test_zero_next_to_nan_is_a_root(self, monkeypatch, window, sides):
+        """The uncoupled residual is exactly zero at the scan point -3,
+        and forced to NaN at its neighbours on `sides`: that zero is the
+        root, -3 exactly, wherever it lies on the scan."""
+        grid = np.linspace(*window, SCAN_POINTS)
+        (at,) = np.flatnonzero(grid == -3.0)
+        nan_at = grid[[at + side for side in sides]]
+        residuals = steady._consistency_residuals
+
+        def masked(m, delta_bare, delta_effs):
+            res = residuals(m, delta_bare, delta_effs)
+            return np.where(np.isin(delta_effs, nan_at), np.nan, res)
+        monkeypatch.setattr(steady, "_consistency_residuals", masked)
+        want = outcome(scalar_reference, UNCOUPLED, window)
+        assert outcome(self_consistent_fixed_points, UNCOUPLED, window) == want
+        (state,) = self_consistent_fixed_points(UNCOUPLED, window)
+        assert state.delta_eff == -3.0
 
     #: scan steps of 2**-10 whose grid is exact, with -3 midway between
     #: two scan points
