@@ -17,7 +17,10 @@ with the diffusion matrix D assembled from the symmetrized input noise
 correlators: vacuum optical input contributes kappa_c per cavity
 quadrature, each mechanical bath contributes 2*gamma_j*(2*n_j + 1) on its
 momentum row, and all cross-correlations vanish because the three noises
-are independent.
+are independent.  D, the drift entries set by the parameters alone and
+the parameter products the drift reuses are derived per call from a
+`params.ModelParams` and built once per record in a `params.ParamRows`,
+whose rows a landscape round only gathers.
 
 Every solve runs on a stack of N drift matrices, and a single matrix is
 the N = 1 case.  Each row gets exactly one eigendecomposition A = S L S^-1;
@@ -28,8 +31,10 @@ iterative refinement).  One rule sends a row elsewhere: a row whose
 residual is not within the contract tries the direct vectorized solve of
 `validate.lyapunov_direct`, refined while over the contract, and keeps
 the better result; a row still over it is a fault, so every covariance
-returned meets it.  Every stack carries a per-row (N, 6, 6) diffusion,
-and each row's contract is relative to its own D.  No row depends on the
+returned meets it.  Every stack carries a per-row (N, 6, 6) diffusion
+and its per-row max|D|, taken from the parameter record (for a
+ModelParams, its one D copied per row) or, for a D given directly, from
+D; each row's contract is relative to its own D.  No row depends on the
 rest of its stack, so one stack may hold rows of different parameter
 sets, a `params.ParamRows`.
 
@@ -98,6 +103,7 @@ class LinearStack:
 
     drift: np.ndarray         # (N, 6, 6)
     diffusion: np.ndarray     # (N, 6, 6), one D per row
+    diffusion_max: np.ndarray  # (N,) max|D| of each row
     eigenvalues: np.ndarray   # (N, 6) complex; NaN on rows not decomposed
     eigenvectors: np.ndarray  # (N, 6, 6) complex; NaN on rows not decomposed
     status: np.ndarray        # (N,) OK (stable), UNSTABLE, DEGENERATE or FAULT
@@ -130,7 +136,8 @@ class SteadyCovariance:
 
 
 def _drift_stack(m: ModelParams, delta_eff, photon_number, x1_bar, x2_bar):
-    """(N, 6, 6) drift matrices from (N,) mean-field arrays.
+    """(N, 6, 6) drift matrices from (N,) mean-field arrays, starting from
+    the entries that depend on `m` alone (`params.ParamRows`).
 
     The mean field is real (pb = 0) by the input-phase convention, so the
     entries proportional to pb vanish and xb = sqrt(2 |a_bar|^2).
@@ -138,22 +145,18 @@ def _drift_stack(m: ModelParams, delta_eff, photon_number, x1_bar, x2_bar):
     dt = delta_eff
     xb = np.sqrt(2.0 * photon_number)
     lever = m.chi * x1_bar - x2_bar
-    g_lin = (m.g1 - 2.0 * m.g2 * m.chi * lever) * xb  # mirror-field, displacement-corrected
-    g_sph = 2.0 * m.g2 * lever * xb                   # sphere-field, via the shared standing wave
-    nq = xb * xb                                      # = 2 |a_bar|^2
-    A = np.zeros((len(dt), 6, 6))
-    A[:, 0, 0] = A[:, 1, 1] = -1.0
+    g_lin = (m.g1 - m.two_g2_chi * lever) * xb  # mirror-field, displacement-corrected
+    g_sph = m.two_g2 * lever * xb               # sphere-field, via the shared standing wave
+    nq = xb * xb                                # = 2 |a_bar|^2
+    A = np.empty((len(dt), 6, 6))
+    A[:] = m.base_drift
     A[:, 0, 1] = -dt
     A[:, 1, 0] = dt
     A[:, 1, 2] = A[:, 3, 0] = g_lin
     A[:, 1, 4] = A[:, 5, 0] = g_sph
-    A[:, 2, 3] = m.omega1
-    A[:, 3, 2] = -m.omega1 - m.g2 * (m.chi * m.chi) * nq  # a product, as in steady
-    A[:, 3, 3] = -2.0 * m.gamma1
-    A[:, 3, 4] = A[:, 5, 2] = m.g2 * m.chi * nq
-    A[:, 4, 5] = m.omega2
+    A[:, 3, 2] = -m.omega1 - m.g2_chi2 * nq
+    A[:, 3, 4] = A[:, 5, 2] = m.g2_chi * nq
     A[:, 5, 4] = -m.omega2 - m.g2 * nq
-    A[:, 5, 5] = -2.0 * m.gamma2
     return A
 
 
@@ -171,16 +174,9 @@ def drift_matrix(m: ModelParams, s: ClassicalSteadyState) -> np.ndarray:
 def diffusion_matrix(m: ModelParams) -> np.ndarray:
     """Symmetrized noise-input covariance D (kappa_c = 1 units).
 
-    (6, 6) from scalar parameters, (..., 6, 6) from parameter arrays of
-    one shape.
+    (6, 6) from a ModelParams, (N, 6, 6) from a ParamRows.
     """
-    mirror = 2.0 * m.gamma1 * (2.0 * m.n1 + 1.0)
-    sphere = 2.0 * m.gamma2 * (2.0 * m.n2 + 1.0)
-    D = np.zeros(np.shape(mirror) + (6, 6))
-    D[..., 0, 0] = D[..., 1, 1] = 1.0
-    D[..., 3, 3] = mirror
-    D[..., 5, 5] = sphere
-    return D
+    return m.diffusion
 
 
 def _on_rows(stage, rows, stacks, outputs):
@@ -231,10 +227,11 @@ def _raise_for(status, reason, eigenvalues, unstable_ok=False):
     raise (DegenerateTrapError if status == DEGENERATE else NumericalError)(reason)
 
 
-def _decompose(A, D, degenerate=None) -> LinearStack:
+def _decompose(A, D, degenerate=None, diffusion_max=None) -> LinearStack:
     """Stack `A` and its (N, 6, 6) diffusion `D` with one
     eigendecomposition per row.
 
+    `diffusion_max` holds max|D| per row, taken from D when not given.
     Rows listed in `degenerate` ({row: message}) are not decomposed; their
     eigenvalues and eigenvectors are NaN.  A row whose solve fails is a
     fault.  LAPACK returns each complex pair of a real matrix as
@@ -255,19 +252,25 @@ def _decompose(A, D, degenerate=None) -> LinearStack:
     for i, message in failed.items():
         status[i] = FAULT
         reasons[i] = f"eigenvalue solver failed: {message}"
-    return LinearStack(drift=A, diffusion=D, eigenvalues=lam, eigenvectors=S,
-                       status=status, reasons=reasons)
+    if diffusion_max is None:
+        diffusion_max = np.abs(D).max(axis=(1, 2))
+    return LinearStack(drift=A, diffusion=D, diffusion_max=diffusion_max,
+                       eigenvalues=lam, eigenvectors=S, status=status,
+                       reasons=reasons)
 
 
 def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
     """Drift and per-row diffusion stacks of stacked fixed points of `m`
     (`params.ParamRows`), with one eigendecomposition per row;
-    degenerate-trap rows are carried over."""
+    degenerate-trap rows are carried over.  A ParamRows gives each row's
+    D and max|D| as they are; a ModelParams's one D is copied per row."""
     A = _drift_stack(m, fp.delta_eff, fp.photon_number, fp.x1_bar, fp.x2_bar)
     degenerate = {int(i): fp.reason(i) for i in fp.degenerate.nonzero()[0]}
-    # contiguous for faster solves: a scalar-parameter D is copied per row
-    D = np.ascontiguousarray(np.broadcast_to(diffusion_matrix(m), A.shape))
-    return _decompose(A, D, degenerate)
+    D, diffusion_max = m.diffusion, m.diffusion_max
+    if D.ndim == 2:  # contiguous rows for faster solves
+        D = np.array(np.broadcast_to(D, A.shape))
+        diffusion_max = np.full(len(A), diffusion_max)
+    return _decompose(A, D, degenerate, diffusion_max)
 
 
 def stability(A):
@@ -356,17 +359,18 @@ def track_modes(reference_freqs, eigenvalues):
                      np.take_along_axis(damp, picks, axis=-1)], axis=-1)
 
 
-def _eigenbasis_solve(A, S, neg_sums2, D):
+def _eigenbasis_solve(A, S, lam, D):
     """Eigenbasis Lyapunov solve of a stack with iterative refinement.
 
-    `neg_sums2` holds -2 (l_i + l_j) per row.  Returns (V, residual
-    max|A V + V A^T + D| per row).  S is inverted once per row, and each
-    transform S^-1 rhs S^-T is two products with that inverse, the same
-    arithmetic as a one-matrix solve, so a row's covariance is bit for
-    bit that of the row solved alone.  Each of the REFINE_STEPS
-    refinement steps re-solves the residual the same way, which sharpens
-    near-marginal pair divisions.
+    `S` and `lam` are each row's eigenvectors and eigenvalues.  Returns
+    (V, residual max|A V + V A^T + D| per row).  S is inverted once per
+    row, and each transform S^-1 rhs S^-T is two products with that
+    inverse, the same arithmetic as a one-matrix solve, so a row's
+    covariance is bit for bit that of the row solved alone.  Each of the
+    REFINE_STEPS refinement steps re-solves the residual the same way,
+    which sharpens near-marginal pair divisions.
     """
+    neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
     ST = S.transpose(0, 2, 1)
     Si = np.linalg.inv(S)
     SiT = Si.transpose(0, 2, 1)
@@ -402,13 +406,15 @@ def _lyapunov_rows(stack: LinearStack):
     over it turns FAULT, so every covariance returned meets it.  Each
     row is solved with its own D of the stack's per-row diffusion.
     """
-    A, D, lam = stack.drift, stack.diffusion, stack.eigenvalues
-    bound = RESIDUAL_REL * np.maximum(np.abs(D).max(axis=(1, 2)), _TINY)
-    neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
+    A, D = stack.drift, stack.diffusion
+    bound = RESIDUAL_REL * np.maximum(stack.diffusion_max, _TINY)
     ok = stack.status == OK
-    V, residual, _ = _on_rows(_eigenbasis_solve, ok,
-                              (A, stack.eigenvectors, neg_sums2, D),
-                              ((A.shape[1:], float), ((), float)))
+    # an eigenvalue near the float limit overflows its pair sums: the row's
+    # residual is then inf or NaN, and it faults on the contract unwarned
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        V, residual, _ = _on_rows(_eigenbasis_solve, ok,
+                                  (A, stack.eigenvectors, stack.eigenvalues, D),
+                                  ((A.shape[1:], float), ((), float)))
     faults = {}
     for i in (ok & ~(residual <= bound)).nonzero()[0]:
         Di, bi, achieved = D[i], bound[i], residual[i]

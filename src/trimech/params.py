@@ -112,7 +112,9 @@ class PhysicalParams:
 @dataclass(frozen=True)
 class ModelParams:
     """Dimensionless system parameters, rates in units of kappa_c.  Every
-    numeric field must be finite (ValueError naming it)."""
+    numeric field must be finite (ValueError naming it), and a bare
+    detuning must leave its `root_window` a finite width.  The properties
+    are the constants the stacked kernel derives from the parameters."""
 
     omega1: float    # mirror frequency
     omega2: float    # sphere frequency
@@ -142,14 +144,97 @@ class ModelParams:
         if self.detuning_mode not in ("effective", "bare"):
             raise ValueError(
                 f"detuning_mode must be 'effective' or 'bare', got {self.detuning_mode!r}")
+        if self.detuning_mode == "bare":
+            lo, hi = root_window(self.detuning)
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"bare detuning {self.detuning!r} leaves its root "
+                                 f"window ({lo!r}, {hi!r}) no finite width")
+
+    # The constants the stacked kernel derives from the parameters alone,
+    # derived per call here and once per record by `ParamRows.stack`.
+    # Each product is formed left to right, as the kernel's expressions
+    # group it, and a square is a product: a scalar's `** 2` is libm's
+    # pow, which can differ in the last bit from the square an array takes.
+
+    @property
+    def two_g2(self):
+        """2 g2."""
+        return 2.0 * self.g2
+
+    @property
+    def g2_chi(self):
+        """g2 chi."""
+        return self.g2 * self.chi
+
+    @property
+    def two_g2_chi(self):
+        """(2 g2) chi."""
+        return 2.0 * self.g2 * self.chi
+
+    @property
+    def g2_chi2(self):
+        """g2 (chi chi)."""
+        return self.g2 * (self.chi * self.chi)
+
+    @property
+    def two_g2_chi2(self):
+        """(2 g2) (chi chi)."""
+        return 2.0 * self.g2 * (self.chi * self.chi)
+
+    @property
+    def four_g2g2_chi2(self):
+        """(4 (g2 g2)) (chi chi)."""
+        return 4.0 * (self.g2 * self.g2) * (self.chi * self.chi)
+
+    @property
+    def base_drift(self):
+        """The drift entries that depend on no mean field, zero elsewhere:
+        the cavity decay (-1 on both quadratures), omega_j and -2 gamma_j."""
+        A = np.zeros((6, 6))
+        A[0, 0] = A[1, 1] = -1.0
+        A[2, 3] = self.omega1
+        A[3, 3] = -2.0 * self.gamma1
+        A[4, 5] = self.omega2
+        A[5, 5] = -2.0 * self.gamma2
+        return A
+
+    @property
+    def diffusion(self):
+        """Symmetrized noise-input covariance D (kappa_c = 1 units): vacuum
+        optical input contributes 1 per cavity quadrature, each mechanical
+        bath 2 gamma_j (2 n_j + 1) on its momentum row, and the three
+        independent noises give no cross-correlations."""
+        D = np.zeros((6, 6))
+        D[0, 0] = D[1, 1] = 1.0
+        D[3, 3] = 2.0 * self.gamma1 * (2.0 * self.n1 + 1.0)
+        D[5, 5] = 2.0 * self.gamma2 * (2.0 * self.n2 + 1.0)
+        return D
+
+    @property
+    def diffusion_max(self):
+        """max|D|, the scale of the Lyapunov residual contract."""
+        return np.abs(self.diffusion).max()
+
+
+def root_window(detuning):
+    """The default window of effective detunings searched for the fixed
+    points of a bare detuning: +/- (|detuning| + 50)."""
+    half = abs(detuning) + 50.0
+    return -half, half
 
 
 class ParamRows(NamedTuple):
-    """Model parameters of N stacked rows, one (N,) array per field: the
-    nine the stacked kernel (`steady.fixed_points`, `linear.linear_models`,
-    `sweeps.solve_points`) reads of its `m`, as scalars or (N,) arrays, so
-    one stack can hold rows of different ModelParams.  A ModelParams is
-    the unconverted one-row case."""
+    """Model parameters of N stacked rows and every constant the stacked
+    kernel (`steady.fixed_points`, `linear.linear_models`,
+    `sweeps.solve_points`) derives from them alone, so one stack can hold
+    rows of different ModelParams.
+
+    Each field stacks the ModelParams attribute of its name, one row per
+    model (`stack`): the nine parameters the kernel reads, then the
+    constants a ModelParams derives per call, built here once per
+    record.  `take` gathers every field, so a landscape builds its cells'
+    constants once and each search round only gathers its rows'.
+    """
 
     omega1: np.ndarray
     omega2: np.ndarray
@@ -160,17 +245,26 @@ class ParamRows(NamedTuple):
     chi: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
+    two_g2: np.ndarray
+    g2_chi: np.ndarray
+    two_g2_chi: np.ndarray
+    g2_chi2: np.ndarray
+    two_g2_chi2: np.ndarray
+    four_g2g2_chi2: np.ndarray
+    base_drift: np.ndarray     # (N, 6, 6)
+    diffusion: np.ndarray      # (N, 6, 6)
+    diffusion_max: np.ndarray
 
     @classmethod
     def stack(cls, models):
         """One row per ModelParams of `models`."""
-        return cls(*np.array([[getattr(m, f) for f in cls._fields]
-                              for m in models]).T)
+        models = list(models)
+        return cls(*(np.array([getattr(m, f) for m in models]) for f in cls._fields))
 
     def take(self, rows):
         """The record of the rows `rows` of this one."""
         rows = np.asarray(rows)
-        return ParamRows(*(field[rows] for field in self))
+        return ParamRows(*[field[rows] for field in self])
 
 
 def zero_point_spread(mass, omega):

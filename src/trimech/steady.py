@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrapError, NumericalError
-from .params import ModelParams
+from .params import ModelParams, root_window
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -110,40 +110,27 @@ class FixedPoints:
         )
 
 
-def _trap_frequencies(m: ModelParams, photon_number):
-    """Drive-shifted (Omega1, Omega2), elementwise over an array.
-
-    Squares of parameters are products: a scalar's `** 2` is libm's pow,
-    which can differ in the last bit from the square an array of
-    per-row parameters takes.
-    """
-    na = photon_number
-    chi2 = m.chi * m.chi
-    Omega2 = m.omega2 + 2.0 * m.g2 * na
-    Omega1 = (m.omega1 + 2.0 * m.g2 * chi2 * na
-              - 4.0 * (m.g2 * m.g2) * chi2 * na ** 2 / Omega2)
-    return Omega1, Omega2
-
-
 def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
     """Closed-form fixed points of stacked (effective detuning, drive) rows.
 
     `detunings` and `drives` broadcast to one shape (N,); every other
-    parameter comes from `m` (`params.ParamRows`).  Degenerate-trap rows
-    are flagged, not raised.
+    parameter, and the products of them, come from `m`
+    (`params.ParamRows`).  Degenerate-trap rows are flagged, not raised.
     """
     delta = np.array(detunings, dtype=float, ndmin=1)
     drive = np.array(drives, dtype=float, ndmin=1)
-    # copied, not broadcast views: a strided view slows the arithmetic below
-    rows = np.empty((2,) + np.broadcast_shapes(delta.shape, drive.shape))
-    rows[0], rows[1] = delta, drive
-    delta, drive = rows
+    if delta.shape != drive.shape:
+        # copied, not broadcast views: a strided view slows the arithmetic below
+        rows = np.empty((2,) + np.broadcast_shapes(delta.shape, drive.shape))
+        rows[0], rows[1] = delta, drive
+        delta, drive = rows
     # |delta| above about 1.3e154 overflows delta ** 2: the photon number is 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         na = 2.0 * drive / (delta ** 2 + 1.0)
-        Omega1, Omega2 = _trap_frequencies(m, na)
+        Omega2 = m.omega2 + m.two_g2 * na
+        Omega1 = m.omega1 + m.two_g2_chi2 * na - m.four_g2g2_chi2 * na ** 2 / Omega2
         x1 = m.g1 * na / Omega1
-        x2 = 2.0 * m.g2 * m.chi * na * x1 / Omega2
+        x2 = m.two_g2_chi * na * x1 / Omega2
     return FixedPoints(delta_eff=delta, drive=drive, photon_number=na,
                        x1_bar=x1, x2_bar=x2, Omega1=Omega1, Omega2=Omega2,
                        degenerate=(Omega2 <= 0) | (Omega1 == 0))
@@ -279,7 +266,8 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
 
     The scalar self-consistency condition is scanned on SCAN_POINTS
     evenly spaced effective detunings over `window` (default
-    +/- (|detuning| + 50); ValueError unless finite and increasing) in
+    `params.root_window`; ValueError unless its ends and its width are
+    finite and it is increasing) in
     one stacked evaluation.  Every scan point whose residual is exactly
     zero is a root, and every scan cell whose end residuals have a
     negative product is a bracket; a NaN (degenerate trap) or a zero end
@@ -295,11 +283,11 @@ def self_consistent_fixed_points(m: ModelParams, window=None):
         raise ValueError("self_consistent_fixed_points requires detuning_mode='bare'")
     delta = m.detuning
     if window is None:
-        half = abs(delta) + 50.0
-        window = (-half, half)
+        window = root_window(delta)
     w_lo, w_hi = map(float, window)
-    if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo < w_hi):
-        raise ValueError(f"window must be finite and increasing, got {window}")
+    if not (math.isfinite(w_hi - w_lo) and w_lo < w_hi):
+        raise ValueError("window must be finite and increasing, with a finite "
+                         f"width, got {window}")
     grid = np.linspace(w_lo, w_hi, SCAN_POINTS)
     res = _consistency_residuals(m, delta, grid)
 

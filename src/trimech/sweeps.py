@@ -710,10 +710,11 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
 
     Every cell runs the search of `optimize_scalar` (`_searches`), in
     one lockstep over every start of every cell, answered through each
-    cell's memo.  Each round's rows go to `solve_points` together, each
-    row's parameters gathered from its cell's ModelParams
-    (`params.ParamRows`), in calls of at most SOLVE_CHUNK rows, whatever
-    the size of `coarse`.  A stacked row equals the row solved alone, so
+    cell's memo.  Each round's rows go to `solve_points` together, in
+    calls of at most SOLVE_CHUNK rows, whatever the size of `coarse`;
+    every cell's parameters and the constants derived from them are
+    stacked once (`params.ParamRows`), and a round only gathers its rows'
+    (`ParamRows.take`).  A stacked row equals the row solved alone, so
     each cell's result is that of its own search.
     """
     omega1_grid, omega2_grid = check_landscape_inputs(

@@ -403,6 +403,46 @@ class TestMixedCellRows:
         for name in ParamRows._fields:
             assert same_bits(getattr(taken, name), getattr(want, name)), name
 
+    def test_fault_and_fallback_rows_bit_identical_to_their_cell_alone(
+            self, monkeypatch):
+        """A NaN-drive row of every cell (the stacked eigensolver raises and
+        the row faults alone) and the OK row of worst residual, sent to
+        the direct fallback by a contract tightened below it as in
+        `TestRowIndependence.test_rows_over_the_contract`, stacked with
+        the rows of every cell: each row equals its own cell's one-row
+        call, status, reason, V and eigenvalues, bit for bit."""
+        cells, dets, drives = self.mixed(self.POINTS + ((-27.2, np.nan),))
+        rows = ParamRows.stack([self.CELLS[c] for c in cells])
+        base = solve_points(rows, dets, drives)
+        assert {OK, UNSTABLE, DEGENERATE, FAULT} <= set(base.status.tolist())
+        ok = np.flatnonzero(base.status == OK)
+        A, V, D = base.linear.drift[ok], base.V[ok], base.linear.diffusion[ok]
+        AV = A @ V
+        residual = (np.abs(AV + AV.transpose(0, 2, 1) + D).max(axis=(1, 2))
+                    / np.abs(D).max(axis=(1, 2)))
+        below, worst = np.sort(residual)[-2:]
+        assert worst > 1.1 * below > 0
+        monkeypatch.setattr(linear, "RESIDUAL_REL", np.sqrt(worst * below))
+        direct = []
+        real_direct = linear.lyapunov_direct
+
+        def counted(A, D):
+            direct.append(A)
+            return real_direct(A, D)
+        monkeypatch.setattr(linear, "lyapunov_direct", counted)
+        batch = solve_points(rows, dets, drives)
+        row = ok[np.argmax(residual)]
+        assert direct and all(same_bits(a, batch.linear.drift[row]) for a in direct)
+        stacked = len(direct)
+        for i, c in enumerate(cells):
+            alone = solve_points(self.CELLS[c], dets[i], drives[i])
+            assert batch.status[i] == alone.status[0]
+            assert batch.reasons.get(i) == alone.reasons.get(0)
+            assert same_bits(batch.V[i], alone.V[0])
+            assert same_bits(batch.linear.eigenvalues[i], alone.linear.eigenvalues[0])
+        # alone, only the worst row took the fallback, the same way
+        assert len(direct) == 2 * stacked
+
     @pytest.mark.parametrize("inv_raises", [False, True])
     def test_defective_row(self, monkeypatch, inv_raises):
         """The defective-row case of `TestRowIndependence` inside a stack of

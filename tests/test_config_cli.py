@@ -226,6 +226,34 @@ class TestCliExitCodes:
         assert f"photon_number = {fmt(0.0)}" in text
 
 
+    @pytest.mark.parametrize("command", ["steady", "linear"])
+    @pytest.mark.parametrize("detuning", ["-1e308", "1e308"])
+    def test_overflowing_bare_detuning_exits_2(self, tmp_path, capsys, command,
+                                               detuning):
+        """Beyond |detuning| of about 9e307 the default root window
+        +/- (|detuning| + 50) has no finite width: a config error that
+        names the detuning, not an overflow in the root scan."""
+        cfg = write_config(tmp_path, NOMINAL.replace(
+            "detuning_mode = effective", "detuning_mode = bare").replace(
+            "detuning      = -27.2", f"detuning      = {detuning}"))
+        assert main([command, "-i", cfg, "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invariant violation: bare detuning "
+                              f"{float(detuning)!r} ")
+
+    @pytest.mark.parametrize("detuning", ["-1e308", "1e308"])
+    def test_overflowing_effective_detuning_linear_exits_4(self, tmp_path, capsys,
+                                                           detuning):
+        """At an effective detuning of +/-1e308 the eigenvalue pair sums
+        overflow: the row faults on the residual contract, with no
+        warning (the suite makes every warning an error)."""
+        cfg = write_config(tmp_path, NOMINAL.replace(
+            "detuning      = -27.2", f"detuning      = {detuning}"))
+        assert main(["steady", "-i", cfg, "-o", str(tmp_path)]) == 0
+        assert main(["linear", "-i", cfg, "-o", str(tmp_path)]) == 4
+        assert "exceeds contract" in capsys.readouterr().err
+
+
 class TestCliSteadyLinear:
     def test_steady_record(self, tmp_path, capsys):
         cfg = write_config(tmp_path, NOMINAL)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from trimech.params import (HBAR, C_LIGHT, K_BOLTZMANN, ModelParams,
                             PhysicalParams, bose_occupation, linear_coupling,
                             nondimensionalize, quadratic_coupling,
-                            reference_params, zpf_ratio)
+                            reference_params, root_window, zpf_ratio)
 from trimech.presets import fig3_model
 from trimech.sweeps import solve_point
 
@@ -229,6 +229,21 @@ class TestInvariants:
     def test_model_checks(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(fig3_model(), **{field: value})
+
+    @pytest.mark.parametrize("detuning", [-1e308, 1e308])
+    def test_bare_detuning_needs_a_finite_root_window(self, detuning):
+        """A bare detuning whose default root window has no finite width is
+        refused; as an effective detuning, or below about 9e307, it is
+        accepted."""
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'bare detuning {detuning!r} ')}"):
+            dataclasses.replace(fig3_model(), detuning_mode="bare",
+                                detuning=detuning)
+        dataclasses.replace(fig3_model(), detuning=detuning)
+        m = dataclasses.replace(fig3_model(), detuning_mode="bare",
+                                detuning=math.copysign(8.9e307, detuning))
+        lo, hi = root_window(m.detuning)
+        assert math.isfinite(hi - lo)
 
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError, match="cavity_decay"):

@@ -498,11 +498,13 @@ class TestLockstepSearch:
 
     @pytest.mark.parametrize("window", [
         (62.0, -62.0), (1.0, 1.0), (math.nan, 62.0), (-62.0, math.nan),
-        (-math.inf, 62.0), (-62.0, math.inf)],
-        ids=["descending", "empty", "nan-lo", "nan-hi", "-inf", "+inf"])
+        (-math.inf, 62.0), (-62.0, math.inf), (-1e308, 1e308)],
+        ids=["descending", "empty", "nan-lo", "nan-hi", "-inf", "+inf",
+             "infinite-width"])
     def test_bad_window_raises(self, window):
-        """A window that is not finite and increasing is a ValueError, not
-        unbisected brackets or a search that finds nothing."""
+        """A window that is not finite and increasing, or whose width
+        overflows, is a ValueError, not unbisected brackets, a search that
+        finds nothing or an overflow in the scan."""
         with call_budget(), pytest.raises(ValueError, match="finite and increasing"):
             self_consistent_fixed_points(KERR, window)
 

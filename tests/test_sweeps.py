@@ -779,6 +779,41 @@ class TestOccupationLandscape:
                                                     grid_rows - SOLVE_CHUNK]
         assert all(n <= SOLVE_CHUNK for _, n in kernel)
 
+    def test_cell_constants_built_once(self, monkeypatch):
+        """A landscape derives its cells' constants once, when it stacks
+        its cells (`ParamRows.stack`), however many rounds its search
+        runs: each round only gathers its rows' (`ParamRows.take`), and no
+        kernel call derives them again from a ModelParams."""
+        import trimech.sweeps as sweeps
+        from trimech.params import ModelParams
+        proto = fig2_protocol()
+        kernel, reads = [], []
+        real_solve_points = sweeps.solve_points
+
+        def solve_points(m, detunings, drives):
+            kernel.append(len(np.ravel(detunings)))
+            return real_solve_points(m, detunings, drives)
+
+        monkeypatch.setattr(sweeps, "solve_points", solve_points)
+        names = ("two_g2", "g2_chi", "two_g2_chi", "g2_chi2", "two_g2_chi2",
+                 "four_g2g2_chi2", "base_drift", "diffusion", "diffusion_max")
+        for name in names:
+            def counted(m, _get=getattr(ModelParams, name).fget, _name=name):
+                reads.append((_name, len(kernel)))
+                return _get(m)
+            monkeypatch.setattr(ModelParams, name, property(counted))
+        result = occupation_landscape(
+            reference_params(), [10.0], [2.0, 6.5],
+            detuning_bounds=proto["detuning_bounds"],
+            drive_bounds=proto["drive_bounds"])
+        assert all(p.ok for p in result.points)
+        assert len(kernel) > 10
+        # each constant is read once per cell (`diffusion_max` reads
+        # `diffusion` once more), all before the first kernel call
+        assert all(calls == 0 for _, calls in reads)
+        counts = {name: sum(n == name for n, _ in reads) for name in names}
+        assert counts == {**dict.fromkeys(names, 2), "diffusion": 4}
+
 
 def _point_bits(p):
     """A LandscapePoint's fields, floats as hex so that NaN compares."""
