@@ -18,9 +18,10 @@ correlators: vacuum optical input contributes kappa_c per cavity
 quadrature, each mechanical bath contributes 2*gamma_j*(2*n_j + 1) on its
 momentum row, and all cross-correlations vanish because the three noises
 are independent.  D, the drift entries set by the parameters alone and
-the parameter products the drift reuses are derived per call from a
-`params.ModelParams` and built once per record in a `params.ParamRows`,
-whose rows a landscape round only gathers.
+the parameter products the drift reuses are built once per record in a
+`params.ParamRows`, the one record type the kernel reads: a
+`params.ModelParams` is read as its cached one-row `rows`, and a
+landscape round only gathers its rows from the landscape's record.
 
 Every solve runs on a stack of N drift matrices, and a single matrix is
 the N = 1 case.  Each row gets exactly one eigendecomposition A = S L S^-1;
@@ -32,11 +33,11 @@ residual is not within the contract tries the direct vectorized solve of
 `validate.lyapunov_direct`, refined while over the contract, and keeps
 the better result; a row still over it is a fault, so every covariance
 returned meets it.  Every stack carries a per-row (N, 6, 6) diffusion
-and its per-row max|D|, taken from the parameter record (for a
-ModelParams, its one D copied per row) or, for a D given directly, from
-D; each row's contract is relative to its own D.  No row depends on the
+and its per-row max|D|, taken from the parameter record (a one-row
+record's repeated over the N rows) or, for a D given directly, from D;
+each row's contract is relative to its own D.  No row depends on the
 rest of its stack, so one stack may hold rows of different parameter
-sets, a `params.ParamRows`.
+sets.
 
 Each row carries a status: OK, UNSTABLE, DEGENERATE (no valid fixed
 point) or FAULT (no certified result).  A failing row is isolated in one
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrapError, NumericalError, UnstableSystemError
-from .params import ModelParams
+from .params import ModelParams, ParamRows
 from .steady import ClassicalSteadyState, FixedPoints
 from .validate import lyapunov_direct  # the direct solve doubles as the fallback
 
@@ -135,9 +136,10 @@ class SteadyCovariance:
     S2: float
 
 
-def _drift_stack(m: ModelParams, delta_eff, photon_number, x1_bar, x2_bar):
+def _drift_stack(m: ParamRows, delta_eff, photon_number, x1_bar, x2_bar):
     """(N, 6, 6) drift matrices from (N,) mean-field arrays, starting from
-    the entries that depend on `m` alone (`params.ParamRows`).
+    the entries that depend on the parameter record `m` alone (one row,
+    broadcast over N, or N rows).
 
     The mean field is real (pb = 0) by the input-phase convention, so the
     entries proportional to pb vanish and xb = sqrt(2 |a_bar|^2).
@@ -167,16 +169,14 @@ def drift_matrix(m: ModelParams, s: ClassicalSteadyState) -> np.ndarray:
     and static displacements are read from it.  The mean field is taken
     real (pb = 0) by the input-phase convention, xb = sqrt(2 |a_bar|^2).
     """
-    return _drift_stack(m, np.array([s.delta_eff]), np.array([s.photon_number]),
+    return _drift_stack(m.rows, np.array([s.delta_eff]), np.array([s.photon_number]),
                         np.array([s.x1_bar]), np.array([s.x2_bar]))[0]
 
 
 def diffusion_matrix(m: ModelParams) -> np.ndarray:
-    """Symmetrized noise-input covariance D (kappa_c = 1 units).
-
-    (6, 6) from a ModelParams, (N, 6, 6) from a ParamRows.
-    """
-    return m.diffusion
+    """Symmetrized noise-input covariance D (kappa_c = 1 units), (6, 6):
+    a copy of the one row of `m.rows` (`params.ParamRows.stack`)."""
+    return m.rows.diffusion[0].copy()
 
 
 def _on_rows(stage, rows, stacks, outputs):
@@ -260,16 +260,17 @@ def _decompose(A, D, degenerate=None, diffusion_max=None) -> LinearStack:
 
 
 def linear_models(m: ModelParams, fp: FixedPoints) -> LinearStack:
-    """Drift and per-row diffusion stacks of stacked fixed points of `m`
-    (`params.ParamRows`), with one eigendecomposition per row;
-    degenerate-trap rows are carried over.  A ParamRows gives each row's
-    D and max|D| as they are; a ModelParams's one D is copied per row."""
+    """Drift and per-row diffusion stacks of stacked fixed points of `m`,
+    with one eigendecomposition per row; degenerate-trap rows are carried
+    over.  Each row's D and max|D| come from `m.rows`
+    (`params.ParamRows`), a one-row record's repeated over the N rows."""
+    m = m.rows
     A = _drift_stack(m, fp.delta_eff, fp.photon_number, fp.x1_bar, fp.x2_bar)
     degenerate = {int(i): fp.reason(i) for i in fp.degenerate.nonzero()[0]}
     D, diffusion_max = m.diffusion, m.diffusion_max
-    if D.ndim == 2:  # contiguous rows for faster solves
-        D = np.array(np.broadcast_to(D, A.shape))
-        diffusion_max = np.full(len(A), diffusion_max)
+    if len(D) == 1:  # copied per row, contiguous for faster solves
+        D = np.repeat(D, len(A), axis=0)
+        diffusion_max = np.repeat(diffusion_max, len(A))
     return _decompose(A, D, degenerate, diffusion_max)
 
 

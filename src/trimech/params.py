@@ -21,6 +21,7 @@ re-deriving at shifted mechanical frequencies applies the scaling laws
 automatically.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -113,8 +114,8 @@ class PhysicalParams:
 class ModelParams:
     """Dimensionless system parameters, rates in units of kappa_c.  Every
     numeric field must be finite (ValueError naming it), and a bare
-    detuning must leave its `root_window` a finite width.  The properties
-    are the constants the stacked kernel derives from the parameters."""
+    detuning must leave its `root_window` a finite width.  The kernel
+    reads a model through `rows`, its one-row `ParamRows`."""
 
     omega1: float    # mirror frequency
     omega2: float    # sphere frequency
@@ -150,70 +151,12 @@ class ModelParams:
                 raise ValueError(f"bare detuning {self.detuning!r} leaves its root "
                                  f"window ({lo!r}, {hi!r}) no finite width")
 
-    # The constants the stacked kernel derives from the parameters alone,
-    # derived per call here and once per record by `ParamRows.stack`.
-    # Each product is formed left to right, as the kernel's expressions
-    # group it, and a square is a product: a scalar's `** 2` is libm's
-    # pow, which can differ in the last bit from the square an array takes.
-
-    @property
-    def two_g2(self):
-        """2 g2."""
-        return 2.0 * self.g2
-
-    @property
-    def g2_chi(self):
-        """g2 chi."""
-        return self.g2 * self.chi
-
-    @property
-    def two_g2_chi(self):
-        """(2 g2) chi."""
-        return 2.0 * self.g2 * self.chi
-
-    @property
-    def g2_chi2(self):
-        """g2 (chi chi)."""
-        return self.g2 * (self.chi * self.chi)
-
-    @property
-    def two_g2_chi2(self):
-        """(2 g2) (chi chi)."""
-        return 2.0 * self.g2 * (self.chi * self.chi)
-
-    @property
-    def four_g2g2_chi2(self):
-        """(4 (g2 g2)) (chi chi)."""
-        return 4.0 * (self.g2 * self.g2) * (self.chi * self.chi)
-
-    @property
-    def base_drift(self):
-        """The drift entries that depend on no mean field, zero elsewhere:
-        the cavity decay (-1 on both quadratures), omega_j and -2 gamma_j."""
-        A = np.zeros((6, 6))
-        A[0, 0] = A[1, 1] = -1.0
-        A[2, 3] = self.omega1
-        A[3, 3] = -2.0 * self.gamma1
-        A[4, 5] = self.omega2
-        A[5, 5] = -2.0 * self.gamma2
-        return A
-
-    @property
-    def diffusion(self):
-        """Symmetrized noise-input covariance D (kappa_c = 1 units): vacuum
-        optical input contributes 1 per cavity quadrature, each mechanical
-        bath 2 gamma_j (2 n_j + 1) on its momentum row, and the three
-        independent noises give no cross-correlations."""
-        D = np.zeros((6, 6))
-        D[0, 0] = D[1, 1] = 1.0
-        D[3, 3] = 2.0 * self.gamma1 * (2.0 * self.n1 + 1.0)
-        D[5, 5] = 2.0 * self.gamma2 * (2.0 * self.n2 + 1.0)
-        return D
-
-    @property
-    def diffusion_max(self):
-        """max|D|, the scale of the Lyapunov residual contract."""
-        return np.abs(self.diffusion).max()
+    @functools.cached_property
+    def rows(self):
+        """This model as a one-row `ParamRows`, the record the kernel
+        reads; built on first use.  Not a field: it takes no part in
+        comparison, hashing, `asdict` or `replace`."""
+        return ParamRows.stack([self])
 
 
 def root_window(detuning):
@@ -226,14 +169,14 @@ def root_window(detuning):
 class ParamRows(NamedTuple):
     """Model parameters of N stacked rows and every constant the stacked
     kernel (`steady.fixed_points`, `linear.linear_models`,
-    `sweeps.solve_points`) derives from them alone, so one stack can hold
-    rows of different ModelParams.
+    `sweeps.solve_points`) derives from them alone: the one record type
+    the kernel reads, so one stack can hold rows of different
+    ModelParams, and a ModelParams is read as its one-row `rows`.
 
-    Each field stacks the ModelParams attribute of its name, one row per
-    model (`stack`): the nine parameters the kernel reads, then the
-    constants a ModelParams derives per call, built here once per
-    record.  `take` gathers every field, so a landscape builds its cells'
-    constants once and each search round only gathers its rows'.
+    `stack` takes the nine parameters the kernel reads from each model
+    and derives the constants from the stacked arrays, the one place they
+    are derived.  `take` gathers every field, so a landscape builds its
+    cells' constants once and each search round only gathers its rows'.
     """
 
     omega1: np.ndarray
@@ -245,21 +188,53 @@ class ParamRows(NamedTuple):
     chi: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
-    two_g2: np.ndarray
-    g2_chi: np.ndarray
-    two_g2_chi: np.ndarray
-    g2_chi2: np.ndarray
-    two_g2_chi2: np.ndarray
-    four_g2g2_chi2: np.ndarray
-    base_drift: np.ndarray     # (N, 6, 6)
-    diffusion: np.ndarray      # (N, 6, 6)
-    diffusion_max: np.ndarray
+    two_g2: np.ndarray          # 2 g2
+    g2_chi: np.ndarray          # g2 chi
+    two_g2_chi: np.ndarray      # (2 g2) chi
+    g2_chi2: np.ndarray         # g2 (chi chi)
+    two_g2_chi2: np.ndarray     # (2 g2) (chi chi)
+    four_g2g2_chi2: np.ndarray  # (4 (g2 g2)) (chi chi)
+    base_drift: np.ndarray      # (N, 6, 6)
+    diffusion: np.ndarray       # (N, 6, 6)
+    diffusion_max: np.ndarray   # max|D| per row, the Lyapunov contract's scale
 
     @classmethod
     def stack(cls, models):
-        """One row per ModelParams of `models`."""
+        """One row per ModelParams of `models`.
+
+        Each product is formed left to right, as the kernel's expressions
+        group it, and a square is a product.  `base_drift` holds the drift
+        entries that depend on no mean field, zero elsewhere: the cavity
+        decay (-1 on both quadratures), omega_j and -2 gamma_j.
+        `diffusion` is the symmetrized noise-input covariance D (kappa_c =
+        1 units): vacuum optical input contributes 1 per cavity
+        quadrature, each mechanical bath 2 gamma_j (2 n_j + 1) on its
+        momentum row, and the three independent noises give no
+        cross-correlations.
+        """
         models = list(models)
-        return cls(*(np.array([getattr(m, f) for m in models]) for f in cls._fields))
+        omega1, omega2, gamma1, gamma2, g1, g2, chi, n1, n2 = np.array(
+            [[getattr(m, f) for m in models] for f in cls._fields[:9]], dtype=float)
+        two_g2, chi2 = 2.0 * g2, chi * chi
+        A = np.zeros((len(models), 6, 6))
+        A[:, 0, 0] = A[:, 1, 1] = -1.0
+        A[:, 2, 3] = omega1
+        A[:, 3, 3] = -2.0 * gamma1
+        A[:, 4, 5] = omega2
+        A[:, 5, 5] = -2.0 * gamma2
+        D = np.zeros((len(models), 6, 6))
+        D[:, 0, 0] = D[:, 1, 1] = 1.0
+        D[:, 3, 3] = 2.0 * gamma1 * (2.0 * n1 + 1.0)
+        D[:, 5, 5] = 2.0 * gamma2 * (2.0 * n2 + 1.0)
+        return cls(omega1, omega2, gamma1, gamma2, g1, g2, chi, n1, n2,
+                   two_g2, g2 * chi, two_g2 * chi, g2 * chi2, two_g2 * chi2,
+                   4.0 * (g2 * g2) * chi2, A, D, np.abs(D).max(axis=(1, 2)))
+
+    @property
+    def rows(self):
+        """This record, so the kernel reads `m.rows` of a ModelParams and
+        of a ParamRows alike."""
+        return self
 
     def take(self, rows):
         """The record of the rows `rows` of this one."""

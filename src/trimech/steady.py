@@ -114,9 +114,11 @@ def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
     """Closed-form fixed points of stacked (effective detuning, drive) rows.
 
     `detunings` and `drives` broadcast to one shape (N,); every other
-    parameter, and the products of them, come from `m`
-    (`params.ParamRows`).  Degenerate-trap rows are flagged, not raised.
+    parameter, and the products of them, come from `m.rows`, the
+    `params.ParamRows` of a ModelParams (one row, broadcast over N) or of
+    N stacked rows.  Degenerate-trap rows are flagged, not raised.
     """
+    m = m.rows
     delta = np.array(detunings, dtype=float, ndmin=1)
     drive = np.array(drives, dtype=float, ndmin=1)
     if delta.shape != drive.shape:

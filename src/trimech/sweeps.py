@@ -109,11 +109,12 @@ def solve_points(m: ModelParams, detunings, drives) -> PointBatch:
     """Fixed points, linear models and covariances of stacked rows.
 
     `detunings` (effective) and `drives` broadcast to one shape (N,); the
-    other parameters come from `m` (`params.ParamRows`), whose detuning,
-    detuning mode and drive are not read.  Every row carries its own
-    diffusion (the stack's is (N, 6, 6)) and gets one eigendecomposition,
-    and a row's result does not depend on the other rows or on the
-    parameters of theirs.
+    other parameters and the constants derived from them come from
+    `m.rows` (`params.ParamRows`): a ModelParams's one row, broadcast over
+    N, or N stacked rows.  A model's detuning, detuning mode and drive
+    are not read.  Every row carries its own diffusion (the stack's is
+    (N, 6, 6)) and gets one eigendecomposition, and a row's result does
+    not depend on the other rows or on the parameters of theirs.
     """
     fp = fixed_points(m, detunings, drives)
     stack = linear_models(m, fp)

@@ -4,15 +4,18 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trimech.params import (HBAR, C_LIGHT, K_BOLTZMANN, ModelParams,
+from trimech.params import (HBAR, C_LIGHT, K_BOLTZMANN, ModelParams, ParamRows,
                             PhysicalParams, bose_occupation, linear_coupling,
                             nondimensionalize, quadratic_coupling,
                             reference_params, root_window, zpf_ratio)
 from trimech.presets import fig3_model
 from trimech.sweeps import solve_point
+
+from conftest import SEED, draw_model
 
 TWO_PI = 2.0 * math.pi
 REF = reference_params()
@@ -283,3 +286,76 @@ class TestNonFiniteFields:
         for name in names:
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 dataclasses.replace(record, **{name: value})
+
+
+def parent_constants(m):
+    """The kernel's constants of one model by the per-model formulas, on
+    Python floats, each product formed left to right."""
+    A = np.zeros((6, 6))
+    A[0, 0] = A[1, 1] = -1.0
+    A[2, 3] = m.omega1
+    A[3, 3] = -2.0 * m.gamma1
+    A[4, 5] = m.omega2
+    A[5, 5] = -2.0 * m.gamma2
+    D = np.zeros((6, 6))
+    D[0, 0] = D[1, 1] = 1.0
+    D[3, 3] = 2.0 * m.gamma1 * (2.0 * m.n1 + 1.0)
+    D[5, 5] = 2.0 * m.gamma2 * (2.0 * m.n2 + 1.0)
+    return {"two_g2": 2.0 * m.g2,
+            "g2_chi": m.g2 * m.chi,
+            "two_g2_chi": 2.0 * m.g2 * m.chi,
+            "g2_chi2": m.g2 * (m.chi * m.chi),
+            "two_g2_chi2": 2.0 * m.g2 * (m.chi * m.chi),
+            "four_g2g2_chi2": 4.0 * (m.g2 * m.g2) * (m.chi * m.chi),
+            "base_drift": A,
+            "diffusion": D,
+            "diffusion_max": np.abs(D).max()}
+
+
+def edge_draws(count=20):
+    """Seeded draws, each at node and antinode g2, at chi = 0, with
+    zero-temperature baths and with no mechanical damping."""
+    rng = np.random.default_rng(SEED)
+    models = []
+    for _ in range(count):
+        m = draw_model(rng)
+        models += [m, dataclasses.replace(m, g2=-m.g2),
+                   dataclasses.replace(m, chi=0.0),
+                   dataclasses.replace(m, n1=0.0, n2=0.0),
+                   dataclasses.replace(m, gamma1=0.0, gamma2=0.0)]
+    return models
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestParamRows:
+    """`ParamRows.stack` derives the kernel's constants from stacked
+    parameters, bit for bit the per-model formulas."""
+
+    def test_stacked_rows_equal_each_models_rows_and_formulas(self):
+        models = edge_draws()
+        assert {m.g2 > 0 for m in models} == {True, False}
+        stacked = ParamRows.stack(models)
+        for i, m in enumerate(models):
+            alone = m.rows
+            formulas = parent_constants(m)
+            for name, field in zip(ParamRows._fields, stacked):
+                assert same_bits(field[i], getattr(alone, name)[0]), name
+                want = formulas.get(name, getattr(m, name, None))
+                assert same_bits(field[i], want), name
+
+    def test_rows_is_cached_and_no_field(self):
+        m, fresh = fig3_model(), fig3_model()
+        assert m.rows is m.rows
+        assert m.rows.rows is m.rows
+        assert "rows" not in [f.name for f in dataclasses.fields(ModelParams)]
+        assert m == fresh and hash(m) == hash(fresh)
+        assert dataclasses.asdict(m) == dataclasses.asdict(fresh)
+        assert dataclasses.replace(m) == fresh
+        moved = dataclasses.replace(m, detuning=m.detuning + 1.0)
+        assert "rows" not in vars(moved)
+        assert moved != m
+        assert moved.rows.g2[0] == m.rows.g2[0]

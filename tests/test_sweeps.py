@@ -780,39 +780,53 @@ class TestOccupationLandscape:
         assert all(n <= SOLVE_CHUNK for _, n in kernel)
 
     def test_cell_constants_built_once(self, monkeypatch):
-        """A landscape derives its cells' constants once, when it stacks
-        its cells (`ParamRows.stack`), however many rounds its search
-        runs: each round only gathers its rows' (`ParamRows.take`), and no
-        kernel call derives them again from a ModelParams."""
+        """The kernel's constants are derived in one place,
+        `ParamRows.stack`.  A landscape calls it once, for its stacked
+        cells, before its first kernel call, and never builds a
+        ModelParams's one-row `rows`: each round only gathers its rows'
+        (`ParamRows.take`).  `instability_threshold` and a bare-detuning
+        `self_consistent_fixed_points` build their model's `rows` once
+        across all their stacked kernel calls."""
+        import trimech.steady as steady
         import trimech.sweeps as sweeps
-        from trimech.params import ModelParams
+        from trimech.params import ParamRows
+        from trimech.steady import self_consistent_fixed_points
+        events = []
+        real_stack = ParamRows.stack.__func__
+        real_fixed_points = steady.fixed_points
+
+        def stack(cls, models):
+            models = list(models)
+            events.append(("stack", len(models)))
+            return real_stack(cls, models)
+
+        def fixed_points(m, detunings, drives):
+            events.append(("kernel", len(np.ravel(detunings))))
+            return real_fixed_points(m, detunings, drives)
+
+        monkeypatch.setattr(ParamRows, "stack", classmethod(stack))
+        for module in (steady, sweeps):
+            monkeypatch.setattr(module, "fixed_points", fixed_points)
         proto = fig2_protocol()
-        kernel, reads = [], []
-        real_solve_points = sweeps.solve_points
-
-        def solve_points(m, detunings, drives):
-            kernel.append(len(np.ravel(detunings)))
-            return real_solve_points(m, detunings, drives)
-
-        monkeypatch.setattr(sweeps, "solve_points", solve_points)
-        names = ("two_g2", "g2_chi", "two_g2_chi", "g2_chi2", "two_g2_chi2",
-                 "four_g2g2_chi2", "base_drift", "diffusion", "diffusion_max")
-        for name in names:
-            def counted(m, _get=getattr(ModelParams, name).fget, _name=name):
-                reads.append((_name, len(kernel)))
-                return _get(m)
-            monkeypatch.setattr(ModelParams, name, property(counted))
         result = occupation_landscape(
             reference_params(), [10.0], [2.0, 6.5],
             detuning_bounds=proto["detuning_bounds"],
             drive_bounds=proto["drive_bounds"])
         assert all(p.ok for p in result.points)
-        assert len(kernel) > 10
-        # each constant is read once per cell (`diffusion_max` reads
-        # `diffusion` once more), all before the first kernel call
-        assert all(calls == 0 for _, calls in reads)
-        counts = {name: sum(n == name for n, _ in reads) for name in names}
-        assert counts == {**dict.fromkeys(names, 2), "diffusion": 4}
+        assert events[0] == ("stack", 2)
+        assert all(kind == "kernel" for kind, _ in events[1:])
+        assert len(events) > 10
+
+        lo, hi = drive_from_watts(REF, 1e-5), drive_from_watts(REF, 5e-3)
+        bare = replace(fig4_model(), detuning_mode="bare", detuning=-10.0)
+        for run in (lambda: instability_threshold(fig4_model(), lo, hi),
+                    lambda: self_consistent_fixed_points(bare)):
+            events.clear()
+            run()
+            kinds = [kind for kind, _ in events]
+            assert kinds.count("stack") == 1
+            assert kinds.count("kernel") > 2
+            assert events[kinds.index("stack")] == ("stack", 1)
 
 
 def _point_bits(p):
