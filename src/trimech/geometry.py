@@ -112,24 +112,6 @@ def intracavity_field(z, spec: CavitySpec):
     return lineshape(spec) * profile(z_arr, spec)
 
 
-def intracavity_field_sum(z, spec: CavitySpec, round_trips=10_000):
-    """Brute-force partial sum of the round-trip series for E(z).
-
-    Independent check of the closed form; term m carries amplitude r^m
-    and phase k((2*floor(m/2)+1) L -+ z) with the sign alternating
-    between -z (even m) and +z (odd m).
-    """
-    z_arr = np.asarray(z, dtype=float)
-    r, t = spec.reflectivity, spec.transmissivity
-    k = spec.wavenumber
-    total = np.zeros_like(z_arr, dtype=complex)
-    for m_idx in range(round_trips):
-        path = (2 * (m_idx // 2) + 1) * spec.length
-        sign = -1.0 if m_idx % 2 == 0 else 1.0
-        total = total + r ** m_idx * np.exp(1j * k * (path + sign * z_arr))
-    return t * total
-
-
 def field_profile_samples(spec: CavitySpec, samples=PROFILE_SAMPLES):
     """Two-column (z, |E(z)|^2) sampling across the cavity for export."""
     if samples < 2:

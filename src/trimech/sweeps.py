@@ -22,14 +22,16 @@ verdict, whose N = 1 case is `is_stable`, with the bisection engine of
 
 The (detuning, power) optimizer, `optimize_scalar`, whose docstring
 states the search, is deterministic: a coarse grid, then nested
-bracketed Brent line searches from the best few coarse cells.  The
-cooling landscape runs one lockstep over every start of every cell,
-answered through each cell's memo: a round's requests go to one stacked
-solve, each row with its own cell's parameters, in calls of at most
-SOLVE_CHUNK rows, so each distinct row is solved once.  As a stacked
-row equals the row solved alone, whatever the other rows and their
-parameters, sharing the rounds changes no value, optimum or evaluation
-count.
+bracketed Brent line searches from the best few coarse cells.  Each
+drive line reads its scan grid outward from its seed, a window of a few
+grid points widened only toward a lower end, so that it solves the rows
+near its minimum and not the whole grid.  The cooling landscape runs
+one lockstep over every start of every cell, answered through each
+cell's memo: a round's requests go to one stacked solve, each row with
+its own cell's parameters, in calls of at most SOLVE_CHUNK rows, so
+each distinct row is solved once.  As a stacked row equals the row
+solved alone, whatever the other rows and their parameters, sharing the
+rounds changes no value, optimum or evaluation count.
 """
 
 import math
@@ -59,11 +61,14 @@ THRESHOLD_BISECT_DEPTH = 3
 REFINE_STARTS = 3
 STEP_FLOOR = 1e-3
 
-#: each drive-line minimization scans DRIVE_SCAN points across
-#: +-DRIVE_SPAN decades around its seed drive, then its line search stops
-#: at DRIVE_TOL decades
+#: each drive-line minimization has a scan grid of DRIVE_SCAN points
+#: across +-DRIVE_SPAN decades around its seed drive, of which it reads
+#: the point nearest the seed and DRIVE_WINDOW points on each side, then
+#: DRIVE_WINDOW more at a time toward a lower window end; its line
+#: search stops at DRIVE_TOL decades
 DRIVE_SPAN = 0.3
 DRIVE_SCAN = 25
+DRIVE_WINDOW = 3
 DRIVE_TOL = 1e-5
 
 #: Brent steps a line search may take before it raises NumericalError
@@ -424,26 +429,55 @@ def _drive_line(solved, det, seed, lo, hi):
     drive within [lo, hi], as a generator.
 
     `solved` is the search's memo of values keyed by (detuning, log10
-    drive).  The line is scanned at DRIVE_SCAN points across
-    +-DRIVE_SPAN decades around `seed`, clipped to [lo, hi], in one
-    request.  The scan's neighbours of its argmin bracket the minimum;
-    at a scan end the bracket is widened outward by scan steps, and
-    `_line_search` takes it down to DRIVE_TOL decades.  Each request is
-    (det, xs), naming only rows the memo lacks; the generator expects
-    `solved` to hold their values when it resumes.  Returns (value, x,
-    probes), `probes` counting the values read, scan included; the value
-    is +inf, at `seed`, when the whole scan is.
+    drive).  The line's scan grid is DRIVE_SCAN points across
+    +-DRIVE_SPAN decades around `seed`, clipped to [lo, hi], and it is
+    read outward from the seed: first the grid point nearest the seed
+    and DRIVE_WINDOW points on each side, in one request.  While the
+    window's argmin, the first of its least values, sits on a window
+    end that is not a grid end, the next DRIVE_WINDOW grid points on
+    that side follow, one request per step; a window that is +inf
+    throughout reads the whole grid instead.  The argmin's grid
+    neighbours bracket the minimum; at a grid end the bracket is widened
+    outward by scan steps, and `_line_search` takes it down to DRIVE_TOL
+    decades.  The minimum is that of a scan of the whole grid whenever
+    the first least value of the grid lies in the final window; a deeper
+    valley beyond a rise outside the window is not seen, and the line
+    keeps the valley reached from its seed.  Each request is (det, xs),
+    naming only rows the memo lacks; the generator expects `solved` to
+    hold their values when it resumes.  Returns (value, x, probes),
+    `probes` counting the values read, window included; the value is
+    +inf, at `seed`, when the whole grid is.
     """
     grid = np.linspace(max(lo, seed - DRIVE_SPAN), min(hi, seed + DRIVE_SPAN),
                        DRIVE_SCAN).tolist()
-    new = [x for x in grid if (det, x) not in solved]
-    if new:
-        yield det, new
-    values = [solved[det, x] for x in grid]
-    i = int(np.argmin(values))
-    if not math.isfinite(values[i]):
-        return math.inf, seed, DRIVE_SCAN
-    probes = DRIVE_SCAN
+    centre = min(range(DRIVE_SCAN), key=lambda k: abs(grid[k] - seed))
+    first = max(centre - DRIVE_WINDOW, 0)
+    last = min(centre + DRIVE_WINDOW, DRIVE_SCAN - 1)
+
+    def read(ks):
+        """Request the grid points `ks` the memo lacks; then the window's
+        argmin, as a grid index."""
+        new = [grid[k] for k in ks if (det, grid[k]) not in solved]
+        if new:
+            yield det, new
+        return first + int(np.argmin([solved[det, x]
+                                      for x in grid[first:last + 1]]))
+
+    i = yield from read(range(first, last + 1))
+    if not math.isfinite(solved[det, grid[i]]):  # +inf throughout
+        first, last = 0, DRIVE_SCAN - 1
+        i = yield from read(range(DRIVE_SCAN))
+    while 0 < i == first or i == last < DRIVE_SCAN - 1:
+        if 0 < i == first:
+            step = range(max(first - DRIVE_WINDOW, 0), first)
+            first = step.start
+        else:
+            step = range(last + 1, min(last + DRIVE_WINDOW + 1, DRIVE_SCAN))
+            last = step.stop - 1
+        i = yield from read(step)
+    probes = last + 1 - first
+    if not math.isfinite(solved[det, grid[i]]):
+        return math.inf, seed, probes
 
     def probe(x, _):
         nonlocal probes
@@ -453,7 +487,7 @@ def _drive_line(solved, det, seed, lo, hi):
         return solved[det, x], None
 
     value, x, _ = yield from _line_search(
-        grid[i], values[i], None, grid[1] - grid[0], lo, hi,
+        grid[i], solved[det, grid[i]], None, grid[1] - grid[0], lo, hi,
         lambda _: DRIVE_TOL, probe,
         a=grid[i - 1] if i > 0 else None,
         b=grid[i + 1] if i < DRIVE_SCAN - 1 else None)
@@ -613,14 +647,18 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     each bracketed by a march at a fixed step while the value improves,
     then minimized by Brent's method, with parabolic steps where the last
     three values are finite and golden-section steps otherwise.  The
-    inner line is the drive at fixed detuning (`_drive_line`): a
-    DRIVE_SCAN-point scan brackets its needle, marching on by scan steps
-    only from an argmin at a scan end, and Brent takes it to DRIVE_TOL
-    decades.  The outer line is the detuning over those line minima,
-    bracketed by a march at the coarse detuning step and taken to
-    STEP_FLOOR * max(|detuning|, 1) / 2.  A start's march stops before
-    a detuning within half a coarse step of a detuning line that another
-    start has finished with a strictly lower value, and that start
+    inner line is the drive at fixed detuning (`_drive_line`): a window
+    of 2 DRIVE_WINDOW + 1 points of a DRIVE_SCAN-point scan grid, centred
+    on the seed and widened by DRIVE_WINDOW points toward a window end
+    that holds its argmin, brackets its needle, marching on by scan steps
+    only from an argmin at a grid end, and Brent takes it to DRIVE_TOL
+    decades.  The line keeps the valley reached from its seed: a deeper
+    one beyond a rise outside its window is not seen.  The outer line is
+    the detuning over those line minima, bracketed by a march at the
+    coarse detuning step and taken to STEP_FLOOR * max(|detuning|, 1) / 2.
+    A start's march stops before a detuning within half a coarse step of
+    a detuning line that another start has finished with a strictly
+    lower value, and that start
     returns its best point so far; Brent's stage and the drive lines
     never stop this way.  A stopped start's value lies above a line of
     another start, so the optimum is never a stopped start's point.  A

@@ -8,14 +8,31 @@ import pytest
 from trimech.errors import NumericalError
 from trimech.geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
                               field_profile_samples,
-                              intracavity_field, intracavity_field_sum,
-                              lineshape, profile)
+                              intracavity_field, lineshape, profile)
 from trimech.linear import drift_matrix
 from trimech.params import ModelParams
 from trimech.steady import fixed_point
 
 WAVELENGTH = 1064e-9
 K = 2.0 * math.pi / WAVELENGTH
+
+
+def intracavity_field_sum(z, spec: CavitySpec, round_trips=10_000):
+    """Brute-force partial sum of the round-trip series for E(z).
+
+    Independent check of the closed form; term m carries amplitude r^m
+    and phase k((2*floor(m/2)+1) L -+ z) with the sign alternating
+    between -z (even m) and +z (odd m).
+    """
+    z_arr = np.asarray(z, dtype=float)
+    r, t = spec.reflectivity, spec.transmissivity
+    k = spec.wavenumber
+    total = np.zeros_like(z_arr, dtype=complex)
+    for m_idx in range(round_trips):
+        path = (2 * (m_idx // 2) + 1) * spec.length
+        sign = -1.0 if m_idx % 2 == 0 else 1.0
+        total = total + r ** m_idx * np.exp(1j * k * (path + sign * z_arr))
+    return t * total
 
 
 def spec_for(r, t=None, length=0.5e-2, k=K):

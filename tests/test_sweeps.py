@@ -402,7 +402,8 @@ def _run(stepper, solve=None):
 class TestLineSearch:
     """The drive-line search brackets and converges to DRIVE_TOL, stays on
     a bound that holds the optimum, and asks only for rows its memo
-    lacks."""
+    lacks.  It reads its scan grid outward from the seed, and finds the
+    minimum of a scan of the whole grid with fewer rows."""
 
     # case: (objective, seed, lo, hi, minimizer)
     CASES = {
@@ -415,47 +416,145 @@ class TestLineSearch:
         "optimum on hi": (lambda x: -x, 0.3, -1.0, 1.0, 1.0),
         "optimum outside the scan window": (lambda x: (x - 1.7) ** 2, 0.0,
                                             -2.0, 2.0, 1.7),
+        # the first window is +inf throughout; only the top three grid
+        # points are finite
+        "inf window": (lambda x: np.where(x < 0.24, math.inf, (x - 0.28) ** 2),
+                       0.0, -2.0, 2.0, 0.28),
+        # the grid is clipped at lo, two steps below the seed's grid point
+        "seed near a clipped bound": (lambda x: (x + 0.9) ** 2, -0.97,
+                                      -1.0, 1.0, -0.9),
     }
     DET = -7.0  # the detuning of the searched line
 
-    def search(self, case, memo):
-        """Run the drive line of `case` against `memo`, a {(detuning, x):
-        value} dict it fills: (value, x, probes) and each request's size."""
-        g, seed, lo, hi, _ = self.CASES[case]
-        sizes = []
+    @staticmethod
+    def grid(seed, lo, hi):
+        return np.linspace(max(lo, seed - DRIVE_SPAN), min(hi, seed + DRIVE_SPAN),
+                           DRIVE_SCAN).tolist()
+
+    def line(self, g, seed, lo, hi, memo):
+        """Run the drive line of objective `g` against `memo`, a
+        {(detuning, x): value} dict it fills: (value, x, probes) and the
+        xs of each request."""
+        requests = []
 
         def solve(request):
             det, xs = request
             assert det == self.DET
             assert xs and not any((det, x) in memo for x in xs)  # only rows it lacks
-            sizes.append(len(xs))
+            requests.append(xs)
             memo.update(zip(((det, x) for x in xs), g(np.array(xs, dtype=float))))
 
-        return _run(_drive_line(memo, self.DET, seed, lo, hi), solve), sizes
+        return _run(_drive_line(memo, self.DET, seed, lo, hi), solve), requests
+
+    def search(self, case, memo):
+        g, seed, lo, hi, _ = self.CASES[case]
+        return self.line(g, seed, lo, hi, memo)
+
+    def full_scan(self, g, seed, lo, hi, memo):
+        """The former rule, kept as an oracle: solve all DRIVE_SCAN grid
+        points, bracket by the argmin's neighbours and make the same
+        `_line_search` call.  Returns (value, x); fills `memo`."""
+        grid = self.grid(seed, lo, hi)
+        memo.update(zip(grid, g(np.array(grid))))
+        i = int(np.argmin([memo[x] for x in grid]))
+        if not math.isfinite(memo[grid[i]]):
+            return math.inf, seed
+
+        def probe(x, _):
+            if x not in memo:
+                memo[x] = g(np.array([x]))[0]
+            return memo[x], None
+            yield  # a probe that requests nothing
+
+        value, x, _ = _run(_line_search(
+            grid[i], memo[grid[i]], None, grid[1] - grid[0], lo, hi,
+            lambda _: DRIVE_TOL, probe,
+            a=grid[i - 1] if i > 0 else None,
+            b=grid[i + 1] if i < DRIVE_SCAN - 1 else None))
+        return value, x
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_converges(self, case):
         g, seed, lo, hi, x_min = self.CASES[case]
         memo = {}
-        (value, x, probes), sizes = self.search(case, memo)
+        (value, x, probes), requests = self.search(case, memo)
         assert value == memo[self.DET, x] == g(np.array([x]))[0]
         assert abs(x - x_min) <= 2 * DRIVE_TOL
-        assert sum(sizes) == len(memo) <= probes
+        assert sum(map(len, requests)) == len(memo) <= probes
         if case.startswith("optimum on"):
             assert x == x_min  # the bound is kept, not approached
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_full_scan(self, case):
+        """The line returns the full scan's (value, x) bit for bit, and
+        solves fewer rows, unless its window was +inf throughout and it
+        read the whole grid."""
+        g, seed, lo, hi, _ = self.CASES[case]
+        memo, full = {}, {}
+        (value, x, _), requests = self.search(case, memo)
+        assert (value, x) == self.full_scan(g, seed, lo, hi, full)
+        grid = self.grid(seed, lo, hi)
+        if case == "inf window":
+            assert requests[:2] == [grid[9:16], grid[:9] + grid[16:]]
+            assert len(memo) == len(full)
+        else:
+            assert len(memo) < len(full)
+
+    def test_first_window_is_clipped_at_the_grid(self):
+        """A seed two grid steps above a clipped bound reads the grid's
+        first six points, then widens once toward the minimum above them
+        and probes from there."""
+        _, requests = self.search("seed near a clipped bound", {})
+        grid = self.grid(*self.CASES["seed near a clipped bound"][1:4])
+        assert requests[:2] == [grid[:6], grid[6:9]]
+        assert all(len(xs) == 1 for xs in requests[2:])
+
+    def test_flat_line_takes_the_grids_first_point(self):
+        """On a flat line every window's argmin is its first point, so the
+        window widens down to the grid's first point, which wins as on the
+        full scan: the line then marches below it."""
+        def g(x):
+            return 0.0 * x + 1.0
+
+        grid = self.grid(0.0, -2.0, 2.0)
+        (value, x, probes), requests = self.line(g, 0.0, -2.0, 2.0, {})
+        assert requests[:5] == [grid[9:16], grid[6:9], grid[3:6], grid[:3],
+                                [grid[0] - (grid[1] - grid[0])]]
+        assert (value, x) == self.full_scan(g, 0.0, -2.0, 2.0, {})
+        assert probes > 16
+
+    def test_two_valleys_keep_the_one_reached_from_the_seed(self):
+        """The one behaviour the window changes: a deeper valley beyond a
+        rise outside the first window is not seen.  The line keeps the
+        valley at its seed, where the full scan takes the deeper one."""
+        def g(x):
+            return -np.exp(-(x / 0.03) ** 2) - 2.0 * np.exp(-((x - 0.25) / 0.03) ** 2)
+
+        memo, full = {}, {}
+        (value, x, _), requests = self.line(g, 0.0, -2.0, 2.0, memo)
+        full_value, full_x = self.full_scan(g, 0.0, -2.0, 2.0, full)
+        assert abs(x) <= 2 * DRIVE_TOL and abs(full_x - 0.25) <= 2 * DRIVE_TOL
+        assert full_value < value
+        assert requests[0] == self.grid(0.0, -2.0, 2.0)[9:16]
+        assert all(len(xs) == 1 for xs in requests[1:])
+        assert len(memo) < len(full)
+
     def test_memo_rows_are_not_asked_again(self):
-        """Starting from a memo that already holds the line's scan, the
-        search takes the same path and asks only for its probes."""
-        fresh, fresh_sizes = self.search("needle", {})
-        g, seed, *_ = self.CASES["needle"]
-        grid = np.linspace(seed - DRIVE_SPAN, seed + DRIVE_SPAN,
-                           DRIVE_SCAN).tolist()
-        memo = dict(zip(((self.DET, x) for x in grid), g(np.array(grid))))
-        warm, sizes = self.search("needle", memo)
-        assert warm == fresh
-        assert sizes == fresh_sizes[1:]
-        assert all(size == 1 for size in sizes)
+        """The needle's line reads its first window and one widening step,
+        then probes one row at a time.  A memo that holds the first window
+        is asked only for the step and the probes; one that holds both is
+        asked only for the probes; the line takes the same path."""
+        fresh, requests = self.search("needle", {})
+        g, seed, lo, hi, _ = self.CASES["needle"]
+        grid = self.grid(seed, lo, hi)
+        assert requests[:2] == [grid[9:16], grid[16:19]]
+        assert all(len(xs) == 1 for xs in requests[2:])
+        for held in (1, 2):
+            xs = [x for request in requests[:held] for x in request]
+            memo = dict(zip(((self.DET, x) for x in xs), g(np.array(xs))))
+            warm, warm_requests = self.search("needle", memo)
+            assert warm == fresh
+            assert warm_requests == requests[held:]
 
     def test_unbracketed_line_marches_both_ways(self):
         """With no bracket end given, the line marches from its start in
@@ -730,27 +829,27 @@ class TestOccupationLandscape:
         the cells share the rounds, so the kernel sees few calls, none of
         them over SOLVE_CHUNK rows."""
         result, kernel, solved = self.run_benchmark_cells(monkeypatch)
-        # (evaluations, solved_rows, n2_min, detuning, drive)
+        # (evaluations, solved_rows, n2_min, detuning, drive, on_boundary)
         expected = [
-            (654, 618, "0x1.3260392e4cbb7p+9", "-0x1.2291db2f72fdbp+5",
-             "0x1.937575240b6c7p+36"),
-            (618, 614, "0x1.1c4f0958b9be2p+9", "-0x1.613b1d23785b0p+5",
-             "0x1.52a11b02a14eep+37"),
-            (490, 487, "0x1.1d5150d2de6bdp+9", "-0x1.6800000000000p+5",
-             "0x1.59f02f87aa139p+37"),
-            (491, 488, "0x1.5abefa8f74536p+9", "-0x1.6800000000000p+5",
-             "0x1.2a55e6385eef2p+37"),
-            (468, 465, "0x1.ddb6c56f516eap+9", "-0x1.6800000000000p+5",
-             "0x1.f6e20c970aa68p+36"),
-            (470, 467, "0x1.1ed96ebc7ed67p+10", "-0x1.6800000000000p+5",
-             "0x1.c991589f9fa99p+36"),
-            (547, 544, "0x1.5516a01cf649ap+11", "-0x1.6800000000000p+5",
-             "0x1.1d2cfb8783253p+36"),
-            (466, 463, "0x1.1d64ac613c1a9p+12", "-0x1.6800000000000p+5",
-             "0x1.9ecc95e02fa89p+35"),
+            (363, 348, "0x1.3260392e4cbb7p+9", "-0x1.2291db2f72fdbp+5",
+             "0x1.937575240b6c7p+36", False),
+            (342, 338, "0x1.1c4f0958b9be2p+9", "-0x1.613b1d23785b0p+5",
+             "0x1.52a11b02a14eep+37", False),
+            (343, 340, "0x1.1d5150d2de6bdp+9", "-0x1.6800000000000p+5",
+             "0x1.59f02f87aa139p+37", True),
+            (329, 326, "0x1.5abefa8f74536p+9", "-0x1.6800000000000p+5",
+             "0x1.2a55e6385eef2p+37", True),
+            (303, 300, "0x1.ddb6c56f516eap+9", "-0x1.6800000000000p+5",
+             "0x1.f6e20c970aa68p+36", True),
+            (305, 302, "0x1.1ed96ebc7ed67p+10", "-0x1.6800000000000p+5",
+             "0x1.c991589f9fa99p+36", True),
+            (333, 330, "0x1.5516a01cf649ap+11", "-0x1.6800000000000p+5",
+             "0x1.1d2cfb8783253p+36", True),
+            (289, 286, "0x1.1d64ac613c1a9p+12", "-0x1.6800000000000p+5",
+             "0x1.9ecc95e02fa89p+35", True),
         ]
         assert [(p.evaluations, p.solved_rows, float(p.n2_min).hex(),
-                 float(p.detuning).hex(), float(p.drive).hex())
+                 float(p.detuning).hex(), float(p.drive).hex(), p.on_boundary)
                 for p in result.points] == expected
         rows = [row[1:] for row in solved]
         assert len(rows) == len(set(rows))
@@ -762,11 +861,20 @@ class TestOccupationLandscape:
         assert [p.solved_rows for p in result.points] == [
             len(own) for own in cells.values()]
         assert [len(set(own)) for own in cells.values()] == [
-            70, 57, 54, 55, 54, 53, 69, 63]
+            75, 57, 55, 57, 57, 57, 76, 68]
         sizes = [n for _, n in kernel]
-        assert sum(sizes) == sum(p.solved_rows for p in result.points) == 4146
-        assert len(sizes) <= 71
+        assert sum(sizes) == sum(p.solved_rows for p in result.points) == 2570
+        assert len(sizes) <= 77
         assert max(sizes) == SOLVE_CHUNK
+
+    def test_fig2_preset_rows_pinned(self):
+        """The nine fig2 preset cells solve 3118 distinct rows in all."""
+        proto = fig2_protocol()
+        result = occupation_landscape(proto["base"], proto["omega1"],
+                                      proto["omega2"], proto["detuning_bounds"],
+                                      proto["drive_bounds"])
+        assert len(result.points) == 9
+        assert sum(p.solved_rows for p in result.points) == 3118
 
     def test_coarse_grids_go_in_chunks(self, monkeypatch):
         """The eight cells' coarse grids, 8 x 81 = 648 rows, go to the
