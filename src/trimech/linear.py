@@ -44,9 +44,11 @@ point) or FAULT (no certified result).  A failing row is isolated in one
 place, `_on_rows`: every stage runs on the rows it applies to, fills the
 others with NaN, and when a stacked LAPACK call raises it retries those
 rows one by one, so only a row that fails alone is left without a
-result.  A status becomes an exception in one place, `_raise_for`:
-UnstableSystemError, DegenerateTrapError or NumericalError, so a fault
-never reads as an instability.  The one-row entry points (`stability`,
+result.  A stage that applies to every row runs on the stack as it is,
+with no mask, gather, fill or scatter; as each row's arithmetic is the
+same either way, so are its bits.  A status becomes an exception in one
+place, `_raise_for`: UnstableSystemError, DegenerateTrapError or
+NumericalError, so a fault never reads as an instability.  The one-row entry points (`stability`,
 `linear_model`) solve a one-row stack and apply that map;
 `solve_lyapunov` takes one matrix or a stack and raises for its first
 failing row; `sweeps.solve_points` runs the whole chain on a stack, from
@@ -82,7 +84,8 @@ REFINE_STEPS = 2
 _TINY = np.finfo(float).tiny
 
 #: row status of a stacked solve: stable (with a covariance, once solved),
-#: unstable, degenerate trap, or numerical fault
+#: unstable, degenerate trap, or numerical fault; `_decompose` reads a
+#: verdict's truth value as the int8 status (False OK, True UNSTABLE)
 OK, UNSTABLE, DEGENERATE, FAULT = 0, 1, 2, 3
 
 
@@ -180,29 +183,32 @@ def diffusion_matrix(m: ModelParams) -> np.ndarray:
 
 
 def _on_rows(stage, rows, stacks, outputs):
-    """Run `stage` on the rows selected by the boolean mask `rows` of the
-    (N, ...) arrays `stacks`.
+    """Run `stage` on the rows of the (N, ...) arrays `stacks` selected
+    by the boolean mask `rows`, or on every row when `rows` is None.
 
     Returns one (N, ...) array per output of `stage`, of the row shape and
     dtype given in `outputs` and NaN on every row not selected, then
-    {row: message} for the rows that failed.  When the stacked LAPACK call
-    raises, the selected rows are retried one by one, so only a row that
-    fails alone is left NaN.
+    {row: message} for the rows that failed.  When every row is selected
+    the stage runs on `stacks` themselves and its outputs are returned as
+    they are, cast only where their dtype differs: no mask, gather, NaN
+    fill or scatter.  When the stacked LAPACK call raises, the selected
+    rows are retried one by one, so only a row that fails alone is left
+    NaN.
     """
-    n = len(rows)
     failed = {}
     try:
-        if np.count_nonzero(rows) == n:  # nothing to fill: skip the copies
+        if rows is None:
             return (*[r.astype(dtype, copy=False)
                       for r, (_, dtype) in zip(stage(*stacks), outputs)], failed)
         parts = [(rows, stage(*(s[rows] for s in stacks)))]
     except np.linalg.LinAlgError:
         parts = []
-        for i in np.flatnonzero(rows):
+        for i in (range(len(stacks[0])) if rows is None else rows.nonzero()[0]):
             try:
                 parts.append(([i], stage(*(s[[i]] for s in stacks))))
             except np.linalg.LinAlgError as exc:
                 failed[int(i)] = str(exc)
+    n = len(stacks[0])
     out = [np.full((n,) + shape, np.nan, dtype=dtype) for shape, dtype in outputs]
     for where, results in parts:
         for o, r in zip(out, results):
@@ -239,14 +245,16 @@ def _decompose(A, D, degenerate=None, diffusion_max=None) -> LinearStack:
     into conjugates exactly.
     """
     reasons = dict(degenerate or {})
-    rows = np.ones(len(A), dtype=bool)
-    for i in reasons:
-        rows[i] = False
+    rows = None  # every row is decomposed
+    if reasons:
+        rows = np.ones(len(A), dtype=bool)
+        rows[list(reasons)] = False
     # a real spectrum comes back real; every row is stored as complex, so
     # a row's numbers do not depend on the rest of its stack
     lam, S, failed = _on_rows(np.linalg.eig, rows, (A,),
                               ((A.shape[1:2], complex), (A.shape[1:], complex)))
-    status = np.where(lam.real.max(axis=1) < -EPS_STABLE, OK, UNSTABLE).astype(np.int8)
+    # UNSTABLE unless max Re(eig) < -EPS_STABLE, which a NaN spectrum is not
+    status = (~(lam.real.max(axis=1) < -EPS_STABLE)).view(np.int8)
     for i in reasons:
         status[i] = DEGENERATE
     for i, message in failed.items():
@@ -369,12 +377,17 @@ def _eigenbasis_solve(A, S, lam, D):
     inverse, the same arithmetic as a one-matrix solve, so a row's
     covariance is bit for bit that of the row solved alone.  Each of the
     REFINE_STEPS refinement steps re-solves the residual the same way,
-    which sharpens near-marginal pair divisions.
+    which sharpens near-marginal pair divisions.  The transposes of S,
+    its inverse and A are taken once, for every solve and residual.
     """
     neg_sums2 = -2.0 * (lam[:, :, None] + lam[:, None, :])
     ST = S.transpose(0, 2, 1)
     Si = np.linalg.inv(S)
     SiT = Si.transpose(0, 2, 1)
+    AT = A.transpose(0, 2, 1)
+
+    def residual(V):  # A V + V A^T + D, as `_residual`
+        return A @ V + V @ AT + D
 
     def solve_for(rhs):
         # S (S^-1 rhs S^-T / -(l_i + l_j)) S^T for symmetric rhs; dividing
@@ -386,8 +399,8 @@ def _eigenbasis_solve(A, S, lam, D):
 
     V = solve_for(D)
     for _ in range(REFINE_STEPS):
-        V = V + solve_for(_residual(A, V, D))
-    return V, np.abs(_residual(A, V, D)).max(axis=(1, 2))
+        V = V + solve_for(residual(V))
+    return V, np.abs(residual(V)).max(axis=(1, 2))
 
 
 def _residual(A, V, D):
@@ -400,24 +413,29 @@ def _lyapunov_rows(stack: LinearStack):
 
     Returns (V, status, reasons): V is (N, 6, 6) and NaN except on OK
     rows, and rows that break the residual contract turn from OK into
-    FAULT.  Every OK row gets the eigenbasis solve.  A row whose residual
-    is not within RESIDUAL_REL * max|D| of its own D (a singular S leaves
-    it NaN, which counts as a miss) also tries the direct solve, refined
-    while over the contract, and keeps the better of the two; a row still
-    over it turns FAULT, so every covariance returned meets it.  Each
-    row is solved with its own D of the stack's per-row diffusion.
+    FAULT.  Every OK row gets the eigenbasis solve: on the stack itself
+    when every row is OK, else on the OK rows gathered.  A row whose
+    residual is not within RESIDUAL_REL * max|D| of its own D (a singular
+    S leaves it NaN, which counts as a miss) also tries the direct solve,
+    refined while over the contract, and keeps the better of the two; a
+    row still over it turns FAULT, so every covariance returned meets it.
+    Each row is solved with its own D of the stack's per-row diffusion.
     """
     A, D = stack.drift, stack.diffusion
-    bound = RESIDUAL_REL * np.maximum(stack.diffusion_max, _TINY)
     ok = stack.status == OK
+    live = None if np.count_nonzero(ok) == len(ok) else ok
     # an eigenvalue near the float limit overflows its pair sums: the row's
     # residual is then inf or NaN, and it faults on the contract unwarned
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        V, residual, _ = _on_rows(_eigenbasis_solve, ok,
+        V, residual, _ = _on_rows(_eigenbasis_solve, live,
                                   (A, stack.eigenvectors, stack.eigenvalues, D),
                                   ((A.shape[1:], float), ((), float)))
+    bound = RESIDUAL_REL * np.maximum(stack.diffusion_max, _TINY)
+    miss = ~(residual <= bound)
+    if live is not None:  # the rows left out read NaN, and are no miss
+        miss &= ok
     faults = {}
-    for i in (ok & ~(residual <= bound)).nonzero()[0]:
+    for i in miss.nonzero()[0]:
         Di, bi, achieved = D[i], bound[i], residual[i]
         try:
             V_alt = lyapunov_direct(A[i], Di)
@@ -479,7 +497,7 @@ def occupation(V, oscillator, clamp=True):
         raise ValueError("oscillator must be 1 or 2")
     i = 2 * oscillator
     raw = 0.5 * (V[..., i, i] + V[..., i + 1, i + 1] - 1.0)
-    if np.any(raw < -1e-9):
+    if (raw < -1e-9).any():
         for value in np.ravel(raw)[np.ravel(raw) < -1e-9]:
             warnings.warn(f"occupation n_{oscillator} = {value:.3g} below physical floor",
                           stacklevel=2)

@@ -176,7 +176,8 @@ class ParamRows(NamedTuple):
     `stack` takes the nine parameters the kernel reads from each model
     and derives the constants from the stacked arrays, the one place they
     are derived.  `take` gathers every field, so a landscape builds its
-    cells' constants once and each search round only gathers its rows'.
+    cells' constants once and each kernel call of its search only gathers
+    its rows'.
     """
 
     omega1: np.ndarray

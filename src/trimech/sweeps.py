@@ -119,7 +119,11 @@ def solve_points(m: ModelParams, detunings, drives) -> PointBatch:
     N, or N stacked rows.  A model's detuning, detuning mode and drive
     are not read.  Every row carries its own diffusion (the stack's is
     (N, 6, 6)) and gets one eigendecomposition, and a row's result does
-    not depend on the other rows or on the parameters of theirs.
+    not depend on the other rows or on the parameters of theirs.  The
+    eigendecomposition runs on the whole stack unless it holds degenerate
+    rows, and the Lyapunov solve unless it holds rows that are not OK;
+    otherwise each runs on a mask of the rows it applies to
+    (`linear._on_rows`), with the same bits per row.
     """
     fp = fixed_points(m, detunings, drives)
     stack = linear_models(m, fp)
@@ -424,6 +428,31 @@ def _searched(lines, start, u, best, radius):
                for k, d, value, _ in lines)
 
 
+def _linspace(start, stop, num):
+    """`np.linspace(start, stop, num).tolist()` for num >= 2, bit for bit,
+    in Python floats: k step + start with step = (stop - start) / (num -
+    1), or (k / (num - 1)) (stop - start) + start when that step is 0,
+    and `stop` itself last."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        grid = [k / div * delta + start for k in range(num)]
+    else:
+        grid = [k * step + start for k in range(num)]
+    grid[-1] = stop
+    return grid
+
+
+def _argmin(values):
+    """`np.argmin` of a list of floats, in Python: the index of the first
+    NaN if there is one, else of the first least value."""
+    for i, value in enumerate(values):
+        if value != value:
+            return i
+    return values.index(min(values))
+
+
 def _drive_line(solved, det, seed, lo, hi):
     """The objective's minimum along the line of detuning `det`, in log10
     drive within [lo, hi], as a generator.
@@ -448,9 +477,10 @@ def _drive_line(solved, det, seed, lo, hi):
     `probes` counting the values read, window included; the value is
     +inf, at `seed`, when the whole grid is.
     """
-    grid = np.linspace(max(lo, seed - DRIVE_SPAN), min(hi, seed + DRIVE_SPAN),
-                       DRIVE_SCAN).tolist()
-    centre = min(range(DRIVE_SCAN), key=lambda k: abs(grid[k] - seed))
+    grid = _linspace(max(lo, seed - DRIVE_SPAN), min(hi, seed + DRIVE_SPAN),
+                     DRIVE_SCAN)
+    gaps = [abs(x - seed) for x in grid]
+    centre = gaps.index(min(gaps))
     first = max(centre - DRIVE_WINDOW, 0)
     last = min(centre + DRIVE_WINDOW, DRIVE_SCAN - 1)
 
@@ -460,8 +490,7 @@ def _drive_line(solved, det, seed, lo, hi):
         new = [grid[k] for k in ks if (det, grid[k]) not in solved]
         if new:
             yield det, new
-        return first + int(np.argmin([solved[det, x]
-                                      for x in grid[first:last + 1]]))
+        return first + _argmin([solved[det, x] for x in grid[first:last + 1]])
 
     i = yield from read(range(first, last + 1))
     if not math.isfinite(solved[det, grid[i]]):  # +inf throughout
@@ -554,15 +583,16 @@ def _searches(cells, detuning_bounds, drive_bounds, coarse, objective):
     REFINE_STARTS starts of every cell run as the steppers of one
     `_lockstep`, cells in order and starts in order within a cell.  Each
     round's requests go to the objective in one call, each distinct row
-    once, and fill the memos the starts read.  Returns one OptimizeResult
-    per cell, in order.
+    once, and fill the memos the starts read.  The search runs on Python
+    floats, so each OptimizeResult holds Python scalars.  Returns one
+    OptimizeResult per cell, in order.
     """
     d_lo, d_hi, p_lo, p_hi = _search_box(detuning_bounds, drive_bounds)
     lg_lo, lg_hi = math.log10(p_lo), math.log10(p_hi)
     n_det, n_drv = coarse
-    dets = np.linspace(d_lo, d_hi, n_det)
-    logs = np.linspace(lg_lo, lg_hi, n_drv)
-    grid = list(zip(np.repeat(dets, n_drv), np.tile(logs, n_det)))
+    dets = np.linspace(d_lo, d_hi, n_det).tolist()
+    logs = np.linspace(lg_lo, lg_hi, n_drv).tolist()
+    grid = [(det, lg) for det in dets for lg in logs]
     det_step = dets[1] - dets[0] if n_det > 1 else 0.1 * (d_hi - d_lo)
     memos = {cell: {} for cell in cells}
     # every finished detuning line per cell: (start, detuning, value, probes)
@@ -628,9 +658,9 @@ def _searches(cells, detuning_bounds, drive_bounds, coarse, objective):
 
 
 def _drives(points):
-    """(detunings, drives) arrays of (detuning, log10 drive) points."""
-    return (np.array([det for det, _ in points]),
-            np.array([10.0 ** lg for _, lg in points]))
+    """(detunings, drives) arrays of (tag, (detuning, log10 drive)) points."""
+    return (np.array([det for _, (det, _) in points]),
+            np.array([10.0 ** lg for _, (_, lg) in points]))
 
 
 def optimize_scalar(objective, detuning_bounds, drive_bounds,
@@ -676,7 +706,7 @@ def optimize_scalar(objective, detuning_bounds, drive_bounds,
     `_searches`, which `occupation_landscape` runs over all its cells.
     """
     (result,) = _searches([None], detuning_bounds, drive_bounds, coarse,
-                          lambda points: objective(*_drives([p for _, p in points])))
+                          lambda points: objective(*_drives(points)))
     return result
 
 
@@ -752,18 +782,25 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
     cell's memo.  Each round's rows go to `solve_points` together, in
     calls of at most SOLVE_CHUNK rows, whatever the size of `coarse`;
     every cell's parameters and the constants derived from them are
-    stacked once (`params.ParamRows`), and a round only gathers its rows'
-    (`ParamRows.take`).  A stacked row equals the row solved alone, so
-    each cell's result is that of its own search.
+    stacked once (`params.ParamRows`), and a call only gathers its rows'
+    (`ParamRows.take`), once per distinct sequence of cells, which later
+    rounds often repeat.  A stacked row equals the row solved alone, so
+    each cell's result is that of its own search.  Every field of a point
+    is a Python scalar.
     """
     omega1_grid, omega2_grid = check_landscape_inputs(
         omega1_grid, omega2_grid, detuning_bounds, drive_bounds)
     kappa = base.cavity_decay
-    grid = [(o1, o2) for o1 in omega1_grid for o2 in omega2_grid]
+    grid = [(o1, o2) for o1 in omega1_grid.tolist()
+            for o2 in omega2_grid.tolist()]
     models = {k: nondimensionalize(replace(base, mirror_freq=o1 * kappa,
                                            sphere_freq=o2 * kappa), detuning=-1.0)
               for k, (o1, o2) in enumerate(grid) if o2 < o1}
     cell_params = ParamRows.stack(models.values())
+
+    # a call's record depends only on the cells of its rows, in order, and
+    # later rounds often repeat an earlier round's: each is gathered once
+    records = {}
 
     def solve(round_points):
         """Sphere occupations at the (cell, (detuning, log10 drive)) points
@@ -771,10 +808,12 @@ def occupation_landscape(base: PhysicalParams, omega1_grid, omega2_grid,
         values = []
         for at in range(0, len(round_points), SOLVE_CHUNK):
             chunk = round_points[at:at + SOLVE_CHUNK]
-            rows = cell_params.take([cell for cell, _ in chunk])
-            values.append(sphere_occupation_objective(rows)(
-                *_drives([p for _, p in chunk])))
-        return np.concatenate(values)
+            cells = tuple(cell for cell, _ in chunk)
+            rows = records.get(cells)
+            if rows is None:
+                rows = records[cells] = cell_params.take(cells)
+            values.append(sphere_occupation_objective(rows)(*_drives(chunk)))
+        return values[0] if len(values) == 1 else np.concatenate(values)
 
     results = dict(zip(models, _searches(range(len(models)), detuning_bounds,
                                          drive_bounds, coarse, solve)))

@@ -74,6 +74,33 @@ def check_defective_row(monkeypatch, base, inv_raises):
     assert np.array_equal(V[others], base.V)
 
 
+def solve_with_masks(monkeypatch, m, dets, drives):
+    """`solve_points(m, dets, drives)`, and for each of its two
+    `linear._on_rows` stages (eigendecomposition, then Lyapunov solve)
+    whether it ran on the whole stack (True) or on a mask of its rows."""
+    whole = []
+    real = linear._on_rows
+
+    def on_rows(stage, rows, stacks, outputs):
+        whole.append(rows is None)
+        return real(stage, rows, stacks, outputs)
+    with monkeypatch.context() as patch:
+        patch.setattr(linear, "_on_rows", on_rows)
+        batch = solve_points(m, dets, drives)
+    return batch, whole
+
+
+def assert_each_row_alone(batch, models, dets, drives):
+    """Each row of `batch` equals the one-row call of its own model,
+    detuning and drive, bit for bit: status, reason, eigenvalues and V."""
+    for i, m in enumerate(models):
+        alone = solve_points(m, dets[i], drives[i])
+        assert batch.status[i] == alone.status[0]
+        assert batch.reasons.get(i) == alone.reasons.get(0)
+        assert same_bits(batch.linear.eigenvalues[i], alone.linear.eigenvalues[0])
+        assert same_bits(batch.V[i], alone.V[0])
+
+
 class TestRowsMatchSolvePoint:
     def test_each_row_bit_identical_to_n1(self, model_draws_100):
         """Each draw's ModelParams, stacked with its own operating point, a
@@ -128,49 +155,57 @@ class TestRowIndependence:
     def drives(self):
         return drive_from_watts(reference_params(), self.WATTS)
 
-    def check_others_unchanged(self, dets, drives, special_det, special_drive,
-                               special_status):
+    def check_others_unchanged(self, monkeypatch, dets, drives, special_det,
+                               special_drive, special_status):
+        """The all-OK stack runs both stages on the whole stack, the stack
+        with the special row runs a stage on a mask of its rows when the
+        row is not OK; every row of both equals its one-row call."""
         m = self.MODEL
-        base = solve_points(m, dets, drives)
+        base, whole = solve_with_masks(monkeypatch, m, dets, drives)
         assert np.all(base.status == OK)
+        assert whole == [True, True]
         k = len(dets) // 2
-        mixed = solve_points(m, np.insert(dets, k, special_det),
-                             np.insert(drives, k, special_drive))
+        dets_k = np.insert(dets, k, special_det)
+        drives_k = np.insert(drives, k, special_drive)
+        mixed, whole = solve_with_masks(monkeypatch, m, dets_k, drives_k)
         assert mixed.status[k] == special_status
+        assert whole == [special_status != DEGENERATE, special_status == OK]
         others = np.delete(np.arange(len(dets) + 1), k)
         assert np.array_equal(mixed.status[others], base.status)
         assert np.array_equal(mixed.V[others], base.V)
         assert np.array_equal(mixed.linear.eigenvalues[others],
                               base.linear.eigenvalues)
+        assert_each_row_alone(base, [m] * len(dets), dets, drives)
+        assert_each_row_alone(mixed, [m] * len(dets_k), dets_k, drives_k)
         return mixed, k
 
-    def test_degenerate_row(self):
+    def test_degenerate_row(self, monkeypatch):
         drives = self.drives()
         dets = np.full(drives.shape, self.MODEL.detuning)
-        self.check_others_unchanged(dets, drives, self.MODEL.detuning, 1e14,
-                                    DEGENERATE)
+        self.check_others_unchanged(monkeypatch, dets, drives,
+                                    self.MODEL.detuning, 1e14, DEGENERATE)
 
-    def test_unstable_row(self):
+    def test_unstable_row(self, monkeypatch):
         drives = self.drives()
         dets = np.full(drives.shape, self.MODEL.detuning)
-        self.check_others_unchanged(dets, drives, -self.MODEL.detuning,
-                                    drives[-1], UNSTABLE)
+        self.check_others_unchanged(monkeypatch, dets, drives,
+                                    -self.MODEL.detuning, drives[-1], UNSTABLE)
 
-    def test_fault_row(self):
+    def test_fault_row(self, monkeypatch):
         """A NaN drive makes the stacked eigensolver raise; the row is
         retried alone and faults, and the other rows keep their values."""
         drives = self.drives()
         dets = np.full(drives.shape, self.MODEL.detuning)
-        mixed, k = self.check_others_unchanged(dets, drives, self.MODEL.detuning,
-                                               np.nan, FAULT)
+        mixed, k = self.check_others_unchanged(monkeypatch, dets, drives,
+                                               self.MODEL.detuning, np.nan, FAULT)
         assert mixed.reasons[k].startswith("eigenvalue solver failed")
         assert np.isnan(mixed.linear.eigenvalues[k]).all()
         assert np.isnan(mixed.V[k]).all()
 
-    def test_small_pair_sum_row(self):
+    def test_small_pair_sum_row(self, monkeypatch):
         drives = self.drives()
         dets = np.full(drives.shape, self.MODEL.detuning)
-        mixed, k = self.check_others_unchanged(dets, drives,
+        mixed, k = self.check_others_unchanged(monkeypatch, dets, drives,
                                                self.MODEL.detuning, 0.0, OK)
         # the undriven sphere sits in its bath: V22 = n2 + 1/2
         assert mixed.V[k, 4, 4] == pytest.approx(self.MODEL.n2 + 0.5, rel=1e-6)
@@ -410,7 +445,9 @@ class TestMixedCellRows:
         the direct fallback by a contract tightened below it as in
         `TestRowIndependence.test_rows_over_the_contract`, stacked with
         the rows of every cell: each row equals its own cell's one-row
-        call, status, reason, V and eigenvalues, bit for bit."""
+        call, status, reason, V and eigenvalues, bit for bit.  So does
+        each row of the stack of the rows of OK spectrum alone, which
+        runs both stages on the whole stack instead of a mask of it."""
         cells, dets, drives = self.mixed(self.POINTS + ((-27.2, np.nan),))
         rows = ParamRows.stack([self.CELLS[c] for c in cells])
         base = solve_points(rows, dets, drives)
@@ -430,18 +467,23 @@ class TestMixedCellRows:
             direct.append(A)
             return real_direct(A, D)
         monkeypatch.setattr(linear, "lyapunov_direct", counted)
-        batch = solve_points(rows, dets, drives)
+        batch, whole = solve_with_masks(monkeypatch, rows, dets, drives)
+        assert whole == [False, False]  # degenerate rows, rows not OK
         row = ok[np.argmax(residual)]
         assert direct and all(same_bits(a, batch.linear.drift[row]) for a in direct)
         stacked = len(direct)
-        for i, c in enumerate(cells):
-            alone = solve_points(self.CELLS[c], dets[i], drives[i])
-            assert batch.status[i] == alone.status[0]
-            assert batch.reasons.get(i) == alone.reasons.get(0)
-            assert same_bits(batch.V[i], alone.V[0])
-            assert same_bits(batch.linear.eigenvalues[i], alone.linear.eigenvalues[0])
-        # alone, only the worst row took the fallback, the same way
+        # the rows of OK spectrum alone: both stages on the whole stack,
+        # and the worst row to the fallback the same way
+        live, whole = solve_with_masks(monkeypatch, rows.take(ok), dets[ok], drives[ok])
+        assert whole == [True, True]
         assert len(direct) == 2 * stacked
+        assert live.status[np.argmax(residual)] == batch.status[row]
+        models = [self.CELLS[c] for c in cells]
+        assert_each_row_alone(batch, models, dets, drives)
+        assert_each_row_alone(live, [models[i] for i in ok], dets[ok], drives[ok])
+        # alone (once for each stack), only the worst row took the
+        # fallback, the same way
+        assert len(direct) == 4 * stacked
 
     @pytest.mark.parametrize("inv_raises", [False, True])
     def test_defective_row(self, monkeypatch, inv_raises):

@@ -1,6 +1,8 @@
 """Power sweeps, mode tracking, thresholds, optimizer and landscape."""
 
 import dataclasses
+import functools
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -13,9 +15,10 @@ from trimech.params import drive_from_watts, reference_params, watts_from_drive
 from trimech.presets import fig2_protocol, fig3_model, fig4_model, preset_drives
 from trimech.sweeps import (COARSE_GRID, DETUNING_BOUNDS, DRIVE_BOUNDS,
                             DRIVE_SCAN, DRIVE_SPAN, DRIVE_TOL,
-                            SEARCH_REL_TOL, SOLVE_CHUNK, _drive_line,
-                            _line_search, _searched, instability_threshold,
-                            occupation_landscape, optimize_scalar, power_sweep,
+                            SEARCH_REL_TOL, SOLVE_CHUNK, _argmin, _drive_line,
+                            _line_search, _linspace, _searched,
+                            instability_threshold, occupation_landscape,
+                            optimize_scalar, power_sweep,
                             sphere_occupation_objective, squeezing_sweep)
 
 from conftest import call_budget
@@ -500,6 +503,24 @@ class TestLineSearch:
         else:
             assert len(memo) < len(full)
 
+    def test_scan_grid_and_argmin_are_numpys(self):
+        """The line's scan grid is `np.linspace`'s and its window argmin
+        `np.argmin`'s, bit for bit, in Python floats: on seeded windows,
+        on spans whose step is zero or under one ulp of the start, and on
+        lists with ties, signed zeros, infinities and NaN."""
+        rng = np.random.default_rng(33)
+        spans = [tuple(sorted(rng.uniform(-20.0, 20.0, 2))) for _ in range(2000)]
+        spans += [(s - DRIVE_SPAN, s + DRIVE_SPAN) for s in rng.uniform(6.0, 12.0, 2000)]
+        spans += [(0.0, 5e-324), (-5e-324, 5e-324), (1.0, 1.0 + 2.0 ** -52)]
+        for lo, hi in spans:
+            assert ([x.hex() for x in _linspace(lo, hi, DRIVE_SCAN)]
+                    == [x.hex() for x in np.linspace(lo, hi, DRIVE_SCAN).tolist()])
+        pool = [0.0, -0.0, 1.0, 2.0, -3.0, math.inf, -math.inf, math.nan]
+        lists = [rng.choice(pool, size=rng.integers(1, 8)).tolist() for _ in range(2000)]
+        assert sum(any(v != v for v in x) for x in lists) > 100
+        for values in lists:
+            assert _argmin(values) == int(np.argmin(values))
+
     def test_first_window_is_clipped_at_the_grid(self):
         """A seed two grid steps above a clipped bound reads the grid's
         first six points, then widens once toward the minimum above them
@@ -821,13 +842,25 @@ class TestOccupationLandscape:
             drive_bounds=proto["drive_bounds"])
         return result, kernel, solved
 
+    #: rows of the one kernel call of each lockstep round, rounds 1 to 75,
+    #: of the eight benchmark cells
+    BENCHMARK_ROUND_ROWS = [
+        135, 54, 36, 28, 24, 24, 24, 36, 92, 110, 96, 87, 34, 47, 47, 38, 39,
+        62, 41, 54, 48, 30, 32, 22, 39, 44, 29, 32, 28, 14, 19, 11, 23, 17,
+        31, 17, 11, 23, 11, 17, 16, 28, 16, 16, 22, 10, 10, 16, 24, 15, 9,
+        20, 14, 8, 7, 7, 3, 3, 3, 15, 9, 3, 3, 3, 3, 3, 3, 14, 2, 2, 2, 2, 2,
+        2, 1]
+
     def test_search_pinned_and_stacked(self, monkeypatch):
         """The eight benchmark cells keep their probe counts and bit-exact
         optima.  No (cell, detuning, drive) row is solved twice in the
         whole run, and each cell's rows come in a pinned number of
         requests (its coarse grid and the lockstep rounds it is live in);
         the cells share the rounds, so the kernel sees few calls, none of
-        them over SOLVE_CHUNK rows."""
+        them over SOLVE_CHUNK rows.  The (round, rows) of every kernel
+        call is pinned: the coarse grids in two chunks, then one call per
+        lockstep round, so a change in the cost of a round cannot come
+        from a changed search."""
         result, kernel, solved = self.run_benchmark_cells(monkeypatch)
         # (evaluations, solved_rows, n2_min, detuning, drive, on_boundary)
         expected = [
@@ -864,17 +897,42 @@ class TestOccupationLandscape:
             75, 57, 55, 57, 57, 57, 76, 68]
         sizes = [n for _, n in kernel]
         assert sum(sizes) == sum(p.solved_rows for p in result.points) == 2570
-        assert len(sizes) <= 77
+        assert kernel == [(0, SOLVE_CHUNK), (0, 23)] + list(
+            enumerate(self.BENCHMARK_ROUND_ROWS, start=1))
         assert max(sizes) == SOLVE_CHUNK
+
+    @staticmethod
+    @functools.cache
+    def fig2_preset_landscape():
+        proto = fig2_protocol()
+        return occupation_landscape(proto["base"], proto["omega1"],
+                                    proto["omega2"], proto["detuning_bounds"],
+                                    proto["drive_bounds"])
 
     def test_fig2_preset_rows_pinned(self):
         """The nine fig2 preset cells solve 3118 distinct rows in all."""
-        proto = fig2_protocol()
-        result = occupation_landscape(proto["base"], proto["omega1"],
-                                      proto["omega2"], proto["detuning_bounds"],
-                                      proto["drive_bounds"])
+        result = self.fig2_preset_landscape()
         assert len(result.points) == 9
         assert sum(p.solved_rows for p in result.points) == 3118
+
+    def test_points_hold_python_scalars(self):
+        """Every field of a fig2 preset point is a Python bool, int, float
+        or str, not a numpy scalar, so a point serializes as JSON as it
+        is; so is `optimize_scalar`'s result."""
+        result = self.fig2_preset_landscape()
+        kinds = {"ok": bool, "on_boundary": bool, "evaluations": int,
+                 "solved_rows": int, "message": str}
+        assert any(p.on_boundary for p in result.points)
+        for p in result.points:
+            fields = dataclasses.asdict(p)
+            assert {name: type(value) for name, value in fields.items()} == {
+                name: kinds.get(name, float) for name in fields}
+            assert json.loads(json.dumps(fields)).keys() == fields.keys()
+        m = replace(fig3_model(), detuning=-1.0)
+        opt = optimize_scalar(sphere_occupation_objective(m), DETUNING_BOUNDS,
+                              DRIVE_BOUNDS)
+        assert [type(v) for v in dataclasses.astuple(opt)] == [
+            float, float, float, bool, int, int]
 
     def test_coarse_grids_go_in_chunks(self, monkeypatch):
         """The eight cells' coarse grids, 8 x 81 = 648 rows, go to the
