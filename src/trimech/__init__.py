@@ -15,8 +15,7 @@ from .errors import (ConfigError, DegenerateTrapError, NumericalError,
                      PhysicsError, TrimechError, UnstableSystemError)
 from .geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
                        intracavity_field, lineshape)
-from .linear import (LinearModel, SteadyCovariance, diffusion_matrix,
-                     drift_matrix, linear_model, occupation,
+from .linear import (LinearModel, SteadyCovariance, linear_model, occupation,
                      physicality_floor, solve_lyapunov, squeezing, stability,
                      symplectic_form)
 from .params import (HBAR, C_LIGHT, K_BOLTZMANN, ModelParams, PhysicalParams,
@@ -36,8 +35,8 @@ __all__ = [
     "TrimechError", "UnstableSystemError",
     "CavitySpec", "PumpGeometry", "chi_for_geometry", "intracavity_field",
     "lineshape",
-    "LinearModel", "SteadyCovariance", "diffusion_matrix", "drift_matrix",
-    "linear_model", "occupation", "physicality_floor",
+    "LinearModel", "SteadyCovariance", "linear_model", "occupation",
+    "physicality_floor",
     "solve_lyapunov", "squeezing", "stability", "symplectic_form",
     "HBAR", "C_LIGHT", "K_BOLTZMANN", "ModelParams", "PhysicalParams",
     "bose_occupation", "linear_coupling", "nondimensionalize",

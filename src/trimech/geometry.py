@@ -15,7 +15,7 @@ the quadratic rate g2 itself is kept fixed, since it is set by the
 sphere's polarizability and the mode geometry rather than by the pump
 port.  A resonant cavity pumped through one mirror is symmetric under
 coordinate inversion plus time reversal, which is what pins the node
-structure tested below in the good-cavity limit.
+structure in the good-cavity limit (`tests/test_geometry.py`).
 
 The intracavity field at distance z from the right mirror is the sum
 over round trips of the transmitted input,

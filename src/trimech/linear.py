@@ -48,12 +48,16 @@ result.  A stage that applies to every row runs on the stack as it is,
 with no mask, gather, fill or scatter; as each row's arithmetic is the
 same either way, so are its bits.  A status becomes an exception in one
 place, `_raise_for`: UnstableSystemError, DegenerateTrapError or
-NumericalError, so a fault never reads as an instability.  The one-row entry points (`stability`,
-`linear_model`) solve a one-row stack and apply that map;
-`solve_lyapunov` takes one matrix or a stack and raises for its first
-failing row; `sweeps.solve_points` runs the whole chain on a stack, from
-fixed points through `linear_models` to the covariances of
-`_lyapunov_rows`.
+NumericalError, so a fault never reads as an instability.
+
+The one-row entry points have no logic of their own.  `linear_model`
+builds its row as `linear_models` does, from `_drift_stack` and the
+parameter record, and `stability` decomposes a given drift; both solve
+a one-row stack and apply that map.  `solve_lyapunov` takes one matrix
+or a stack by the rule of the oracles (`validate._stacked`) and raises
+for its first failing row; `sweeps.solve_points` runs the whole chain
+on a stack, from fixed points through `linear_models` to the
+covariances of `_lyapunov_rows`.
 """
 
 import functools
@@ -67,7 +71,8 @@ import numpy as np
 from .errors import DegenerateTrapError, NumericalError, UnstableSystemError
 from .params import ModelParams, ParamRows
 from .steady import ClassicalSteadyState, FixedPoints
-from .validate import lyapunov_direct  # the direct solve doubles as the fallback
+# the direct solve doubles as the fallback
+from .validate import _stacked, lyapunov_direct
 
 #: stability margin: stable means max Re(eig) < -EPS_STABLE
 EPS_STABLE = 1e-12
@@ -163,23 +168,6 @@ def _drift_stack(m: ParamRows, delta_eff, photon_number, x1_bar, x2_bar):
     A[:, 3, 4] = A[:, 5, 2] = m.g2_chi * nq
     A[:, 5, 4] = -m.omega2 - m.g2 * nq
     return A
-
-
-def drift_matrix(m: ModelParams, s: ClassicalSteadyState) -> np.ndarray:
-    """Drift matrix of the linearized dynamics (kappa_c = 1 units).
-
-    `s` must be the fixed point belonging to `m`; the effective detuning
-    and static displacements are read from it.  The mean field is taken
-    real (pb = 0) by the input-phase convention, xb = sqrt(2 |a_bar|^2).
-    """
-    return _drift_stack(m.rows, np.array([s.delta_eff]), np.array([s.photon_number]),
-                        np.array([s.x1_bar]), np.array([s.x2_bar]))[0]
-
-
-def diffusion_matrix(m: ModelParams) -> np.ndarray:
-    """Symmetrized noise-input covariance D (kappa_c = 1 units), (6, 6):
-    a copy of the one row of `m.rows` (`params.ParamRows.stack`)."""
-    return m.rows.diffusion[0].copy()
 
 
 def _on_rows(stage, rows, stacks, outputs):
@@ -297,8 +285,14 @@ def stability(A):
 
 
 def linear_model(m: ModelParams, s: ClassicalSteadyState) -> LinearModel:
-    """Bundle drift, diffusion, the eigendecomposition and the verdict."""
-    return _decompose(drift_matrix(m, s)[None], diffusion_matrix(m)[None]).model(0)
+    """Drift, diffusion, eigendecomposition and verdict at the fixed point
+    `s` of `m`: the one-row stack of `linear_models`, row for row and bit
+    for bit.  D is a copy of the one row of `m.rows`, so writing into it
+    leaves the cached record as it is."""
+    m = m.rows
+    A = _drift_stack(m, np.array([s.delta_eff]), np.array([s.photon_number]),
+                     np.array([s.x1_bar]), np.array([s.x2_bar]))
+    return _decompose(A, m.diffusion.copy(), diffusion_max=m.diffusion_max).model(0)
 
 
 def _sorted_modes(eigenvalues):
@@ -474,10 +468,9 @@ def solve_lyapunov(A, D) -> np.ndarray:
     stable, NumericalError for one whose eigensolver fails or whose
     contract stays missed.
     """
-    A = np.asarray(A, dtype=float)
-    D = np.asarray(D, dtype=float)
-    single = A.ndim == 2
-    stack = _decompose(A[None], D[None]) if single else _decompose(A, D)
+    A, single = _stacked(A)
+    D, _ = _stacked(D)
+    stack = _decompose(A, D)
     V, status, reasons = _lyapunov_rows(stack)
     failed = np.flatnonzero(status != OK)
     if failed.size:

@@ -138,11 +138,17 @@ def fixed_points(m: ModelParams, detunings, drives) -> FixedPoints:
                        degenerate=(Omega2 <= 0) | (Omega1 == 0))
 
 
+def _require_effective(m: ModelParams, caller):
+    """ValueError unless `m` gives an effective detuning: the one check of
+    every entry point that reads `m.detuning` as one, named `caller`."""
+    if m.detuning_mode != "effective":
+        raise ValueError(f"{caller}: needs detuning_mode='effective'; a bare "
+                         "detuning's fixed points are self_consistent_fixed_points")
+
+
 def fixed_point(m: ModelParams) -> ClassicalSteadyState:
     """Closed-form fixed point for an effective-detuning parameterization."""
-    if m.detuning_mode != "effective":
-        raise ValueError("fixed_point requires detuning_mode='effective'; "
-                         "use self_consistent_fixed_points for a bare detuning")
+    _require_effective(m, "fixed_point")
     return fixed_points(m, m.detuning, m.drive).state(0)
 
 
@@ -318,7 +324,7 @@ def stationarity_residuals(m: ModelParams, s: ClassicalSteadyState):
 
     Returns |residual| for the cavity equation and the two momentum
     equations; the position equations are satisfied identically since
-    the static momenta vanish.  Used by tests and the validation report.
+    the static momenta vanish.  `trimech steady` reports them.
     """
     a_in = math.sqrt(m.drive)
     ra = (1j * s.delta_eff - 1.0) * s.a_bar - _SQRT2 * a_in

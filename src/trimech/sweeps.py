@@ -48,7 +48,7 @@ from .params import (ModelParams, ParamRows, PhysicalParams,
 # re-exported for their one reader here, perfbench/test_perfbench.py
 from .linear import linear_model  # noqa: F401
 from .params import drive_from_watts  # noqa: F401
-from .steady import FixedPoints, _bisect_rows, fixed_points
+from .steady import FixedPoints, _bisect_rows, _require_effective, fixed_points
 
 #: relative width of the bracket `instability_threshold` bisects down to,
 #: and its halvings per stacked stability call (the threshold does not
@@ -139,8 +139,7 @@ def solve_point(m: ModelParams):
     raises DegenerateTrapError or UnstableSystemError when no stable
     stationary state exists, NumericalError when none can be certified.
     """
-    if m.detuning_mode != "effective":
-        raise ValueError("solve_point requires detuning_mode='effective'")
+    _require_effective(m, "solve_point")
     return solve_points(m, m.detuning, m.drive).row(0)
 
 
@@ -165,8 +164,7 @@ def is_stable(m: ModelParams) -> bool:
     would miss the Lyapunov contract, which this verdict does not solve
     for, so a sweep can stop at it with `stop_reason = "fault"`.
     """
-    if m.detuning_mode != "effective":
-        raise ValueError("is_stable requires detuning_mode='effective'")
+    _require_effective(m, "is_stable")
     (verdict,), reasons = _verdicts(m, m.drive)
     if math.isnan(verdict):
         raise NumericalError(reasons[0])
@@ -218,8 +216,7 @@ def _stable_prefix(m: ModelParams, drives, base: PhysicalParams):
     swept drive), or None when there is none: a numerical fault ends the
     rows but never stands in for the instability.
     """
-    if m.detuning_mode != "effective":
-        raise ValueError("power and squeezing sweeps require detuning_mode='effective'")
+    _require_effective(m, "power and squeezing sweeps")
     drives = np.array(drives, dtype=float)
     batch = solve_points(m, m.detuning, drives)
     failed = np.flatnonzero(batch.status != OK)
@@ -314,8 +311,7 @@ def instability_threshold(m: ModelParams, drive_lo, drive_hi) -> float:
         raise ValueError("threshold bounds must be finite")
     if not (0 < lo < hi):
         raise ValueError("need 0 < drive_lo < drive_hi")
-    if m.detuning_mode != "effective":
-        raise ValueError("instability_threshold requires detuning_mode='effective'")
+    _require_effective(m, "instability_threshold")
     ends, reasons = _verdicts(m, [lo, hi])
     if math.isnan(ends[0]):
         raise NumericalError(reasons[0])

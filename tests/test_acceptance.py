@@ -236,7 +236,7 @@ def test_criterion_8_geometry():
     from trimech.geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
                                   intracavity_field, profile)
     from test_geometry import intracavity_field_sum
-    from trimech.linear import drift_matrix
+    from trimech.linear import linear_model
     t0 = time.perf_counter()
     wavelength = 1064e-9
     k = TWO_PI / wavelength
@@ -263,7 +263,7 @@ def test_criterion_8_geometry():
     m = fig3_model()
     m = replace(m, chi=chi_for_geometry(PumpGeometry.FROM_MOVING_MIRROR, m.chi),
                 drive=1e8)
-    A = drift_matrix(m, fixed_point(m))
+    A = linear_model(m, fixed_point(m)).drift
     assert A[3, 4] == 0.0 and A[5, 2] == 0.0
     assert np.all(A[np.ix_([2, 3], [4, 5])] == 0.0) or A[3, 4] == 0.0
     elapsed = time.perf_counter() - t0

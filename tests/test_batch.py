@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 import trimech.linear as linear
+from trimech.config import model_section, parse_sections, physical_params
 from trimech.errors import DegenerateTrapError, NumericalError, UnstableSystemError
 from trimech.linear import DEGENERATE, FAULT, OK, UNSTABLE
 from trimech.params import (ParamRows, drive_from_watts, nondimensionalize,
                             reference_params)
 from trimech.presets import fig2_protocol, fig3_model
-from trimech.steady import fixed_point
+from trimech.steady import fixed_point, self_consistent_fixed_points
 from trimech.sweeps import is_stable, solve_point, solve_points
+
+from test_golden import BARE_CONFIG
 
 STATUS_OF = {UnstableSystemError: UNSTABLE, DegenerateTrapError: DEGENERATE,
              NumericalError: FAULT}
@@ -129,7 +132,7 @@ class TestRowsMatchSolvePoint:
         m = fig3_model()
         drives = np.geomspace(1e6, 1e9, 7)
         batch = solve_points(m, m.detuning, drives)
-        D = linear.diffusion_matrix(m)
+        D = m.rows.diffusion[0]
         assert D.shape == (6, 6)
         assert batch.linear.diffusion.shape == (len(drives), 6, 6)
         for i in range(len(drives)):
@@ -142,6 +145,54 @@ class TestRowsMatchSolvePoint:
             batch = solve_points(m, m.detuning, m.drive)
             assert np.array_equal(linear.solve_lyapunov(lm.drift, lm.diffusion),
                                   batch.V[0])
+
+
+class TestLinearModelIsAKernelRow:
+    """`linear_model` is the one-row stack of `linear_models`: its drift,
+    diffusion, eigenvalues and eigenvectors are those of the matching
+    `solve_points` row, bit for bit, stable or not."""
+
+    @staticmethod
+    def assert_row(lm, batch, i):
+        for name in ("drift", "diffusion", "eigenvalues", "eigenvectors"):
+            assert same_bits(getattr(lm, name), getattr(batch.linear, name)[i]), name
+        assert lm.stable == (batch.status[i] == OK)
+
+    def test_seeded_draws(self, model_draws_100):
+        """Each draw's point, stacked with its blue-detuned copy."""
+        seen = set()
+        for m, s, lm in model_draws_100[:40]:
+            batch = solve_points(m, [m.detuning, -m.detuning], m.drive)
+            self.assert_row(lm, batch, 0)
+            blue = replace(m, detuning=-m.detuning)
+            self.assert_row(linear.linear_model(blue, fixed_point(blue)), batch, 1)
+            seen.update(batch.status.tolist())
+        assert seen == {OK, UNSTABLE}
+
+    def test_bare_config_branches(self):
+        """Every branch of the golden bare-detuning config, solved in one
+        stack as `trimech linear` solves them."""
+        sections = parse_sections(BARE_CONFIG)
+        m = nondimensionalize(physical_params(sections), *model_section(sections))
+        branches = self_consistent_fixed_points(m)
+        assert len(branches) == 3
+        batch = solve_points(m, [s.delta_eff for s in branches], m.drive)
+        assert sorted(batch.status.tolist()) == [OK, UNSTABLE, UNSTABLE]
+        for i, s in enumerate(branches):
+            self.assert_row(linear.linear_model(m, s), batch, i)
+
+    def test_diffusion_is_a_copy(self):
+        """Writing into a model's D leaves the cached parameter record and
+        a later solve as they were."""
+        m = fig3_model()
+        D = m.rows.diffusion.copy()
+        state, lm_before, cov_before = solve_point(m)
+        lm = linear.linear_model(m, state)
+        lm.diffusion[:] = np.nan
+        assert same_bits(m.rows.diffusion, D)
+        _, lm_after, cov_after = solve_point(m)
+        assert same_bits(lm_after.diffusion, lm_before.diffusion)
+        assert same_bits(cov_after.V, cov_before.V)
 
 
 class TestRowIndependence:
@@ -412,7 +463,7 @@ class TestMixedCellRows:
                 assert same_bits(batch.V[i], alone.V[0])
                 assert batch.status[i] == alone.status[0]
                 assert batch.reasons.get(i) == alone.reasons.get(0)
-            assert same_bits(batch.linear.diffusion[i], linear.diffusion_matrix(m))
+            assert same_bits(batch.linear.diffusion[i], m.rows.diffusion[0])
             seen.add(int(batch.status[i]))
         assert {OK, UNSTABLE, DEGENERATE} <= seen
         # the rows of one cell are that cell's stack

@@ -9,7 +9,7 @@ from trimech.errors import NumericalError
 from trimech.geometry import (CavitySpec, PumpGeometry, chi_for_geometry,
                               field_profile_samples,
                               intracavity_field, lineshape, profile)
-from trimech.linear import drift_matrix
+from trimech.linear import linear_model
 from trimech.params import ModelParams
 from trimech.steady import fixed_point
 
@@ -170,7 +170,7 @@ class TestGeometryDriftCoupling:
         m = ModelParams(omega1=10.0, omega2=3.4, gamma1=2.8e-3, gamma2=1e-8,
                         g1=1.0e-3, g2=-2.4e-10, chi=chi_eff, drive=1e8,
                         n1=0.0, n2=0.0, detuning=-27.2)
-        A = drift_matrix(m, fixed_point(m))
+        A = linear_model(m, fixed_point(m)).drift
         mirror, sphere = [2, 3], [4, 5]
         assert np.all(A[np.ix_(mirror, sphere)][:, :1] == 0.0)
         assert np.all(A[np.ix_(mirror, sphere)][1, 0] == 0.0)
@@ -184,7 +184,7 @@ class TestGeometryDriftCoupling:
         m = ModelParams(omega1=10.0, omega2=3.4, gamma1=2.8e-3, gamma2=1e-8,
                         g1=1.0e-3, g2=-2.4e-10, chi=chi_eff, drive=1e8,
                         n1=0.0, n2=0.0, detuning=-27.2)
-        A = drift_matrix(m, fixed_point(m))
+        A = linear_model(m, fixed_point(m)).drift
         assert A[3, 4] != 0.0 and A[5, 2] != 0.0
 
 

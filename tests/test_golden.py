@@ -8,7 +8,8 @@ The digests hold for the numpy version in NUMPY; under another version
 LAPACK may round differently, so the test skips.  A change that moves
 output bytes on purpose updates DIGESTS (print the current ones with
 `PYTHONPATH=src python tests/test_golden.py`) and lists each old -> new
-digest in CHANGES.md.
+digest in CHANGES.md.  The CI workflow runs every entry of RUNS through
+the installed console script too (`run_argv`, `file_digests`).
 """
 
 import contextlib
@@ -144,16 +145,28 @@ DIGESTS = {
 }
 
 
-def output_digests(name, out_dir):
-    """Run `name` into the empty directory `out_dir`; {file: sha256}."""
+def run_argv(name, out_dir):
+    """Write the CONFIGS files into the empty directory `out_dir`; the CLI
+    arguments of run `name`, which writes into `out_dir`/out."""
     out_dir = Path(out_dir)
     for file, text in CONFIGS.items():
         (out_dir / file).write_text(text, encoding="utf-8")
-    argv = [str(out_dir / arg) if arg in CONFIGS else arg for arg in RUNS[name]]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + ["-o", str(out_dir / "out")]) == 0
+    return ([str(out_dir / arg) if arg in CONFIGS else arg for arg in RUNS[name]]
+            + ["-o", str(out_dir / "out")])
+
+
+def file_digests(directory):
+    """{file: sha256} of every file in `directory`."""
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in sorted((out_dir / "out").iterdir())}
+            for f in sorted(Path(directory).iterdir())}
+
+
+def output_digests(name, out_dir):
+    """Run `name` into the empty directory `out_dir`; {file: sha256}."""
+    argv = run_argv(name, out_dir)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return file_digests(Path(out_dir) / "out")
 
 
 @pytest.mark.skipif(np.__version__ != NUMPY,

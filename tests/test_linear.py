@@ -12,8 +12,8 @@ import pytest
 
 import trimech.linear as linear
 from trimech.errors import NumericalError, UnstableSystemError
-from trimech.linear import (EPS_STABLE, IMAG_FLOOR, diffusion_matrix,
-                            _sorted_modes, drift_matrix, linear_model,
+from trimech.linear import (EPS_STABLE, IMAG_FLOOR, _sorted_modes,
+                            linear_model,
                             occupation, physicality_floor,
                             solve_lyapunov, squeezing, stability,
                             symplectic_form, track_modes)
@@ -68,17 +68,17 @@ class TestDriftMatrix:
     def test_linear_only_limit(self):
         m = basic_model(g2=0.0)
         s = fixed_point(m)
-        assert np.array_equal(drift_matrix(m, s), linear_only_drift(m, s))
+        assert np.array_equal(linear_model(m, s).drift, linear_only_drift(m, s))
 
     def test_quadratic_only_limit(self):
         m = basic_model(chi=0.0, g1=0.0)
         s = fixed_point(m)
         assert s.x1_bar == 0.0 and s.x2_bar == 0.0
-        assert np.array_equal(drift_matrix(m, s), quadratic_only_drift(m, s))
+        assert np.array_equal(linear_model(m, s).drift, quadratic_only_drift(m, s))
 
     def test_quadratic_only_mirror_decouples(self):
         m = basic_model(chi=0.0, g1=0.0)
-        A = drift_matrix(m, fixed_point(m))
+        A = linear_model(m, fixed_point(m)).drift
         mirror = [2, 3]
         others = [0, 1, 4, 5]
         assert np.all(A[np.ix_(mirror, others)] == 0.0)
@@ -87,7 +87,7 @@ class TestDriftMatrix:
     def test_all_couplings_zero_block_diagonal(self):
         m = basic_model(g1=0.0, g2=0.0, chi=0.0, drive=0.0)
         s = fixed_point(m)
-        A = drift_matrix(m, s)
+        A = linear_model(m, s).drift
         expected = np.zeros((6, 6))
         expected[0, :2] = [-1.0, -m.detuning]
         expected[1, :2] = [m.detuning, -1.0]
@@ -105,18 +105,18 @@ class TestDriftMatrix:
 
 class TestDiffusionMatrix:
     def test_zero_damping_vacuum_only(self):
-        D = diffusion_matrix(basic_model(gamma1=0.0, gamma2=0.0))
+        D = basic_model(gamma1=0.0, gamma2=0.0).rows.diffusion[0]
         assert np.array_equal(D, np.diag([1.0, 1.0, 0, 0, 0, 0]))
 
     def test_zero_temperature_entries(self):
         m = basic_model(n1=0.0, n2=0.0)
-        D = diffusion_matrix(m)
+        D = m.rows.diffusion[0]
         assert D[3, 3] == pytest.approx(2 * m.gamma1)
         assert D[5, 5] == pytest.approx(2 * m.gamma2)
 
     def test_hot_sphere_entry(self):
         m = basic_model(n2=1.2e5, gamma2=1e-8)
-        assert diffusion_matrix(m)[5, 5] == pytest.approx(4.80002e-3, rel=1e-10)
+        assert m.rows.diffusion[0][5, 5] == pytest.approx(4.80002e-3, rel=1e-10)
 
     def test_psd_and_diagonal(self, model_draws_100):
         for m, _, lm in model_draws_100[:25]:
@@ -129,14 +129,14 @@ class TestDiffusionMatrix:
 class TestStability:
     def test_uncoupled_damped_is_stable(self):
         m = basic_model(g1=0.0, g2=0.0, chi=0.0, drive=0.0)
-        stable, _ = stability(drift_matrix(m, fixed_point(m)))
+        stable, _ = stability(linear_model(m, fixed_point(m)).drift)
         assert stable
 
     def test_marginal_reported_unstable(self):
         # undamped uncoupled mechanics sit exactly on the imaginary axis
         m = basic_model(g1=0.0, g2=0.0, chi=0.0, drive=0.0,
                         gamma1=0.0, gamma2=0.0)
-        stable, lam = stability(drift_matrix(m, fixed_point(m)))
+        stable, lam = stability(linear_model(m, fixed_point(m)).drift)
         assert not stable
         assert lam.real.max() == pytest.approx(0.0, abs=1e-12)
 

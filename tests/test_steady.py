@@ -125,10 +125,6 @@ class TestFixedPoint:
         assert s.delta_eff == -1e200
         assert s.photon_number == 0.0 and s.x1_bar == 0.0
 
-    def test_requires_effective_mode(self):
-        with pytest.raises(ValueError, match="effective"):
-            fixed_point(basic_model(detuning_mode="bare"))
-
     @pytest.mark.parametrize("detuning", [-27.2, -0.0, math.inf, -math.inf, math.nan])
     def test_scalar_and_array_inputs_give_the_same_bytes(self, detuning):
         m = basic_model()

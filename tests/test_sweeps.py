@@ -262,27 +262,35 @@ class TestNoStableRow:
 
 class TestBareDetuningRefused:
     """Every entry point that reads `m.detuning` as effective refuses a
-    bare one instead of solving at the wrong detuning."""
+    bare one instead of solving at the wrong detuning, all in the words
+    of one check."""
+
+    MATCH = "detuning_mode='effective'"
 
     @pytest.mark.parametrize("sweep", [power_sweep, squeezing_sweep])
     def test_sweeps(self, sweep):
         m = replace(fig3_model(), detuning_mode="bare")
-        with pytest.raises(ValueError, match="detuning_mode='effective'"):
+        with pytest.raises(ValueError, match=self.MATCH):
             sweep(m, preset_drives("fig3"), base=REF)
+
+    def test_fixed_point(self):
+        from trimech.steady import fixed_point
+        with pytest.raises(ValueError, match=self.MATCH):
+            fixed_point(replace(fig3_model(), detuning_mode="bare"))
 
     def test_solve_point(self):
         from trimech.sweeps import solve_point
-        with pytest.raises(ValueError, match="detuning_mode='effective'"):
+        with pytest.raises(ValueError, match=self.MATCH):
             solve_point(replace(fig3_model(), detuning_mode="bare"))
 
     def test_is_stable(self):
         from trimech.sweeps import is_stable
-        with pytest.raises(ValueError, match="detuning_mode='effective'"):
+        with pytest.raises(ValueError, match=self.MATCH):
             is_stable(replace(fig3_model(), detuning_mode="bare"))
 
     def test_instability_threshold(self):
         m = replace(fig4_model(), detuning_mode="bare")
-        with pytest.raises(ValueError, match="detuning_mode='effective'"):
+        with pytest.raises(ValueError, match=self.MATCH):
             instability_threshold(m, drive_from_watts(REF, 1e-5),
                                   drive_from_watts(REF, 5e-3))
 
