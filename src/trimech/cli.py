@@ -7,8 +7,9 @@ digits) and JSON summaries written into the output directory.  Every
 output file opens with a header echoing the resolved parameter set and
 the tool version, and identical configs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 physics error (no stable
-state where one is required, degenerate trap), 4 numerical fault.
+Exit codes: 0 success, 2 configuration error (an unreadable config or an
+unusable output directory too), 3 physics error (no stable state where
+one is required, degenerate trap), 4 numerical fault.
 """
 
 import argparse
@@ -104,8 +105,18 @@ def _model_echo(m):
             for k, v in asdict(m).items()}
 
 
+@contextmanager
+def _output_errors():
+    """Report an OSError from creating the output directory or writing a
+    file into it as a ConfigError: the -o path is unusable."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output_errors(), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
 
@@ -321,7 +332,6 @@ def cmd_geometry(args):
                           transmissivity=geo["transmissivity"])
     table = field_profile_samples(spec, geo["samples"])
     echo = _echo_header({
-        "variant": geo["variant"].value,
         "length_m": fmt(spec.length),
         "wavenumber_per_m": fmt(spec.wavenumber),
         "reflectivity": fmt(spec.reflectivity),
@@ -443,7 +453,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        os.makedirs(args.output_dir, exist_ok=True)
+        with _output_errors():
+            os.makedirs(args.output_dir, exist_ok=True)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .geometry import PROFILE_SAMPLES, PumpGeometry
+from .geometry import PROFILE_SAMPLES
 from .params import PhysicalParams
 
 _LENGTH = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6,
@@ -61,8 +61,8 @@ _SWEEP_KINDS = {
                   ("detuning_min", "detuning_max", "drive_min", "drive_max")),
 }
 _SWEEP_KEYS = {"kind"}.union(*(req + opt for req, opt in _SWEEP_KINDS.values()))
-_GEOMETRY_KEYS = {"variant", "length", "wavelength", "reflectivity",
-                  "transmissivity", "samples"}
+_GEOMETRY_KEYS = {"length", "wavelength", "reflectivity", "transmissivity",
+                  "samples"}
 
 _SECTIONS = {"physical", "model", "sweep", "geometry"}
 
@@ -239,12 +239,6 @@ def geometry_section(sections):
     for key in ("reflectivity", "transmissivity"):
         raw, line = body[key]
         out[key] = _parse_number(raw, key, line)
-    raw, line = body.get("variant", (PumpGeometry.FROM_FIXED_MIRROR.value, None))
-    try:
-        out["variant"] = PumpGeometry(raw)
-    except ValueError:
-        raise ConfigError("unknown geometry variant", key="variant",
-                          line=line) from None
     raw, line = body.get("samples", (str(PROFILE_SAMPLES), None))
     out["samples"] = _parse_count(raw, "samples", line, 2)
     return out

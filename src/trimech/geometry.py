@@ -10,12 +10,14 @@ coupling the two oscillators:
     from_fixed_mirror  -> (x1 - x2)^2     (chi unchanged)
     from_moving_mirror -> x2^2            (chi -> 0, no cross-coupling)
 
-Only the zero-point ratio chi is substituted when switching geometry;
-the quadratic rate g2 itself is kept fixed, since it is set by the
-sphere's polarizability and the mode geometry rather than by the pump
-port.  A resonant cavity pumped through one mirror is symmetric under
-coordinate inversion plus time reversal, which is what pins the node
-structure in the good-cavity limit (`tests/test_geometry.py`).
+`chi_for_geometry` states this rule for each port; no model path applies
+it yet, so every model is pumped through the fixed mirror.  Only the
+zero-point ratio chi is substituted when switching geometry; the
+quadratic rate g2 itself is kept fixed, since it is set by the sphere's
+polarizability and the mode geometry rather than by the pump port.  A
+resonant cavity pumped through one mirror is symmetric under coordinate
+inversion plus time reversal, which is what pins the node structure in
+the good-cavity limit (`tests/test_geometry.py`).
 
 The intracavity field at distance z from the right mirror is the sum
 over round trips of the transmitted input,

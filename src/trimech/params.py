@@ -227,9 +227,10 @@ class ParamRows(NamedTuple):
         D[:, 0, 0] = D[:, 1, 1] = 1.0
         D[:, 3, 3] = 2.0 * gamma1 * (2.0 * n1 + 1.0)
         D[:, 5, 5] = 2.0 * gamma2 * (2.0 * n2 + 1.0)
-        return cls(omega1, omega2, gamma1, gamma2, g1, g2, chi, n1, n2,
-                   two_g2, g2 * chi, two_g2 * chi, g2 * chi2, two_g2 * chi2,
-                   4.0 * (g2 * g2) * chi2, A, D, np.abs(D).max(axis=(1, 2)))
+        return _pass_through_read_only(cls(
+            omega1, omega2, gamma1, gamma2, g1, g2, chi, n1, n2, two_g2,
+            g2 * chi, two_g2 * chi, g2 * chi2, two_g2 * chi2,
+            4.0 * (g2 * g2) * chi2, A, D, np.abs(D).max(axis=(1, 2))))
 
     @property
     def rows(self):
@@ -240,7 +241,16 @@ class ParamRows(NamedTuple):
     def take(self, rows):
         """The record of the rows `rows` of this one."""
         rows = np.asarray(rows)
-        return ParamRows(*[field[rows] for field in self])
+        return _pass_through_read_only(ParamRows(*[field[rows] for field in self]))
+
+
+def _pass_through_read_only(rows):
+    """`rows` with `diffusion` and `diffusion_max` read-only: the kernel
+    hands both to its results as they are, so a caller that writes into a
+    result's D cannot change the record, which a landscape reuses."""
+    rows.diffusion.flags.writeable = False
+    rows.diffusion_max.flags.writeable = False
+    return rows
 
 
 def zero_point_spread(mass, omega):

@@ -489,6 +489,27 @@ class TestMixedCellRows:
         for name in ParamRows._fields:
             assert same_bits(getattr(taken, name), getattr(want, name)), name
 
+    def test_passed_through_arrays_are_read_only(self):
+        """A stacked record's D and max|D| reach the results of
+        `solve_points` as they are, so both are read-only: a write into a
+        result raises and leaves the record, which a landscape reuses,
+        and a repeat solve as they were."""
+        cells, dets, drives = self.mixed(self.POINTS[:2])
+        stacked = ParamRows.stack([self.CELLS[c] for c in cells])
+        for rows in (stacked, stacked.take(np.arange(len(cells))[::-1])):
+            D = rows.diffusion.copy()
+            batch = solve_points(rows, dets, drives)
+            with pytest.raises(ValueError, match="read-only"):
+                batch.linear.model(0).diffusion[5, 5] = 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                batch.linear.diffusion_max[0] = 7.0
+            assert same_bits(rows.diffusion, D)
+            again = solve_points(rows, dets, drives)
+            for name in ("drift", "diffusion", "diffusion_max", "eigenvalues"):
+                assert same_bits(getattr(again.linear, name),
+                                 getattr(batch.linear, name)), name
+            assert same_bits(again.V, batch.V)
+
     def test_fault_and_fallback_rows_bit_identical_to_their_cell_alone(
             self, monkeypatch):
         """A NaN-drive row of every cell (the stacked eigensolver raises and

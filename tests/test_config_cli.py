@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 import trimech.cli as cli
+import trimech.config as config
 from trimech.cli import _csv_table, build_parser, main
 from trimech.config import (ConfigError, fmt, format_matrix, format_record,
                             geometry_section, model_section, parse_sections,
                             physical_params, sweep_section)
-from trimech.geometry import PROFILE_SAMPLES, PumpGeometry
+from trimech.geometry import PROFILE_SAMPLES
 from trimech.params import linear_coupling, quadratic_coupling
 from trimech.validate import PAIR_TOL
+
+from test_golden import BARE_CONFIG
 
 NOMINAL = """
 # reference silica-sphere configuration
@@ -40,6 +43,16 @@ sphere_site      = node
 [model]
 detuning_mode = effective
 detuning      = -27.2
+"""
+
+
+#: a [geometry] section of its required keys
+GEOMETRY = """\
+[geometry]
+length = 0.5 cm
+wavelength = 1064 nm
+reflectivity = -0.9
+transmissivity = 0.1
 """
 
 
@@ -115,9 +128,11 @@ class TestParsing:
          "line 22: key 'detuning_mode': detuning_mode must be 'effective' or 'bare'"),
         (NOMINAL + "\n[sweep]\nkind = spiral\n", sweep_section,
          "line 26: key 'kind': kind must be power, squeezing or landscape"),
+        (GEOMETRY + "variant = symmetric\n", geometry_section,
+         "line 6: key 'variant': unknown key"),
     ], ids=["unknown-section", "key-outside-section", "empty-key", "empty-value",
             "not-a-number", "unit-on-dimensionless", "missing-section",
-            "bad-detuning-mode", "bad-sweep-kind"])
+            "bad-detuning-mode", "bad-sweep-kind", "geometry-variant"])
     def test_malformed_input_names_key_and_line(self, text, read, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             read(parse_sections(text))
@@ -130,16 +145,8 @@ class TestParsing:
         else:
             raise AssertionError("expected ConfigError")
 
-    def test_geometry_variant_is_a_pump_geometry(self):
-        text = "\n".join(["[geometry]", "length = 0.5 cm", "wavelength = 1064 nm",
-                          "reflectivity = -0.9", "transmissivity = 0.1", ""])
-        geo = geometry_section(parse_sections(text))
-        assert geo["variant"] is PumpGeometry.FROM_FIXED_MIRROR
-        assert geo["samples"] == PROFILE_SAMPLES
-        geo = geometry_section(parse_sections(text + "variant = symmetric\n"))
-        assert geo["variant"] is PumpGeometry.SYMMETRIC
-        with pytest.raises(ConfigError, match="line 6: key 'variant'"):
-            geometry_section(parse_sections(text + "variant = sideways\n"))
+    def test_geometry_samples_default(self):
+        assert geometry_section(parse_sections(GEOMETRY))["samples"] == PROFILE_SAMPLES
 
     def test_record_formatting(self):
         record = format_record("demo", {"alpha": 1.0, "mode": "effective"})
@@ -195,6 +202,21 @@ class TestCliExitCodes:
         code = main(["derive", "-i", str(tmp_path / name), "-o", str(tmp_path)])
         assert code == 2
         assert "config error: cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["file", "below-file", "file-is-directory"])
+    def test_unusable_output_exits_2(self, tmp_path, capsys, where):
+        """-o naming a regular file, a path below one, or a directory that
+        holds a directory where validation.txt goes: one config error
+        line, not an OSError traceback."""
+        (tmp_path / "file").write_text("")
+        (tmp_path / "validation.txt").mkdir()
+        out = {"file": tmp_path / "file", "below-file": tmp_path / "file" / "sub",
+               "file-is-directory": tmp_path}[where]
+        code = main(["validate", "--validate-instances", "0", "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert err.count("\n") == 1
 
     def test_validate_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         """A discrepancy above PAIR_TOL fails the verdict: validation.txt
@@ -533,6 +555,78 @@ class TestSweepKeys:
             sweep_section(parse_sections(text))
         assert exc.value.key == "power_max"
         assert exc.value.line == text.splitlines().index(f"power_max = {hi}") + 1
+
+
+class TestEveryOptionalKeyIsRead:
+    """Every key that its section parses without is listed in OPTIONAL, and
+    a value other than its default changes a data line (one not opening
+    with '#') of the subcommand that reads it."""
+
+    PHYSICAL = BARE_CONFIG.split("[model]")[0]
+    #: one landscape cell, whose optimum (detuning -27.376, drive 4.21e10)
+    #: each OPTIONAL bound below excludes
+    LANDSCAPE = PHYSICAL + "\n".join([
+        "[sweep]", "kind = landscape", "omega1_min = 10", "omega1_max = 10",
+        "omega1_count = 1", "omega2_min = 3.4", "omega2_max = 3.4",
+        "omega2_count = 1", ""])
+    POWER = PHYSICAL + "\n".join([
+        "[sweep]", "kind = {kind}", "points = 20", "power_min = 1e-5 W",
+        "power_max = 1e-4 W", ""])
+
+    #: optional key -> (subcommand, a config without the key, a line that
+    #: sets it to a value other than its default)
+    OPTIONAL = {
+        "detuning_mode": ("steady", BARE_CONFIG.replace("detuning_mode = bare\n", ""),
+                          "detuning_mode = bare"),
+        "detuning_min": ("sweep", LANDSCAPE, "detuning_min = -26"),
+        "detuning_max": ("sweep", LANDSCAPE, "detuning_max = -30"),
+        "drive_min": ("sweep", LANDSCAPE, "drive_min = 1e11"),
+        "drive_max": ("sweep", LANDSCAPE, "drive_max = 1e10"),
+        "samples": ("geometry", GEOMETRY, "samples = 101"),
+    }
+
+    def schema(self):
+        """(section parser, the keys of its schema table, a config that sets
+        each key the section requires), one per table and [sweep] kind."""
+        yield physical_params, config._PHYSICAL_FIELDS, self.PHYSICAL
+        yield model_section, config._MODEL_KEYS, BARE_CONFIG
+        yield geometry_section, config._GEOMETRY_KEYS, GEOMETRY
+        for kind, (required, optional) in config._SWEEP_KINDS.items():
+            text = self.LANDSCAPE if kind == "landscape" else self.POWER.format(kind=kind)
+            yield sweep_section, ("kind",) + required + optional, text
+
+    def test_optional_keys_are_listed(self):
+        found = set()
+        for read, keys, text in self.schema():
+            read(parse_sections(text))
+            for key in keys:
+                without = "\n".join(ln for ln in text.splitlines()
+                                    if ln.split("=")[0].strip() != key)
+                try:
+                    read(parse_sections(without))
+                except ConfigError:
+                    continue
+                found.add(key)
+        assert found == set(self.OPTIONAL)
+
+    @staticmethod
+    def data_lines(out, command, text):
+        """{file: its lines not opening with '#'} of `command` run on `text`."""
+        out.mkdir()
+        cfg = write_config(out, text)
+        assert main([command, "-i", cfg, "-o", str(out / "out")]) == 0
+        return {f.name: [ln for ln in f.read_text().splitlines()
+                         if not ln.startswith("#")]
+                for f in (out / "out").iterdir()}
+
+    @pytest.mark.parametrize("key", sorted(OPTIONAL))
+    def test_non_default_value_changes_a_data_line(self, tmp_path, key):
+        command, text, line = self.OPTIONAL[key]
+        assert key not in text and text.endswith("\n")
+        default = self.data_lines(tmp_path / "default", command, text)
+        changed = self.data_lines(tmp_path / "changed", command, text + line + "\n")
+        assert default.keys() == changed.keys()
+        assert default != changed
 
 
 class TestCliGeometryValidate:

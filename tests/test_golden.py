@@ -52,10 +52,9 @@ detuning_mode = bare
 detuning      = -27.2
 """
 
-#: a cavity whose sphere is pumped through both mirrors
+#: a cavity of two identical passive mirrors, sampled at 101 points
 GEOMETRY_CONFIG = """\
 [geometry]
-variant        = symmetric
 length         = 0.5 cm
 wavelength     = 1064 nm
 reflectivity   = -0.9
@@ -88,7 +87,7 @@ DIGESTS = {
     },
     "geometry": {
         "field_profile.dat":
-            "76765964853b199b4f74fdf8aad3caeeb5b65fa9b6cde57585462d631519c7cb",
+            "458c53f15502dcc8d2a1e0363852ad7a79bf02cf77c162917095533e2b53d1e3",
     },
     "linear-bare": {
         "linear.txt":
